@@ -2,8 +2,9 @@
 """Volume entropy from truncated transfer operators.
 
 Truncate the concatenation graph at a length cutoff, weight each edge
-s -> t by exp(-sigma * len(t)), and bisect for the sigma where the
-leading eigenvalue crosses 1. Larger cutoffs only add paths, so the
+s -> t by exp(-sigma * len(t)), and solve for the sigma where the
+leading eigenvalue crosses 1 (safeguarded Newton, the derivative coming
+from the eigenvector pair). Larger cutoffs only add paths, so the
 estimates climb toward the true growth rate from below.
 """
 

@@ -17,10 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateRadius, InvalidParams
-from .geometry import convex_clip, cross, dot, norm_dir, polygon_area, same_dir
+from .geometry import convex_clip, cross, dot, polygon_area
 from .paths import ConcatGraph, PathCensus, SaddlePath, path_length_census, circle_length
 from .surface import TranslationSurface
-from .unfold import ConeDirection, TracePoint, _in_span, cone_direction, trace_ray
+from .unfold import ConeDirection, TracePoint, cone_direction, opposite_sectors, trace_ray
 
 TWO_PI = 2 * math.pi
 
@@ -36,23 +36,10 @@ class DirectionWindow:
 
 
 def antipodal_direction(S: TranslationSurface, d: ConeDirection) -> ConeDirection:
-    """The direction exactly pi counterclockwise from d, with its slot pinned
-    down by walking the star sectors. A boundary landing belongs to the next
-    slot (wedges are half-open on their far ray)."""
-    cone = S.cone_points[d.cone_id]
-    nslots = len(cone.star)
-    w = norm_dir((-d.vec[0], -d.vec[1]))
-    cur = d.slot
-    c = d.vec
-    for _ in range(nslots + 1):
-        r2 = S.star_rays[d.cone_id][(cur + 1) % nslots][0]
-        if same_dir(w, r2):
-            return cone_direction(S, d.cone_id, (cur + 1) % nslots, w)
-        if _in_span(c, w, r2):
-            return cone_direction(S, d.cone_id, cur, w)
-        cur = (cur + 1) % nslots
-        c = r2
-    raise AssertionError("antipode walk did not terminate")
+    """The direction exactly pi counterclockwise from d. A boundary landing
+    belongs to the next slot (wedges are half-open on their far ray)."""
+    slot = opposite_sectors(S, d)[0]
+    return cone_direction(S, d.cone_id, slot, (-d.vec[0], -d.vec[1]))
 
 
 def direction_window(G: ConcatGraph, path: SaddlePath | None = None,

@@ -41,7 +41,8 @@ class TruncationError(TsurfError):
 
 
 class BracketFailure(TsurfError):
-    """The entropy bisection could not bracket lambda(sigma) = 1."""
+    """The entropy solver could not bracket lambda(sigma) = 1, or lambda
+    failed its check of decreasing in sigma."""
 
 
 class EmptySCC(TsurfError):

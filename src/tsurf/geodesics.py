@@ -22,7 +22,25 @@ from .paths import ConcatGraph
 
 
 def canonical_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    """Lexicographically least rotation, by the two-pointer scan for the
+    minimal cyclic shift: linear in the word length, where comparing all
+    rotations is quadratic."""
+    n = len(word)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = word[(i + k) % n], word[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return word[i:] + word[:i]
 
 
 def is_primitive(word: tuple[int, ...]) -> bool:
@@ -92,10 +110,12 @@ class GeodesicCensus:
         return out
 
 
-def _return_bounds(G: ConcatGraph, anchor: int, active: np.ndarray) -> np.ndarray:
+def _return_bounds(G: ConcatGraph, anchor: int, active: np.ndarray,
+                   rev: list[list[int]]) -> np.ndarray:
     """Cheapest completion cost from each saddle back to the anchor: the sum
     of the lengths of the letters still to be appended (closing after a
-    saddle with allowed(s, anchor) is free). Dijkstra on reversed edges."""
+    saddle with allowed(s, anchor) is free). Dijkstra on the reversed edges
+    `rev` between active saddles."""
     dist = np.full(G.n, math.inf)
     heap = []
     for s in range(G.n):
@@ -103,19 +123,13 @@ def _return_bounds(G: ConcatGraph, anchor: int, active: np.ndarray) -> np.ndarra
             dist[s] = 0.0
             heap.append((0.0, s))
     heapq.heapify(heap)
-    rev = [[] for _ in range(G.n)]
-    for s in range(G.n):
-        if active[s]:
-            for j in G.out[s]:
-                if active[j]:
-                    rev[int(j)].append(s)
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
         nd = d + float(G.lengths[u])
         for s in rev[u]:
-            if nd < dist[s]:
+            if active[s] and nd < dist[s]:
                 dist[s] = nd
                 heapq.heappush(heap, (nd, s))
     return dist
@@ -133,39 +147,58 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
     seen: set[tuple[int, ...]] = set()
     found: list[ClosedGeodesic] = []
     active = np.ones(G.n, dtype=bool)
+    succ_of = [ids.tolist() for ids in G.out]
+    lengths = G.lengths.tolist()
+    rev: list[list[int]] = [[] for _ in range(G.n)]
+    for s, succ in enumerate(succ_of):
+        for j in succ:
+            rev[j].append(s)
+
+    def record(word, anchor):
+        if G.allowed(word[-1], anchor):
+            cw = canonical_rotation(tuple(word))
+            if cw not in seen:
+                seen.add(cw)
+                length = word_length(G.lengths, cw)
+                if length <= T and is_primitive(cw):
+                    found.append(ClosedGeodesic(cw, length, True))
+
     for anchor in range(G.n):
-        if G.lengths[anchor] > T:
+        if lengths[anchor] > T:
             break
         active[:] = G.lengths <= T
         active[:anchor] = False
         # Ids below the anchor are banned inside its words, making the anchor
         # the minimal letter; every rotation class is then met at least once.
-        back = _return_bounds(G, anchor, active)
-        if float(G.lengths[anchor]) + back[anchor] > T + slack:
+        back = _return_bounds(G, anchor, active, rev)
+        if lengths[anchor] + back[anchor] > T + slack:
             continue
+        live = active.tolist()
+        back_of = back.tolist()
+        # Explicit-stack depth-first search: one iterator over the
+        # successors of each letter of the current word, and the prefix
+        # lengths. A word is recorded when it is first reached, before its
+        # extensions.
         word = [anchor]
-
-        def dfs(last: int, acc: float):
-            if G.allowed(last, anchor):
-                w = tuple(word)
-                cw = canonical_rotation(w)
-                if cw not in seen:
-                    seen.add(cw)
-                    length = word_length(G.lengths, cw)
-                    if length <= T and is_primitive(cw):
-                        found.append(ClosedGeodesic(cw, length, True))
-            for j in G.out[last]:
-                j = int(j)
-                if not active[j]:
+        accs = [lengths[anchor]]
+        stack = [iter(succ_of[anchor])]
+        record(word, anchor)
+        while stack:
+            for j in stack[-1]:
+                if not live[j]:
                     continue
-                nxt = acc + float(G.lengths[j])
-                if nxt + back[j] > T + slack:
+                nxt = accs[-1] + lengths[j]
+                if nxt + back_of[j] > T + slack:
                     continue
                 word.append(j)
-                dfs(j, nxt)
+                accs.append(nxt)
+                record(word, anchor)
+                stack.append(iter(succ_of[j]))
+                break
+            else:
+                stack.pop()
+                accs.pop()
                 word.pop()
-
-        dfs(anchor, float(G.lengths[anchor]))
     found.sort(key=lambda g: (g.length, g.word))
     return GeodesicCensus(T, found, np.asarray(G.lengths, dtype=np.float64))
 

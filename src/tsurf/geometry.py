@@ -9,6 +9,7 @@ them below a half-turn makes membership a pair of cross-product signs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,15 +37,6 @@ def neg(u):
 
 def norm_sq(u):
     return u[0] * u[0] + u[1] * u[1]
-
-
-def zmul(z, w):
-    """Complex-style product; composes rotations-with-scale exactly."""
-    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
-
-
-def zconj(z):
-    return (z[0], -z[1])
 
 
 def norm_dir(v) -> tuple[int, int]:
@@ -134,7 +126,7 @@ def wedge_split(w: Wedge, dirs) -> list[Wedge]:
             uniq.append(d)
     if not uniq:
         return [w]
-    uniq.sort(key=_ccw_sort_key(w.a))
+    uniq.sort(key=ccw_sort_key)
     pieces = []
     prev, iprev = w.a, w.ia
     for d in uniq:
@@ -144,21 +136,20 @@ def wedge_split(w: Wedge, dirs) -> list[Wedge]:
     return [p for p in pieces if not p.is_empty()]
 
 
-def _ccw_sort_key(base):
-    """Sort key for directions within a wedge of angle <= pi from `base`:
-    angle(base -> d) is monotone in (1 - cos) / ... avoided; use the exact
-    comparator via cross signs packaged as a key on (half, slope)."""
-    import functools
+def _ccw_cmp(d1, d2) -> int:
+    c = cross(d1, d2)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
 
-    def cmp(d1, d2):
-        c = cross(d1, d2)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
 
-    return functools.cmp_to_key(cmp)
+# Sort key putting directions in counterclockwise order. The cross-product
+# sign orders two directions only when they are less than a half-turn apart,
+# so the order is exact for directions inside one half-open sector of angle
+# <= pi (or a closed one of angle < pi); parallel directions compare equal.
+ccw_sort_key = functools.cmp_to_key(_ccw_cmp)
 
 
 def point_seg_dist_sq_from_origin(p1, p2) -> Fraction:

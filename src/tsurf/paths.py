@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams, TruncationError
+from .geometry import ccw_sort_key
 from .rational import parse_rational
 from .surface import TranslationSurface
-from .unfold import SaddleConnection, angle_ccw_at_least_pi, enumerate_saddle_connections
+from .unfold import enumerate_saddle_connections, opposite_sectors
 
 TWO_PI = 2 * math.pi
 
@@ -53,45 +53,13 @@ class ConcatGraph:
         self.max_length_sq = max_length_sq
         self.surface = surface
         self.out = []
-        for s in range(self.n):
-            ids = np.asarray(sorted(out[s], key=lambda j: (self.lengths[j], j)),
-                             dtype=np.int32)
-            self.out.append(ids)
-        self.out_sets = [frozenset(int(j) for j in ids) for ids in self.out]
-        self._compute_scc()
+        for ids in out:
+            ids = np.asarray(ids, dtype=np.int32)
+            self.out.append(ids[np.lexsort((ids, self.lengths[ids]))])
+        self.out_sets = [frozenset(ids.tolist()) for ids in self.out]
 
     def allowed(self, i: int, j: int) -> bool:
         return j in self.out_sets[i]
-
-    def _compute_scc(self):
-        rows = np.concatenate([np.full(len(ids), s, dtype=np.int32)
-                               for s, ids in enumerate(self.out)] or
-                              [np.zeros(0, dtype=np.int32)])
-        cols = (np.concatenate([ids for ids in self.out])
-                if self.n else np.zeros(0, dtype=np.int32))
-        m = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(self.n, self.n))
-        ncomp, labels = connected_components(m, directed=True, connection="strong")
-        self.scc_labels = labels
-        sizes = np.bincount(labels, minlength=ncomp)
-        # Largest component, preferring ones that carry at least one edge.
-        has_edge = np.zeros(ncomp, dtype=bool)
-        for s in range(self.n):
-            for j in self.out[s]:
-                if labels[s] == labels[j]:
-                    has_edge[labels[s]] = True
-        candidates = [c for c in range(ncomp) if has_edge[c]]
-        if candidates:
-            best = max(candidates, key=lambda c: (sizes[c], -c))
-            self.largest_scc = np.flatnonzero(labels == best).astype(np.int32)
-        else:
-            self.largest_scc = np.zeros(0, dtype=np.int32)
-        self.scc_covers_all = len(self.largest_scc) == self.n
-
-    def budget_length(self) -> float | None:
-        if self.max_length_sq is None:
-            return None
-        return math.sqrt(float(self.max_length_sq))
 
     def check_radius(self, R):
         """Queries at radius R are only complete if every saddle connection
@@ -104,23 +72,48 @@ class ConcatGraph:
             )
 
     def __repr__(self):
-        return (f"ConcatGraph(n={self.n}, edges={sum(len(o) for o in self.out)}, "
-                f"scc={len(self.largest_scc)})")
+        return f"ConcatGraph(n={self.n}, edges={sum(len(o) for o in self.out)})"
+
+
+def _position(slot: int, vec):
+    """Sort key of a direction in its cone's angular coordinate: sector
+    first, then counterclockwise order inside the half-open sector."""
+    return (slot, ccw_sort_key(vec))
 
 
 def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
-    """Enumerate saddle connections within the budget and decide every
-    concatenation pair with the exact two-sided half-turn test."""
+    """Enumerate saddle connections within the budget and read each
+    successor set off the exact angular order of the out-directions.
+
+    By the two-sided half-turn test, s2 may follow s exactly when s2 leaves
+    the cone at a ccw angle from s.back_dir in [pi, 2*pi*(k+1) - pi]. With
+    the out-directions at each cone sorted exactly by angle, that arc is one
+    cyclic index range, found by two binary searches.
+    """
     saddles = enumerate_saddle_connections(S, max_length_sq)
-    by_start: dict[int, list[SaddleConnection]] = {}
+    leaving: dict[int, list] = {}
     for s in saddles:
-        by_start.setdefault(s.start, []).append(s)
-    out = [[] for _ in saddles]
+        d = s.out_dir
+        leaving.setdefault(s.start, []).append((_position(d.slot, d.vec), s.id))
+    order, keys = {}, {}
+    for cone, group in leaving.items():
+        group.sort()
+        keys[cone] = [key for key, _ in group]
+        order[cone] = np.array([i for _, i in group], dtype=np.int32)
+    out = []
     for s in saddles:
-        for s2 in by_start.get(s.end, ()):
-            if angle_ccw_at_least_pi(S, s.back_dir, s2.out_dir) and \
-               angle_ccw_at_least_pi(S, s2.out_dir, s.back_dir):
-                out[s.id].append(s2.id)
+        if s.end not in order:
+            out.append(())
+            continue
+        slots = opposite_sectors(S, s.back_dir)
+        opposite = (-s.back_dir.vec[0], -s.back_dir.vec[1])
+        first = _position(slots[0], opposite)
+        last = _position(slots[-1], opposite)
+        i = bisect_left(keys[s.end], first)
+        j = bisect_right(keys[s.end], last)
+        ids = order[s.end]
+        out.append(ids[i:j] if first < last
+                   else np.concatenate((ids[i:], ids[:j])))
     return ConcatGraph(
         saddles=tuple(saddles),
         lengths=[s.length for s in saddles],

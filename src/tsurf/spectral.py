@@ -28,32 +28,38 @@ def _prefix_count(G: ConcatGraph, cutoff: float | None) -> int:
     return int(np.searchsorted(G.lengths, cutoff, side="right"))
 
 
-def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
-    """Saddle ids of the largest strongly connected component of the subgraph
-    spanned by saddles with length <= cutoff. Components without a cycle
-    (no internal edge) are discarded; raises EmptySCC if nothing survives."""
+def _truncated_scc(G: ConcatGraph, cutoff: float | None) -> tuple[csr_matrix, np.ndarray]:
+    """0/1 matrix of the subgraph on saddles with length <= cutoff, and the
+    ids of its largest strongly connected component that carries an edge.
+    Ids are sorted by length, so the subgraph is a leading block of the
+    whole graph's matrix."""
     k = _prefix_count(G, cutoff)
     if k == 0:
         raise EmptySCC(f"no saddles within cutoff {cutoff}")
-    rows, cols = [], []
-    for s in range(k):
-        for j in G.out[s]:
-            if j < k:
-                rows.append(s)
-                cols.append(int(j))
-    if not rows:
+    indptr = np.zeros(G.n + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in G.out], out=indptr[1:])
+    indices = np.concatenate(G.out)
+    m = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
+                   shape=(G.n, G.n))[:k, :k]
+    if m.nnz == 0:
         raise EmptySCC(f"no concatenations within cutoff {cutoff}")
-    m = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(k, k))
+    m.sort_indices()
     ncomp, labels = connected_components(m, directed=True, connection="strong")
+    rows = np.repeat(labels, np.diff(m.indptr))
     has_cycle = np.zeros(ncomp, dtype=bool)
-    for r, c in zip(rows, cols):
-        if labels[r] == labels[c]:
-            has_cycle[labels[r]] = True
+    has_cycle[rows[rows == labels[m.indices]]] = True
     sizes = np.bincount(labels, minlength=ncomp)
     sizes[~has_cycle] = 0
     if sizes.max() == 0:
         raise EmptySCC(f"no cycles within cutoff {cutoff}")
-    return np.flatnonzero(labels == int(sizes.argmax())).astype(np.int32)
+    return m, np.flatnonzero(labels == int(sizes.argmax())).astype(np.int32)
+
+
+def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
+    """Saddle ids of the largest strongly connected component of the subgraph
+    spanned by saddles with length <= cutoff. Components without a cycle
+    (no internal edge) are discarded; raises EmptySCC if nothing survives."""
+    return _truncated_scc(G, cutoff)[1]
 
 
 @dataclass
@@ -97,19 +103,14 @@ class WeightMatrix:
 
 def weight_matrix(G: ConcatGraph, sigma: float, cutoff: float | None = None,
                   t: float = 0.0, s0: int | None = None) -> WeightMatrix:
-    ids = truncated_scc(G, cutoff)
-    idset = {int(i): n for n, i in enumerate(ids)}
-    indptr = [0]
-    indices = []
-    for s in ids:
-        row = sorted(idset[int(j)] for j in G.out[int(s)] if int(j) in idset)
-        indices.extend(row)
-        indptr.append(len(indices))
+    m, ids = _truncated_scc(G, cutoff)
+    sub = m[ids][:, ids]
+    sub.sort_indices()
     return WeightMatrix(
         ids=ids,
         lengths=G.lengths[ids],
-        indptr=np.asarray(indptr, dtype=np.int32),
-        indices=np.asarray(indices, dtype=np.int32),
+        indptr=sub.indptr.astype(np.int32),
+        indices=sub.indices.astype(np.int32),
         sigma=float(sigma),
         t=float(t),
         s0=s0,
@@ -127,11 +128,14 @@ class SpectralResult:
     scc_size: int
 
 
-def spectral_radius(W, tol: float = 1e-12, max_iter: int = 100000) -> SpectralResult:
+def spectral_radius(W, tol: float = 1e-12, max_iter: int = 100000,
+                    start: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralResult:
     """Perron data by shifted power iteration. The diagonal shift by the max
     row sum makes the iteration matrix primitive regardless of the cycle
     structure, so convergence needs no aperiodicity assumption. Accepts a
-    WeightMatrix or any square nonnegative array/sparse matrix."""
+    WeightMatrix or any square nonnegative array/sparse matrix. `start`
+    is an optional positive (u, v) pair to iterate from, such as the Perron
+    pair of a nearby matrix; the default is the uniform vector."""
     m = W.matrix() if hasattr(W, "matrix") else csr_matrix(W)
     n = m.shape[0]
     if n == 0:
@@ -141,26 +145,34 @@ def spectral_radius(W, tol: float = 1e-12, max_iter: int = 100000) -> SpectralRe
     rowsum = np.asarray(m.sum(axis=1)).ravel()
     shift = max(float(rowsum.max()), 1e-30)
     mt = m.T.tocsr()
-    v = np.full(n, 1.0 / n)
-    u = np.full(n, 1.0 / n)
+    if start is None:
+        u = np.full(n, 1.0 / n)
+        v = np.full(n, 1.0 / n)
+    else:
+        u = start[0] / start[0].sum()
+        v = start[1] / start[1].sum()
     lam = 0.0
     res = math.inf
     it = 0
     scale = max(shift, 1.0)
+    # m @ v and mt @ u of the current iterates serve both the residual and
+    # the next step: two products per iteration.
+    mv = m @ v
+    mu = mt @ u
     for it in range(1, max_iter + 1):
-        wv = m @ v
-        wu = mt @ u
-        nv = wv + shift * v
-        nu = wu + shift * u
+        nv = mv + shift * v
+        nu = mu + shift * u
         sv = nv.sum()
         su = nu.sum()
         if sv <= 0 or su <= 0:
             break
         v = nv / sv
         u = nu / su
-        lam = float(v @ (m @ v)) / float(v @ v)
-        res = max(float(np.abs(m @ v - lam * v).max()),
-                  float(np.abs(mt @ u - lam * u).max()))
+        mv = m @ v
+        mu = mt @ u
+        lam = float(v @ mv) / float(v @ v)
+        res = max(float(np.abs(mv - lam * v).max()),
+                  float(np.abs(mu - lam * u).max()))
         if res < tol * scale:
             break
     converged = res < tol * scale
@@ -192,55 +204,75 @@ class EntropyEstimate:
         }
 
 
-def _solve_lambda_one(pattern: WeightMatrix, lam_tol: float) -> tuple[float, tuple, list, bool]:
-    """Bisection for lambda(sigma) = 1; returns h, final bracket, the sampled
-    (sigma, lambda) pairs, and a convergence flag."""
+# The root search stops once lambda(lo) > 1 > lambda(hi) with hi - lo at
+# most this many times max(1, sigma); below that the eigensolve's own error
+# decides the side of the root.
+_SIGMA_TOL = 1e-13
+# Roots below this count as no growth at all.
+_SIGMA_MIN = 1e-12
+_MAX_STEPS = 100
+
+
+def _solve_lambda_one(pattern: WeightMatrix, sigma0: float,
+                      lam_tol: float) -> tuple[float, tuple, list, bool]:
+    """Safeguarded Newton for lambda(sigma) = 1 from sigma0.
+
+    log(lambda) is convex and decreasing in sigma, with derivative
+    -sum(l * u * v) from the normalised Perron pair (u, v), so Newton steps
+    from a point with lambda > 1 approach the root from below. Every
+    eigensolve narrows the bracket lambda(lo) > 1 > lambda(hi); a step that
+    would leave it bisects instead, and a step shorter than the tolerance is
+    lengthened to it so that it lands past the root and closes the bracket.
+    Until some point has lambda > 1 the lower end is the uncertified
+    _SIGMA_MIN, so leaving the bracket about halves sigma. Each eigensolve
+    after the first starts from the previous Perron pair. Returns h, the
+    final bracket, the sampled (sigma, lambda) pairs, and a convergence
+    flag: every eigensolve converged and the last has |lambda - 1| <
+    lam_tol."""
     samples = []
     all_converged = True
-
-    def lam_at(sig):
-        nonlocal all_converged
-        r = spectral_radius(pattern.at(sig))
+    lo, hi = _SIGMA_MIN, math.inf
+    have_lo = False
+    sig = float(sigma0)
+    start = None
+    for _ in range(_MAX_STEPS):
+        r = spectral_radius(pattern.at(sig), start=start)
+        start = (r.u, r.v)
         all_converged = all_converged and r.converged
         samples.append((sig, r.lam))
-        return r.lam
-
-    minlen = float(pattern.lengths.min())
-    deg = np.diff(pattern.indptr).max()
-    lo = 1e-3
-    hi = max(10.0 * math.log(max(2.0, float(deg))) / minlen, lo * 4)
-    for _ in range(60):
-        if lam_at(lo) > 1.0:
+        if r.lam == 1.0:
+            lo = hi = sig
+            have_lo = True
             break
-        lo /= 2.0
-        if lo < 1e-12:
-            raise BracketFailure("lambda(sigma) <= 1 down to sigma = 1e-12; "
-                                 "the truncated component has no growth")
-    for _ in range(60):
-        if lam_at(hi) < 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketFailure(f"lambda({hi}) >= 1; cannot bracket the root")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        lm = lam_at(mid)
-        if abs(lm - 1.0) < lam_tol and hi - lo < 1e-12:
-            lo = hi = mid
-            break
-        if lm > 1.0:
-            lo = mid
+        if r.lam > 1.0:
+            lo, have_lo = sig, True
         else:
-            hi = mid
-    # Monotonicity audit over everything the bisection evaluated.
+            hi = sig
+        tol = _SIGMA_TOL * max(1.0, sig)
+        if have_lo and hi - lo <= tol:
+            break
+        if not have_lo and hi <= 2 * _SIGMA_MIN:
+            raise BracketFailure(f"lambda(sigma) <= 1 down to sigma = {hi:.3g}; "
+                                 "the truncated component has no growth")
+        step = math.log(r.lam) / float((pattern.lengths * r.u * r.v).sum())
+        if abs(step) < tol:
+            step = math.copysign(tol, step)
+        sig = sig + step
+        if not lo < sig < hi:
+            if math.isinf(hi):
+                raise BracketFailure(f"Newton step {step} from sigma = {lo} "
+                                     f"leaves the bracket [{lo}, inf)")
+            sig = 0.5 * (lo + hi)
+    else:
+        all_converged = False
+    # Monotonicity audit over everything the solver evaluated.
     samples.sort(key=lambda p: p[0])
     for (s1, l1), (s2, l2) in zip(samples, samples[1:]):
         if s2 > s1 and not (l2 < l1 + 1e-12):
             raise BracketFailure(
                 f"lambda not decreasing: lambda({s1})={l1}, lambda({s2})={l2}")
-    return 0.5 * (lo + hi), (lo, hi), samples, all_converged
+    converged = all_converged and abs(r.lam - 1.0) < lam_tol
+    return 0.5 * (lo + hi), (lo, hi), samples, converged
 
 
 def _tail_estimate(G: ConcatGraph, cutoff: float, h: float) -> float:
@@ -266,16 +298,23 @@ def default_cutoffs(G: ConcatGraph, count: int = 5) -> list[float]:
 
 
 def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> EntropyEstimate:
+    """Entropy h_L at each cutoff of the ladder (the default ladder when
+    None). Each rung solves lambda(sigma) = 1 by safeguarded Newton,
+    starting from the previous rung's h (h_L grows with L, so that point
+    usually has lambda >= 1 already); the first rung starts at
+    sigma = 1e-3. A rung counts as converged when every eigensolve
+    converged and the last one has |lambda - 1| < lam_tol."""
     if cutoffs is None:
         cutoffs = default_cutoffs(G)
     if not len(cutoffs):
         raise InvalidParams("need at least one cutoff")
     per = []
     est = None
+    sigma0 = 1e-3
     for L in cutoffs:
         L = float(L)
         pattern = weight_matrix(G, 1.0, cutoff=L)
-        h, bracket, samples, conv = _solve_lambda_one(pattern, lam_tol)
+        h, bracket, samples, conv = _solve_lambda_one(pattern, sigma0, lam_tol)
         tail = _tail_estimate(G, L, h)
         per.append({
             "cutoff": L,
@@ -289,7 +328,14 @@ def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> Entro
         })
         est = EntropyEstimate(h=h, cutoff=L, bracket=bracket, tail_estimate=tail,
                               per_cutoff=per, converged=all(p["converged"] for p in per))
+        sigma0 = h
     return est
+
+
+def _single_rung_h(G: ConcatGraph, cutoff: float | None) -> float:
+    """h of the one rung at `cutoff`, the whole graph when None."""
+    L = float(G.lengths.max()) if cutoff is None else float(cutoff)
+    return solve_entropy(G, cutoffs=[L]).h
 
 
 def v_weight(G: ConcatGraph, s0: int, cutoff: float | None = None,
@@ -298,9 +344,10 @@ def v_weight(G: ConcatGraph, s0: int, cutoff: float | None = None,
     """Relative weight of saddle s0: minus the ratio of the tilt derivative to
     the sigma derivative of the leading eigenvalue at sigma = h, computed from
     the eigenvector identity d(lambda) = u (dW) v and cross-checked against
-    central finite differences."""
+    central finite differences. h defaults to the single-rung entropy at the
+    cutoff."""
     if h is None:
-        h = solve_entropy(G, cutoffs=[cutoff] if cutoff is not None else None).h
+        h = _single_rung_h(G, cutoff)
     pattern = weight_matrix(G, h, cutoff=cutoff, t=0.0, s0=s0)
     pos = np.flatnonzero(pattern.ids == s0)
     if len(pos) == 0:
@@ -331,9 +378,9 @@ def v_weights(G: ConcatGraph, cutoff: float | None = None,
               h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All weights on the cutoff SCC from one eigensolve (no per-saddle
     audit); returns (saddle ids, weights). Weights sum to 1 exactly by
-    construction."""
+    construction. h defaults to the single-rung entropy at the cutoff."""
     if h is None:
-        h = solve_entropy(G, cutoffs=[cutoff] if cutoff is not None else None).h
+        h = _single_rung_h(G, cutoff)
     pattern = weight_matrix(G, h, cutoff=cutoff)
     r = spectral_radius(pattern)
     w = pattern.lengths * r.u * r.v

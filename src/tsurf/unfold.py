@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import InvalidParams, MismatchedCone
+from .errors import InvalidParams
 from .geometry import (
     Wedge,
     add,
@@ -29,8 +29,6 @@ from .geometry import (
     sub,
     wedge_intersect,
     wedge_split,
-    zconj,
-    zmul,
 )
 from .rational import parse_rational
 from .surface import TranslationSurface
@@ -57,72 +55,16 @@ def cone_direction(S: TranslationSurface, cone_id: int, slot: int, vec) -> ConeD
     return ConeDirection(cone_id, slot, d)
 
 
-def _past_half_turn(z) -> bool:
-    # Rotation state z started at angle 0 and never advanced by more than pi
-    # at once, so angle(z) >= pi iff z is in the open lower half plane or on
-    # the negative real axis.
-    return z[1] < 0 or (z[1] == 0 and z[0] < 0)
-
-
-def _in_span(a, d, b) -> bool:
-    # Membership of d in the ccw span [a, b] of angle <= pi, both ends closed.
-    if same_dir(a, d) or same_dir(d, b):
-        return True
-    return cross(a, d) > 0 and cross(d, b) > 0
-
-
-def angle_ccw_at_least_pi(S: TranslationSurface, d1: ConeDirection, d2: ConeDirection) -> bool:
-    """Exact test: counterclockwise angle from d1 to d2 at their cone >= pi.
-
-    Walks the star sectors from d1, accumulating the turn as an integer
-    rotation product, and decides whether d2 is reached before the
-    cumulative turn passes pi. Equality counts as "at least".
-    """
-    if d1.cone_id != d2.cone_id:
-        raise MismatchedCone(f"cones {d1.cone_id} and {d2.cone_id} differ")
-    rays = S.star_rays[d1.cone_id]
-    nslots = len(rays)
-    slot = d1.slot
-    c = d1.vec
-    z = (1, 0)
-    for _ in range(nslots + 2):
-        r2 = rays[slot][1]
-        if slot == d2.slot and _in_span(c, d2.vec, r2):
-            zf = zmul(z, zmul(d2.vec, zconj(c)))
-            return _past_half_turn(zf)
-        z = zmul(z, zmul(r2, zconj(c)))
-        if _past_half_turn(z):
-            return True
-        slot = (slot + 1) % nslots
-        c = rays[slot][0]
-    raise AssertionError("cone star walk did not terminate")
-
-
-def ccw_angle(S: TranslationSurface, d1: ConeDirection, d2: ConeDirection) -> float:
-    """Float counterclockwise angle from d1 to d2 in [0, cone angle)."""
-    if d1.cone_id != d2.cone_id:
-        raise MismatchedCone(f"cones {d1.cone_id} and {d2.cone_id} differ")
-    rays = S.star_rays[d1.cone_id]
-    nslots = len(rays)
-    slot = d1.slot
-    c = d1.vec
-    total = 0.0
-    for _ in range(nslots + 1):
-        r2 = rays[slot][1]
-        if slot == d2.slot and _in_span(c, d2.vec, r2):
-            return total + _angle_between(c, d2.vec)
-        total += _angle_between(c, r2)
-        slot = (slot + 1) % nslots
-        c = rays[slot][0]
-    raise AssertionError("cone star walk did not terminate")
-
-
-def _angle_between(u, v) -> float:
-    # ccw angle from u to v in [0, pi]; callers guarantee the span.
-    ang = math.atan2(float(cross(u, v)), float(dot(u, v)))
-    if ang < 0:
-        ang += 2 * math.pi
-    return ang
+def opposite_sectors(S: TranslationSurface, d: ConeDirection) -> list[int]:
+    """Sectors holding the direction opposite to d, in the ccw order met
+    walking around the cone from d. A direction lies in exactly one half-open
+    sector per full turn, so there is one per turn: the first at angle pi
+    from d, the last at angle 2*pi*(k+1) - pi."""
+    rays = S.star_rays[d.cone_id]
+    opposite = (-d.vec[0], -d.vec[1])
+    slots = [j for j, (r1, r2) in enumerate(rays)
+             if Wedge(r1, True, r2, False).contains(opposite)]
+    return sorted(slots, key=lambda j: (j - d.slot) % len(rays))
 
 
 # ----------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from tsurf.geodesics import (GeodesicCensus, canonical_rotation, is_primitive,
                              saddle_cell_lengths, stats_csv)
 from tsurf.unfold import reversal_permutation
 
+from oracles import slice_min_rotation
+
 
 def _brute_census(G, T):
     """All primitive closed words of metric length <= T, canonicalized.
@@ -136,6 +138,19 @@ def test_canonical_rotation_is_rotation_invariant(word):
 def test_powers_are_never_primitive(word, p):
     w = tuple(word)
     assert not is_primitive(w * p)
+
+
+def test_canonical_rotation_matches_slice_min():
+    for n in range(1, 8):
+        for word in itertools.product(range(3), repeat=n):
+            assert canonical_rotation(word) == slice_min_rotation(word)
+
+
+def test_long_words_need_no_recursion():
+    # words of ~1500 letters: the search keeps its own stack
+    census = enumerate_closed(tsurf.complete_graph(1, length=0.001), 1.5)
+    assert census.pi() == 1
+    assert census.geodesics[0].word == (0,)
 
 
 def test_single_letters_primitive():

@@ -10,6 +10,8 @@ import pytest
 import tsurf
 from tsurf.paths import circle_csv
 
+from oracles import pairwise_allowed
+
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,6 +38,34 @@ def test_allowed_requires_matching_endpoint(G9):
     for i, s in enumerate(G9.saddles):
         for j in G9.out[i]:
             assert s.end == G9.saddles[j].start
+
+
+ORACLE_GRAPHS = [("lshape", None, 49), ("slit_tori", None, 25),
+                 ("lshape", "7/3,5/2", Fraction(121, 4))]
+
+
+@pytest.fixture(scope="module", params=ORACLE_GRAPHS,
+                ids=["lshape-49", "slit_tori-25", "lshape_7_3_5_2-121_4"])
+def oracle_graph(request):
+    name, params, budget = request.param
+    S = tsurf.builtin_surface(name, params.split(",") if params else None)
+    return tsurf.build_concat_graph(S, budget)
+
+
+def test_allowed_matches_pairwise_half_turn_test(oracle_graph):
+    # every ordered pair, different cones included
+    G = oracle_graph
+    for i in range(G.n):
+        got = [G.allowed(i, j) for j in range(G.n)]
+        assert got == [pairwise_allowed(G, i, j) for j in range(G.n)], i
+
+
+def test_out_lists_sorted_by_length_then_id(oracle_graph):
+    G = oracle_graph
+    for ids in G.out:
+        keys = [(G.lengths[j], j) for j in ids]
+        assert keys == sorted(keys)
+        assert len(set(ids.tolist())) == len(ids)
 
 
 def test_self_concatenation_recorded(G2):

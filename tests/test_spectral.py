@@ -5,7 +5,9 @@ import pytest
 
 import tsurf
 from tsurf import solve_entropy, spectral_radius, truncated_scc, v_weights
-from tsurf.spectral import weight_matrix
+from tsurf.spectral import default_cutoffs, weight_matrix
+
+from oracles import bisect_lambda_one, five_product_power_iteration
 
 
 def test_complete3_entropy_is_log3(C3):
@@ -40,6 +42,16 @@ def test_spectral_radius_against_dense_eig():
         assert res.v.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_reused_products_keep_the_iterates(G9):
+    # two products per iteration instead of five, with identical floats
+    W = weight_matrix(G9, 2.5)
+    for A in (np.random.default_rng(3).random((25, 25)), W.matrix()):
+        res = spectral_radius(A)
+        lam, u, v, r, it = five_product_power_iteration(A)
+        assert (res.lam, res.residual, res.iterations) == (lam, r, it)
+        assert np.array_equal(res.u, u) and np.array_equal(res.v, v)
+
+
 def test_spectral_radius_periodic_matrix():
     # 2-cycle: plain power iteration would oscillate, the shift must not
     A = np.array([[0.0, 2.0], [0.5, 0.0]])
@@ -53,6 +65,57 @@ def test_single_loop_has_no_growth():
     G = tsurf.complete_graph(1)
     with pytest.raises(tsurf.BracketFailure):
         solve_entropy(G, cutoffs=[1.0])
+
+
+@pytest.mark.parametrize("graph", ["G9", "G36"])
+def test_newton_rungs_match_bisection_oracle(graph, request):
+    G = request.getfixturevalue(graph)
+    est = solve_entropy(G)
+    cutoffs = default_cutoffs(G)
+    assert [p["cutoff"] for p in est.per_cutoff] == cutoffs
+    for rung in est.per_cutoff:
+        oracle = bisect_lambda_one(weight_matrix(G, 1.0, cutoff=rung["cutoff"]))
+        assert abs(rung["h"] - oracle) <= 1e-12
+        lo, hi = rung["bracket"]
+        assert lo <= rung["h"] <= hi
+        # a handful of eigensolves per rung, where bisection needs ~49
+        assert rung["lambda_samples"] <= 12
+
+
+@pytest.mark.parametrize("m", [2, 5, 11])
+def test_newton_matches_bisection_oracle_complete(m):
+    G = tsurf.complete_graph(m)
+    h = solve_entropy(G, cutoffs=[1.0]).h
+    assert abs(h - bisect_lambda_one(weight_matrix(G, 1.0, cutoff=1.0))) <= 1e-12
+
+
+def test_rung_started_past_the_root(G9):
+    # a decreasing ladder starts each rung above its root; the bracket and
+    # the bisection fallback still find it
+    est = solve_entropy(G9, cutoffs=[3.0, 2.0])
+    oracle = bisect_lambda_one(weight_matrix(G9, 1.0, cutoff=2.0))
+    assert abs(est.h - oracle) <= 1e-12
+    assert est.converged
+
+
+def test_warm_start_gives_the_same_perron_pair():
+    rng = np.random.default_rng(7)
+    A = rng.random((30, 30))
+    cold = spectral_radius(A, tol=1e-13)
+    near = spectral_radius(A + 0.05 * rng.random((30, 30)), tol=1e-13)
+    warm = spectral_radius(A, tol=1e-13, start=(near.u, near.v))
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-12)
+    assert np.allclose(warm.v, cold.v, atol=1e-12)
+    assert np.allclose(warm.u, cold.u, atol=1e-11)
+    assert warm.iterations < cold.iterations
+
+
+def test_v_weights_default_is_the_single_full_rung(G9):
+    ids, w = v_weights(G9)
+    h = solve_entropy(G9, cutoffs=[G9.lengths.max()]).h
+    ids2, w2 = v_weights(G9, h=h)
+    assert np.array_equal(ids, ids2)
+    assert np.allclose(w, w2, rtol=0, atol=1e-12)
 
 
 def test_lambda_decreasing_in_sigma(G9):
