@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateRadius, InvalidParams
 from .geometry import convex_clip, cross, dot, polygon_area
-from .paths import ConcatGraph, PathCensus, SaddlePath, path_length_census, circle_length
+from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
 from .surface import TranslationSurface
 from .unfold import ConeDirection, TracePoint, cone_direction, opposite_sectors, trace_ray
 
@@ -42,38 +42,23 @@ def antipodal_direction(S: TranslationSurface, d: ConeDirection) -> ConeDirectio
     return cone_direction(S, d.cone_id, slot, (-d.vec[0], -d.vec[1]))
 
 
-def direction_window(G: ConcatGraph, path: SaddlePath | None = None,
-                     x: int | None = None) -> DirectionWindow:
-    """Continuations after a path leave 2*pi*k of angle at the terminal cone,
-    starting a half-turn past the incoming direction. The empty path sees the
-    whole cone, width 2*pi*(k+1)."""
-    if path is None or len(path.saddle_ids) == 0:
-        if x is None:
-            raise InvalidParams("the empty path needs an explicit center")
-        S = G.surface
-        if S is None:
-            raise InvalidParams("synthetic graphs carry no geometry")
-        k = S.cone_points[x].k
-        start = cone_direction(S, x, 0, S.star_rays[x][0][0])
-        return DirectionWindow(x, start, TWO_PI * (k + 1))
+def direction_window(G: ConcatGraph, x: int,
+                     terminal: int | None = None) -> DirectionWindow:
+    """Continuations after a path ending with saddle `terminal` leave 2*pi*k
+    of angle at its end cone, starting a half-turn past the incoming
+    direction. The empty path (terminal None) sees the whole cone x, width
+    2*pi*(k+1)."""
     S = G.surface
     if S is None:
         raise InvalidParams("synthetic graphs carry no geometry")
-    last = G.saddles[path.saddle_ids[-1]]
-    back = last.back_dir
+    if terminal is None:
+        k = S.cone_points[x].k
+        start = cone_direction(S, x, 0, S.star_rays[x][0][0])
+        return DirectionWindow(x, start, TWO_PI * (k + 1))
+    back = G.saddles[terminal].back_dir
     k = S.cone_points[back.cone_id].k
     return DirectionWindow(back.cone_id, antipodal_direction(S, back),
                            TWO_PI * k)
-
-
-def _window_for_terminal(S, sad, term_id: int, kcache: dict) -> DirectionWindow:
-    if term_id not in kcache:
-        back = sad[term_id].back_dir
-        k = S.cone_points[back.cone_id].k
-        kcache[term_id] = DirectionWindow(back.cone_id,
-                                          antipodal_direction(S, back),
-                                          TWO_PI * k)
-    return kcache[term_id]
 
 
 # ----------------------------------------------------------------------------
@@ -254,30 +239,43 @@ def _trace_to_cell(S, grid, start, dvec, r: float):
     return grid.cell_of(res.end)
 
 
+def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
+    """Checks shared by the estimators, then the arcs of the radius-R circle
+    around cone x: (window, radius) for the full cone at the center, then
+    one per census path of length <= R in census order. An arc's index in
+    the list keys its random stream. Returns (R, census, arcs)."""
+    R = float(R)
+    if R <= 0:
+        raise DegenerateRadius(f"radius must be positive, got {R}")
+    G.check_radius(R)
+    if census is None or census.Rmax < R:
+        census = path_length_census(G, x, R)
+    arcs = [(direction_window(G, x), R)]
+    windows: dict[int, DirectionWindow] = {}
+    idx = int(np.searchsorted(census.lengths, R, side="right"))
+    for length, term in zip(census.lengths[:idx].tolist(),
+                            census.terminal_saddle[:idx].tolist()):
+        if term not in windows:
+            windows[term] = direction_window(G, x, term)
+        arcs.append((windows[term], R - length))
+    return R, census, arcs
+
+
 def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
                    samples_per_unit_angle: int = 1, seed: int = 0,
                    census: PathCensus | None = None) -> MeasureHistogram:
     """Histogram of the radius-R circle around cone x over the grid cells,
     normalized to total mass 1. Deterministic for a fixed seed: each arc uses
     its own counter-based stream keyed by (seed, arc index)."""
-    R = float(R)
-    if R <= 0:
-        raise DegenerateRadius(f"radius must be positive, got {R}")
-    G.check_radius(R)
-    S = G.surface
-    if S is None:
-        raise InvalidParams("synthetic graphs carry no geometry")
     if samples_per_unit_angle < 1:
         raise InvalidParams("need at least one sample per unit angle")
-    if census is None or census.Rmax < R:
-        census = path_length_census(G, x, R)
+    R, census, arcs = _circle_arcs(G, x, R, census)
+    S = G.surface
     masses = np.zeros(grid.num_cells)
     retried = 0
     dropped = 0
-    wincache: dict[int, DirectionWindow] = {}
 
-    def sample_arc(arc_index: int, window: DirectionWindow, r: float):
-        nonlocal retried, dropped
+    for arc_index, (window, r) in enumerate(arcs):
         nsamp = max(1, round(samples_per_unit_angle * window.width))
         rng = np.random.Generator(np.random.Philox(key=[seed, arc_index]))
         thetas = _stratified(rng, nsamp, window.width)
@@ -295,16 +293,8 @@ def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
                 continue
             masses[cid] += wgt
 
-    sample_arc(0, direction_window(G, None, x), R)
-    idx = int(np.searchsorted(census.lengths, R, side="right"))
-    for a in range(idx):
-        r = R - float(census.lengths[a])
-        term = int(census.terminal_saddle[a])
-        window = _window_for_terminal(S, G.saddles, term, wincache)
-        sample_arc(a + 1, window, r)
-
     total = circle_length(G, x, R, census)
-    meta = {"R": R, "seed": seed, "arcs": idx + 1,
+    meta = {"R": R, "seed": seed, "arcs": len(arcs),
             "samples_per_unit_angle": samples_per_unit_angle,
             "retried": retried, "dropped": dropped,
             "unnormalized_total": float(masses.sum()),
@@ -318,26 +308,21 @@ def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
     """Monte Carlo ball-volume mass inside the given cell set: per sector,
     area-uniform points (radius r_p*sqrt(U)), traced to their landing cell.
     Returns (estimate, standard error)."""
-    R = float(R)
-    if R <= 0:
-        raise DegenerateRadius(f"radius must be positive, got {R}")
-    G.check_radius(R)
-    S = G.surface
-    if S is None:
-        raise InvalidParams("synthetic graphs carry no geometry")
     if samples < 1:
         raise InvalidParams("need at least one sample per sector")
     cells = frozenset(int(c) for c in cells)
-    if census is None or census.Rmax < R:
-        census = path_length_census(G, x, R)
-    wincache: dict[int, DirectionWindow] = {}
+    outside = sorted(c for c in cells if not 0 <= c < grid.num_cells)
+    if outside:
+        raise InvalidParams(f"cell ids {outside} are outside the "
+                            f"{grid.num_cells}-cell grid")
+    R, census, arcs = _circle_arcs(G, x, R, census)
+    S = G.surface
     est = 0.0
     var = 0.0
 
-    def sector(arc_index: int, window: DirectionWindow, r: float):
-        nonlocal est, var
+    for arc_index, (window, r) in enumerate(arcs):
         if r <= 0 or not cells:
-            return
+            continue
         rng = np.random.Generator(np.random.Philox(key=[seed, arc_index]))
         thetas = _stratified(rng, samples, window.width)
         radii = r * np.sqrt(rng.random(samples))
@@ -354,11 +339,4 @@ def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
         p = hits / samples
         est += sector_vol * p
         var += (sector_vol ** 2) * p * (1 - p) / samples
-
-    sector(0, direction_window(G, None, x), R)
-    idx = int(np.searchsorted(census.lengths, R, side="right"))
-    for a in range(idx):
-        r = R - float(census.lengths[a])
-        term = int(census.terminal_saddle[a])
-        sector(a + 1, _window_for_terminal(S, G.saddles, term, wincache), r)
     return est, math.sqrt(var)

@@ -3,7 +3,7 @@
 Machine-readable output (CSV or JSON) goes to stdout and, with --out, into
 files under that directory; one-line human summaries go to stderr. Artifacts
 are deterministic: the same subcommand, flags, and seed produce the same
-bytes regardless of --threads.
+bytes.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 length budget too
 small for the requested radius or bound.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .circles import CellGrid, circle_measure, region_volume
-from .errors import TruncationError, TsurfError
+from .errors import ParseError, TruncationError, TsurfError
 from .geodesics import enumerate_closed, occupancy, pi_stats, saddle_csv, stats_csv
 from .paths import (ball_volume_closed, build_concat_graph, circle_csv,
                     circle_length, path_length_census)
 from .rational import parse_rational
-from .spectral import solve_entropy, v_weights
+from .spectral import single_rung_entropy, solve_entropy, v_weights
 from .surface import TranslationSurface, builtin_surface, load_surface_file
 from .unfold import enumerate_saddle_connections, saddles_to_csv
 
@@ -46,8 +45,6 @@ def _common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, metavar="DIR",
                    help="also write artifacts under DIR")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker cap; results never depend on it")
     p.add_argument("--svg", action="store_true",
                    help="also emit an SVG figure where supported")
 
@@ -218,7 +215,11 @@ def cmd_volume(args) -> int:
     if args.cells == "all":
         cells = range(grid.num_cells)
     else:
-        cells = [int(c) for c in args.cells.split(",") if c != ""]
+        try:
+            cells = [int(c) for c in args.cells.split(",") if c != ""]
+        except ValueError:
+            raise ParseError(f"--cells takes 'all' or comma-separated cell "
+                             f"ids, got {args.cells!r}") from None
     est, se = region_volume(G, args.center, float(R), grid, cells,
                             samples=args.samples, seed=args.seed)
     closed = ball_volume_closed(G, args.center, float(R))
@@ -234,7 +235,7 @@ def cmd_geodesics(args) -> int:
     T = _rat(args.tmax)
     G = _graph(S, args, need_sq=T * T)
     census = enumerate_closed(G, float(T))
-    h = solve_entropy(G, cutoffs=[float(G.lengths.max())]).h
+    h = single_rung_entropy(G)
     stats = pi_stats(census, h)
     _emit(args, "geodesics.csv", stats_csv(stats))
     _note(f"pi({float(T):g}) = {census.pi()} primitive closed geodesics; "
@@ -329,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except TruncationError as e:

@@ -110,16 +110,16 @@ class GeodesicCensus:
         return out
 
 
-def _return_bounds(G: ConcatGraph, anchor: int, active: np.ndarray,
+def _return_bounds(G: ConcatGraph, closes: list[bool], active: np.ndarray,
                    rev: list[list[int]]) -> np.ndarray:
     """Cheapest completion cost from each saddle back to the anchor: the sum
     of the lengths of the letters still to be appended (closing after a
-    saddle with allowed(s, anchor) is free). Dijkstra on the reversed edges
-    `rev` between active saddles."""
+    saddle s with closes[s], one the anchor may follow, is free). Dijkstra
+    on the reversed edges `rev` between active saddles."""
     dist = np.full(G.n, math.inf)
     heap = []
     for s in range(G.n):
-        if active[s] and G.allowed(s, anchor):
+        if active[s] and closes[s]:
             dist[s] = 0.0
             heap.append((0.0, s))
     heapq.heapify(heap)
@@ -147,15 +147,15 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
     seen: set[tuple[int, ...]] = set()
     found: list[ClosedGeodesic] = []
     active = np.ones(G.n, dtype=bool)
-    succ_of = [ids.tolist() for ids in G.out]
     lengths = G.lengths.tolist()
+    # rev[j]: the saddles that j may follow, ascending.
     rev: list[list[int]] = [[] for _ in range(G.n)]
-    for s, succ in enumerate(succ_of):
-        for j in succ:
+    for s, row in enumerate(G.out):
+        for j in row.tolist():
             rev[j].append(s)
 
-    def record(word, anchor):
-        if G.allowed(word[-1], anchor):
+    def record(word):
+        if closes[word[-1]]:
             cw = canonical_rotation(tuple(word))
             if cw not in seen:
                 seen.add(cw)
@@ -168,9 +168,12 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
             break
         active[:] = G.lengths <= T
         active[:anchor] = False
+        closes = [False] * G.n
+        for s in rev[anchor]:
+            closes[s] = True
         # Ids below the anchor are banned inside its words, making the anchor
         # the minimal letter; every rotation class is then met at least once.
-        back = _return_bounds(G, anchor, active, rev)
+        back = _return_bounds(G, closes, active, rev)
         if lengths[anchor] + back[anchor] > T + slack:
             continue
         live = active.tolist()
@@ -181,8 +184,8 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
         # extensions.
         word = [anchor]
         accs = [lengths[anchor]]
-        stack = [iter(succ_of[anchor])]
-        record(word, anchor)
+        stack = [iter(G.out[anchor].tolist())]
+        record(word)
         while stack:
             for j in stack[-1]:
                 if not live[j]:
@@ -192,8 +195,8 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
                     continue
                 word.append(j)
                 accs.append(nxt)
-                record(word, anchor)
-                stack.append(iter(succ_of[j]))
+                record(word)
+                stack.append(iter(G.out[j].tolist()))
                 break
             else:
                 stack.pop()

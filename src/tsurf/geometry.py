@@ -83,9 +83,6 @@ class Wedge:
         # reversed ones.
         return same_dir(self.a, self.b) and not (self.ia and self.ib)
 
-    def is_zero_angle(self) -> bool:
-        return same_dir(self.a, self.b)
-
 
 def wedge_intersect(w1: Wedge, w2: Wedge) -> Wedge | None:
     """Intersection of two wedges of angle <= pi, or None if empty."""
@@ -218,24 +215,24 @@ def convex_clip(verts, xlo, xhi, ylo, yhi):
                 out.append(intersect(cur, nxt))
         return out
 
-    def x_cut(c, bound):
+    def x_cut(bound):
         def inter(p, q):
             t = Fraction(bound - p[0], q[0] - p[0])
             return (Fraction(bound), p[1] + t * (q[1] - p[1]))
         return inter
 
-    def y_cut(c, bound):
+    def y_cut(bound):
         def inter(p, q):
             t = Fraction(bound - p[1], q[1] - p[1])
             return (p[0] + t * (q[0] - p[0]), Fraction(bound))
         return inter
 
     poly = [(Fraction(x), Fraction(y)) for x, y in verts]
-    for bound, keep, inter in (
-        (xlo, lambda p: p[0] >= xlo, x_cut("x", xlo)),
-        (xhi, lambda p: p[0] <= xhi, x_cut("x", xhi)),
-        (ylo, lambda p: p[1] >= ylo, y_cut("y", ylo)),
-        (yhi, lambda p: p[1] <= yhi, y_cut("y", yhi)),
+    for keep, inter in (
+        (lambda p: p[0] >= xlo, x_cut(xlo)),
+        (lambda p: p[0] <= xhi, x_cut(xhi)),
+        (lambda p: p[1] >= ylo, y_cut(ylo)),
+        (lambda p: p[1] <= yhi, y_cut(yhi)),
     ):
         if not poly:
             return []

@@ -10,7 +10,6 @@ R - l(p), plus the full 2*pi*(k(x)+1) arc of the center itself.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -27,23 +26,16 @@ from .unfold import enumerate_saddle_connections, opposite_sectors
 TWO_PI = 2 * math.pi
 
 
-@dataclass(frozen=True)
-class SaddlePath:
-    """A concatenation of saddle connections; length is the float sum of the
-    per-connection lengths in path order."""
-
-    saddle_ids: tuple[int, ...]
-    length: float
-
-
 class ConcatGraph:
     """Saddle connections within a length budget plus the allowed-successor
-    relation. max_length_sq None means the graph is complete for every
-    radius (synthetic fixtures); otherwise queries beyond the budget raise
-    TruncationError."""
+    relation, stored once as a CSR: the successors of saddle i are
+    succ[indptr[i]:indptr[i+1]], sorted by id. Ids are sorted by length, so
+    that is also (length, id) order. max_length_sq None means the graph is
+    complete for every radius (synthetic fixtures); otherwise queries beyond
+    the budget raise TruncationError."""
 
-    def __init__(self, saddles, lengths, start, end, out, cone_k, max_length_sq,
-                 surface=None):
+    def __init__(self, saddles, lengths, start, end, indptr, succ, cone_k,
+                 max_length_sq, surface=None):
         self.saddles = saddles
         self.n = len(lengths)
         self.lengths = np.asarray(lengths, dtype=np.float64)
@@ -52,14 +44,16 @@ class ConcatGraph:
         self.cone_k = np.asarray(cone_k, dtype=np.int32)
         self.max_length_sq = max_length_sq
         self.surface = surface
-        self.out = []
-        for ids in out:
-            ids = np.asarray(ids, dtype=np.int32)
-            self.out.append(ids[np.lexsort((ids, self.lengths[ids]))])
-        self.out_sets = [frozenset(ids.tolist()) for ids in self.out]
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.succ = np.asarray(succ, dtype=np.int32)
+        # Row views into succ, one per saddle.
+        self.out = [self.succ[a:b]
+                    for a, b in zip(self.indptr[:-1], self.indptr[1:])]
 
     def allowed(self, i: int, j: int) -> bool:
-        return j in self.out_sets[i]
+        row = self.out[i]
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and bool(row[k] == j)
 
     def check_radius(self, R):
         """Queries at radius R are only complete if every saddle connection
@@ -72,7 +66,7 @@ class ConcatGraph:
             )
 
     def __repr__(self):
-        return f"ConcatGraph(n={self.n}, edges={sum(len(o) for o in self.out)})"
+        return f"ConcatGraph(n={self.n}, edges={len(self.succ)})"
 
 
 def _position(slot: int, vec):
@@ -100,10 +94,11 @@ def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
         group.sort()
         keys[cone] = [key for key, _ in group]
         order[cone] = np.array([i for _, i in group], dtype=np.int32)
-    out = []
+    empty = np.zeros(0, dtype=np.int32)
+    rows = []
     for s in saddles:
         if s.end not in order:
-            out.append(())
+            rows.append(empty)
             continue
         slots = opposite_sectors(S, s.back_dir)
         opposite = (-s.back_dir.vec[0], -s.back_dir.vec[1])
@@ -112,14 +107,16 @@ def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
         i = bisect_left(keys[s.end], first)
         j = bisect_right(keys[s.end], last)
         ids = order[s.end]
-        out.append(ids[i:j] if first < last
-                   else np.concatenate((ids[i:], ids[:j])))
+        rows.append(np.sort(ids[i:j] if first < last
+                            else np.concatenate((ids[i:], ids[:j]))))
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
     return ConcatGraph(
         saddles=tuple(saddles),
         lengths=[s.length for s in saddles],
         start=[s.start for s in saddles],
         end=[s.end for s in saddles],
-        out=out,
+        indptr=indptr,
+        succ=np.concatenate([empty, *rows]),
         cone_k=[c.k for c in S.cone_points],
         max_length_sq=parse_rational(max_length_sq),
         surface=S,
@@ -136,34 +133,15 @@ def complete_graph(m: int, length: float = 1.0, k: int = 1) -> ConcatGraph:
         lengths=[length] * m,
         start=[0] * m,
         end=[0] * m,
-        out=[list(range(m)) for _ in range(m)],
+        indptr=np.arange(0, m * m + 1, m),
+        succ=np.tile(np.arange(m), m),
         cone_k=[k],
         max_length_sq=None,
     )
 
 
 # ----------------------------------------------------------------------------
-# Path enumeration
-
-
-def enumerate_paths(G: ConcatGraph, x: int, R, final_saddle: int | None = None):
-    """Admissible paths from cone x with length <= R, streamed in
-    nondecreasing length order (ties broken by id sequence)."""
-    G.check_radius(R)
-    R = float(R)
-    heap = []
-    for s in range(G.n):
-        if G.start[s] == x and G.lengths[s] <= R:
-            heapq.heappush(heap, (float(G.lengths[s]), (s,)))
-    while heap:
-        length, ids = heapq.heappop(heap)
-        if final_saddle is None or ids[-1] == final_saddle:
-            yield SaddlePath(ids, length)
-        last = ids[-1]
-        for j in G.out[last]:
-            ext = length + float(G.lengths[j])
-            if ext <= R:
-                heapq.heappush(heap, (ext, ids + (int(j),)))
+# Path census
 
 
 @dataclass
@@ -216,15 +194,6 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     lengths = lengths[order]
     term = term[order]
     return PathCensus(x, Rmax, lengths, kt[term], term)
-
-
-def count_paths(G: ConcatGraph, x: int, R, final_saddle: int | None = None) -> int:
-    """N(x, R), or N(x, s', R) when a final saddle is given."""
-    census = path_length_census(G, x, R)
-    if final_saddle is None:
-        return census.count(float(R))
-    mask = (census.lengths <= float(R)) & (census.terminal_saddle == final_saddle)
-    return int(np.count_nonzero(mask))
 
 
 # ----------------------------------------------------------------------------

@@ -36,10 +36,7 @@ def _truncated_scc(G: ConcatGraph, cutoff: float | None) -> tuple[csr_matrix, np
     k = _prefix_count(G, cutoff)
     if k == 0:
         raise EmptySCC(f"no saddles within cutoff {cutoff}")
-    indptr = np.zeros(G.n + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids in G.out], out=indptr[1:])
-    indices = np.concatenate(G.out)
-    m = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
+    m = csr_matrix((np.ones(len(G.succ), dtype=np.int8), G.succ, G.indptr),
                    shape=(G.n, G.n))[:k, :k]
     if m.nnz == 0:
         raise EmptySCC(f"no concatenations within cutoff {cutoff}")
@@ -332,10 +329,14 @@ def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> Entro
     return est
 
 
-def _single_rung_h(G: ConcatGraph, cutoff: float | None) -> float:
+def single_rung_entropy(G: ConcatGraph, cutoff: float | None = None) -> float:
     """h of the one rung at `cutoff`, the whole graph when None."""
-    L = float(G.lengths.max()) if cutoff is None else float(cutoff)
-    return solve_entropy(G, cutoffs=[L]).h
+    if cutoff is None:
+        if G.n == 0:
+            raise EmptySCC("no saddle connections within the budget "
+                           f"length^2 <= {G.max_length_sq}")
+        cutoff = G.lengths.max()
+    return solve_entropy(G, cutoffs=[float(cutoff)]).h
 
 
 def v_weight(G: ConcatGraph, s0: int, cutoff: float | None = None,
@@ -347,7 +348,7 @@ def v_weight(G: ConcatGraph, s0: int, cutoff: float | None = None,
     central finite differences. h defaults to the single-rung entropy at the
     cutoff."""
     if h is None:
-        h = _single_rung_h(G, cutoff)
+        h = single_rung_entropy(G, cutoff)
     pattern = weight_matrix(G, h, cutoff=cutoff, t=0.0, s0=s0)
     pos = np.flatnonzero(pattern.ids == s0)
     if len(pos) == 0:
@@ -380,7 +381,7 @@ def v_weights(G: ConcatGraph, cutoff: float | None = None,
     audit); returns (saddle ids, weights). Weights sum to 1 exactly by
     construction. h defaults to the single-rung entropy at the cutoff."""
     if h is None:
-        h = _single_rung_h(G, cutoff)
+        h = single_rung_entropy(G, cutoff)
     pattern = weight_matrix(G, h, cutoff=cutoff)
     r = spectral_radius(pattern)
     w = pattern.lengths * r.u * r.v

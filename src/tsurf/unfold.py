@@ -90,13 +90,12 @@ class TraceResult:
     crossings: tuple[tuple[int, int], ...]
     hit_cone: int | None
     consumed_length_sq: Fraction
+    # Sub-segments (polygon, start, end) traversed, for exact clipping.
+    segments: tuple[tuple[int, tuple, tuple], ...]
 
     @property
     def hit_singularity(self) -> bool:
         return self.hit_cone is not None
-
-    # Sub-segments (polygon, start, end) traversed, for exact clipping.
-    segments: tuple = ()
 
 
 def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget) -> TraceResult:
@@ -122,7 +121,7 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
     segments: list[tuple[int, tuple, tuple]] = []
     tau = Fraction(0)  # accumulated ray parameter; length = tau * sqrt(dd)
     if B == 0:
-        return TraceResult(TracePoint(p, pos), (), None, Fraction(0), )
+        return TraceResult(TracePoint(p, pos), (), None, Fraction(0), ())
 
     while True:
         verts = S.polygons[p]
@@ -167,11 +166,8 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
             t_hat = _stop_param(B, dd, tau, tau_new)
             endpos = (pos[0] + (t_hat - tau) * d[0], pos[1] + (t_hat - tau) * d[1])
             segments.append((p, pos, endpos))
-            res = TraceResult(
-                TracePoint(p, endpos), tuple(crossings), None, t_hat * t_hat * dd
-            )
-            object.__setattr__(res, "segments", tuple(segments))
-            return res
+            return TraceResult(TracePoint(p, endpos), tuple(crossings), None,
+                               t_hat * t_hat * dd, tuple(segments))
 
         x = (pos[0] + t_exit * d[0], pos[1] + t_exit * d[1])
         segments.append((p, pos, x))
@@ -184,11 +180,8 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
             corner = (p, vhit)
             if corner in S.corner_cone:
                 cone_id = S.corner_cone[corner][0]
-                res = TraceResult(
-                    None, tuple(crossings), cone_id, tau_new * tau_new * dd
-                )
-                object.__setattr__(res, "segments", tuple(segments))
-                return res
+                return TraceResult(None, tuple(crossings), cone_id,
+                                   tau_new * tau_new * dd, tuple(segments))
             # Regular marked point: continue straight through its star.
             ci, _ = S.corner_regular[corner]
             p, pos = _star_continue(S, ci, d)

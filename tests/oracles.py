@@ -7,10 +7,13 @@
 - `five_product_power_iteration`: the Perron iteration as it was written
   before it reused each iteration's matrix-vector products.
 - `slice_min_rotation`: the least rotation as the minimum over all of them.
+- `enumerate_paths`: admissible paths streamed from a heap in length order,
+  which the level-synchronised census replaced.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -148,3 +151,21 @@ def five_product_power_iteration(A, tol: float = 1e-12, max_iter: int = 100000):
 
 def slice_min_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def enumerate_paths(G, x: int, R):
+    """(length, saddle ids) of every admissible path from cone x with length
+    <= R, in nondecreasing length order (ties broken by id sequence); the
+    length is the float sum of the saddle lengths in path order."""
+    G.check_radius(R)
+    R = float(R)
+    heap = [(float(G.lengths[s]), (s,)) for s in range(G.n)
+            if G.start[s] == x and G.lengths[s] <= R]
+    heapq.heapify(heap)
+    while heap:
+        length, ids = heapq.heappop(heap)
+        yield length, ids
+        for j in G.out[ids[-1]]:
+            ext = length + float(G.lengths[j])
+            if ext <= R:
+                heapq.heappush(heap, (ext, ids + (int(j),)))

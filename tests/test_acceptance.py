@@ -338,9 +338,9 @@ PIPELINES = [
 def test_every_pipeline_is_deterministic(tmp_path, capsys):
     for n, argv in enumerate(PIPELINES):
         runs = []
-        for rep, threads in ((0, "1"), (1, "4")):
+        for rep in (0, 1):
             d = tmp_path / f"p{n}r{rep}"
-            code = cli_main(argv + ["--out", str(d), "--threads", threads])
+            code = cli_main(argv + ["--out", str(d)])
             capsys.readouterr()
             assert code == 0, argv
             runs.append({f.name: f.read_bytes() for f in sorted(d.iterdir())})

