@@ -200,26 +200,29 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
 # Circle length and ball volume (exact combinatorial formulas)
 
 
-def _prefix_sums(census: PathCensus):
-    kt = census.terminal_k.astype(np.float64)
-    s0 = np.concatenate([[0.0], np.cumsum(kt)])
-    s1 = np.concatenate([[0.0], np.cumsum(kt * census.lengths)])
-    s2 = np.concatenate([[0.0], np.cumsum(kt * census.lengths ** 2)])
-    return s0, s1, s2
-
-
-def circle_length_grid(G: ConcatGraph, x: int, radii, census: PathCensus | None = None):
-    """Exact circle length at each radius: the center contributes a full
-    2*pi*(k(x)+1)*R arc, and each admissible path p an arc of angle
-    2*pi*k(t(p)) and radius R - l(p). Accumulated in nondecreasing path
-    length order."""
+def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
+    """At each radius R: the number of admissible paths with l(p) <= R, the
+    circle length, the ball volume and the circle's slope in R. The center
+    contributes a full 2*pi*(k(x)+1) arc, and each path p an arc of angle
+    2*pi*k(t(p)) and radius R - l(p); the sums of k(t(p)) * l(p)^j behind
+    all three run in nondecreasing path length order. The census is rebuilt
+    when missing or shorter than the largest radius."""
     radii = np.asarray(radii, dtype=np.float64)
     if census is None or census.Rmax < radii.max():
         census = path_length_census(G, x, float(radii.max()))
-    s0, s1, _ = _prefix_sums(census)
     idx = np.searchsorted(census.lengths, radii, side="right")
+    kt = census.terminal_k.astype(np.float64)
+    s0, s1, s2 = [np.concatenate([[0.0], np.cumsum(w)])[idx]
+                  for w in (kt, kt * census.lengths, kt * census.lengths ** 2)]
     kx1 = float(G.cone_k[x]) + 1.0
-    return TWO_PI * (kx1 * radii + radii * s0[idx] - s1[idx])
+    circle = TWO_PI * (kx1 * radii + radii * s0 - s1)
+    ball = math.pi * (kx1 * radii ** 2 + radii ** 2 * s0 - 2 * radii * s1 + s2)
+    return idx, circle, ball, TWO_PI * (kx1 + s0)
+
+
+def circle_length_grid(G: ConcatGraph, x: int, radii, census: PathCensus | None = None):
+    """Exact circle length at each radius."""
+    return _circle_formulas(G, x, radii, census)[1]
 
 
 def circle_length(G: ConcatGraph, x: int, R, census: PathCensus | None = None) -> float:
@@ -230,14 +233,7 @@ def ball_volume_grid(G: ConcatGraph, x: int, radii, census: PathCensus | None = 
     """Closed-form ball volume: the center disk sector of angle
     2*pi*(k(x)+1) plus one sector of angle 2*pi*k(t(p)) and radius R - l(p)
     per admissible path."""
-    radii = np.asarray(radii, dtype=np.float64)
-    if census is None or census.Rmax < radii.max():
-        census = path_length_census(G, x, float(radii.max()))
-    s0, s1, s2 = _prefix_sums(census)
-    idx = np.searchsorted(census.lengths, radii, side="right")
-    kx1 = float(G.cone_k[x]) + 1.0
-    sq = kx1 * radii ** 2 + radii ** 2 * s0[idx] - 2 * radii * s1[idx] + s2[idx]
-    return math.pi * sq
+    return _circle_formulas(G, x, radii, census)[2]
 
 
 def ball_volume_closed(G: ConcatGraph, x: int, R, census: PathCensus | None = None) -> float:
@@ -247,22 +243,14 @@ def ball_volume_closed(G: ConcatGraph, x: int, R, census: PathCensus | None = No
 def circle_slope(G: ConcatGraph, x: int, R, census: PathCensus | None = None) -> float:
     """d/dR of the circle length away from breakpoints:
     2*pi*(k(x)+1) + sum over paths with l(p) <= R of 2*pi*k(t(p))."""
-    if census is None:
-        census = path_length_census(G, x, float(R))
-    s0, _, _ = _prefix_sums(census)
-    idx = int(np.searchsorted(census.lengths, float(R), side="right"))
-    return TWO_PI * (float(G.cone_k[x]) + 1.0 + s0[idx])
+    return float(_circle_formulas(G, x, [float(R)], census)[3][0])
 
 
 def circle_csv(G: ConcatGraph, x: int, radii, census: PathCensus | None = None) -> str:
     """CSV rows R,N,circle_length,ball_volume over the radius grid."""
     radii = np.asarray(radii, dtype=np.float64)
-    if census is None or census.Rmax < radii.max():
-        census = path_length_census(G, x, float(radii.max()))
-    lengths = circle_length_grid(G, x, radii, census)
-    volumes = ball_volume_grid(G, x, radii, census)
+    counts, lengths, volumes, _ = _circle_formulas(G, x, radii, census)
     lines = ["R,N,circle_length,ball_volume"]
-    for r, ln, vol in zip(radii, lengths, volumes):
-        n = census.count(float(r))
+    for r, n, ln, vol in zip(radii, counts, lengths, volumes):
         lines.append(f"{r:.17g},{n},{ln:.17g},{vol:.17g}")
     return "\n".join(lines) + "\n"

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BracketFailure, DerivativeMismatch, EmptySCC, InvalidParams
 from .paths import ConcatGraph
@@ -28,28 +26,37 @@ def _prefix_count(G: ConcatGraph, cutoff: float | None) -> int:
     return int(np.searchsorted(G.lengths, cutoff, side="right"))
 
 
-def _truncated_scc(G: ConcatGraph, cutoff: float | None) -> tuple[csr_matrix, np.ndarray]:
-    """0/1 matrix of the subgraph on saddles with length <= cutoff, and the
-    ids of its largest strongly connected component that carries an edge.
-    Ids are sorted by length, so the subgraph is a leading block of the
-    whole graph's matrix."""
+def _truncated_scc(G: ConcatGraph, cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean adjacency of the subgraph on saddles with length <= cutoff,
+    and the ids of its largest strongly connected component that carries an
+    edge. Ids are sorted by length, so the subgraph is the leading k x k
+    block of the whole relation. Components come from the transitive
+    closure, squared until it stops growing: row i of `mutual` holds the j
+    that i reaches and that reach i, which is i's component when i lies on
+    a cycle and empty otherwise. On a tie the component holding the
+    smallest id wins."""
     k = _prefix_count(G, cutoff)
     if k == 0:
         raise EmptySCC(f"no saddles within cutoff {cutoff}")
-    m = csr_matrix((np.ones(len(G.succ), dtype=np.int8), G.succ, G.indptr),
-                   shape=(G.n, G.n))[:k, :k]
-    if m.nnz == 0:
+    rows = np.repeat(np.arange(k), np.diff(G.indptr[:k + 1]))
+    cols = G.succ[:G.indptr[k]]
+    inside = cols < k
+    a = np.zeros((k, k), dtype=bool)
+    a[rows[inside], cols[inside]] = True
+    if not a.any():
         raise EmptySCC(f"no concatenations within cutoff {cutoff}")
-    m.sort_indices()
-    ncomp, labels = connected_components(m, directed=True, connection="strong")
-    rows = np.repeat(labels, np.diff(m.indptr))
-    has_cycle = np.zeros(ncomp, dtype=bool)
-    has_cycle[rows[rows == labels[m.indices]]] = True
-    sizes = np.bincount(labels, minlength=ncomp)
-    sizes[~has_cycle] = 0
+    reach = a
+    while True:
+        f = reach.astype(np.float32)
+        grown = reach | ((f @ f) > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    mutual = reach & reach.T
+    sizes = mutual.sum(axis=1)
     if sizes.max() == 0:
         raise EmptySCC(f"no cycles within cutoff {cutoff}")
-    return m, np.flatnonzero(labels == int(sizes.argmax())).astype(np.int32)
+    return a, np.flatnonzero(mutual[int(sizes.argmax())]).astype(np.int32)
 
 
 def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
@@ -61,14 +68,14 @@ def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
 
 @dataclass
 class WeightMatrix:
-    """Sparse weight matrix on an SCC index set. Entries depend on sigma (and
-    the optional tilt t concentrated on the column of saddle s0) only through
-    the data vector, so the sparsity pattern is built once."""
+    """Dense weight matrix on an SCC index set: the 0/1 pattern of allowed
+    pairs times exp(-sigma * l) of the column's saddle, with the optional
+    tilt t * l(s0) added to the exponent of the column of saddle s0. The
+    pattern is built once and shared by every sigma and t."""
 
     ids: np.ndarray
     lengths: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    pattern: np.ndarray
     sigma: float
     t: float = 0.0
     s0: int | None = None
@@ -77,41 +84,28 @@ class WeightMatrix:
     def size(self) -> int:
         return len(self.ids)
 
-    def _data(self) -> np.ndarray:
-        collen = self.lengths[self.indices]
-        expo = -self.sigma * collen
+    def matrix(self) -> np.ndarray:
+        expo = -self.sigma * self.lengths
         if self.t != 0.0:
             if self.s0 is None:
                 raise InvalidParams("tilt t without a marked saddle s0")
             pos = np.flatnonzero(self.ids == self.s0)
             if len(pos) == 0:
                 raise InvalidParams(f"saddle {self.s0} not in the index set")
-            expo = expo + self.t * self.lengths[pos[0]] * (self.indices == pos[0])
-        return np.exp(expo)
-
-    def matrix(self) -> csr_matrix:
-        return csr_matrix((self._data(), self.indices, self.indptr),
-                          shape=(self.size, self.size))
+            expo[pos[0]] += self.t * self.lengths[pos[0]]
+        return self.pattern * np.exp(expo)
 
     def at(self, sigma: float, t: float | None = None) -> "WeightMatrix":
-        return WeightMatrix(self.ids, self.lengths, self.indptr, self.indices,
+        return WeightMatrix(self.ids, self.lengths, self.pattern,
                             sigma, self.t if t is None else t, self.s0)
 
 
 def weight_matrix(G: ConcatGraph, sigma: float, cutoff: float | None = None,
                   t: float = 0.0, s0: int | None = None) -> WeightMatrix:
-    m, ids = _truncated_scc(G, cutoff)
-    sub = m[ids][:, ids]
-    sub.sort_indices()
-    return WeightMatrix(
-        ids=ids,
-        lengths=G.lengths[ids],
-        indptr=sub.indptr.astype(np.int32),
-        indices=sub.indices.astype(np.int32),
-        sigma=float(sigma),
-        t=float(t),
-        s0=s0,
-    )
+    a, ids = _truncated_scc(G, cutoff)
+    return WeightMatrix(ids=ids, lengths=G.lengths[ids],
+                        pattern=a[np.ix_(ids, ids)], sigma=float(sigma),
+                        t=float(t), s0=s0)
 
 
 @dataclass
@@ -130,18 +124,17 @@ def spectral_radius(W, tol: float = 1e-12, max_iter: int = 100000,
     """Perron data by shifted power iteration. The diagonal shift by the max
     row sum makes the iteration matrix primitive regardless of the cycle
     structure, so convergence needs no aperiodicity assumption. Accepts a
-    WeightMatrix or any square nonnegative array/sparse matrix. `start`
-    is an optional positive (u, v) pair to iterate from, such as the Perron
-    pair of a nearby matrix; the default is the uniform vector."""
-    m = W.matrix() if hasattr(W, "matrix") else csr_matrix(W)
+    WeightMatrix or any square nonnegative array. `start` is an optional
+    positive (u, v) pair to iterate from, such as the Perron pair of a
+    nearby matrix; the default is the uniform vector."""
+    m = np.asarray(W.matrix() if hasattr(W, "matrix") else W, dtype=np.float64)
     n = m.shape[0]
     if n == 0:
         raise EmptySCC("empty matrix")
-    if m.nnz and m.data.min() < 0:
+    if m.min() < 0:
         raise InvalidParams("weight matrix must be nonnegative")
-    rowsum = np.asarray(m.sum(axis=1)).ravel()
-    shift = max(float(rowsum.max()), 1e-30)
-    mt = m.T.tocsr()
+    shift = max(float(m.sum(axis=1).max()), 1e-30)
+    mt = m.T
     if start is None:
         u = np.full(n, 1.0 / n)
         v = np.full(n, 1.0 / n)
@@ -294,6 +287,12 @@ def default_cutoffs(G: ConcatGraph, count: int = 5) -> list[float]:
     return [float(uniq[i]) for i in sorted(set(idx))]
 
 
+def _require_saddles(G: ConcatGraph) -> None:
+    if G.n == 0:
+        raise EmptySCC("no saddle connections within the budget "
+                       f"length^2 <= {G.max_length_sq}")
+
+
 def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> EntropyEstimate:
     """Entropy h_L at each cutoff of the ladder (the default ladder when
     None). Each rung solves lambda(sigma) = 1 by safeguarded Newton,
@@ -302,6 +301,7 @@ def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> Entro
     sigma = 1e-3. A rung counts as converged when every eigensolve
     converged and the last one has |lambda - 1| < lam_tol."""
     if cutoffs is None:
+        _require_saddles(G)
         cutoffs = default_cutoffs(G)
     if not len(cutoffs):
         raise InvalidParams("need at least one cutoff")
@@ -332,9 +332,7 @@ def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> Entro
 def single_rung_entropy(G: ConcatGraph, cutoff: float | None = None) -> float:
     """h of the one rung at `cutoff`, the whole graph when None."""
     if cutoff is None:
-        if G.n == 0:
-            raise EmptySCC("no saddle connections within the budget "
-                           f"length^2 <= {G.max_length_sq}")
+        _require_saddles(G)
         cutoff = G.lengths.max()
     return solve_entropy(G, cutoffs=[float(cutoff)]).h
 

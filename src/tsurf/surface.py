@@ -244,9 +244,6 @@ class TranslationSurface:
             ang += TWO_PI  # cross >= 0, so this only fires for angle == pi
         return ang
 
-    def cone_angle(self, cone_id: int) -> float:
-        return TWO_PI * (self.cone_points[cone_id].k + 1)
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -87,7 +87,6 @@ class TraceResult:
     """
 
     end: TracePoint | None
-    crossings: tuple[tuple[int, int], ...]
     hit_cone: int | None
     consumed_length_sq: Fraction
     # Sub-segments (polygon, start, end) traversed, for exact clipping.
@@ -117,11 +116,10 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
         raise InvalidParams(f"start {pos} is outside polygon {p}")
 
     dd = Fraction(norm_sq(d))
-    crossings: list[tuple[int, int]] = []
     segments: list[tuple[int, tuple, tuple]] = []
     tau = Fraction(0)  # accumulated ray parameter; length = tau * sqrt(dd)
     if B == 0:
-        return TraceResult(TracePoint(p, pos), (), None, Fraction(0), ())
+        return TraceResult(TracePoint(p, pos), None, Fraction(0), ())
 
     while True:
         verts = S.polygons[p]
@@ -166,8 +164,8 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
             t_hat = _stop_param(B, dd, tau, tau_new)
             endpos = (pos[0] + (t_hat - tau) * d[0], pos[1] + (t_hat - tau) * d[1])
             segments.append((p, pos, endpos))
-            return TraceResult(TracePoint(p, endpos), tuple(crossings), None,
-                               t_hat * t_hat * dd, tuple(segments))
+            return TraceResult(TracePoint(p, endpos), None, t_hat * t_hat * dd,
+                               tuple(segments))
 
         x = (pos[0] + t_exit * d[0], pos[1] + t_exit * d[1])
         segments.append((p, pos, x))
@@ -180,8 +178,8 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
             corner = (p, vhit)
             if corner in S.corner_cone:
                 cone_id = S.corner_cone[corner][0]
-                return TraceResult(None, tuple(crossings), cone_id,
-                                   tau_new * tau_new * dd, tuple(segments))
+                return TraceResult(None, cone_id, tau_new * tau_new * dd,
+                                   tuple(segments))
             # Regular marked point: continue straight through its star.
             ci, _ = S.corner_regular[corner]
             p, pos = _star_continue(S, ci, d)
@@ -195,7 +193,6 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
                 exit_edge = e
                 break
         assert exit_edge is not None
-        crossings.append((p, exit_edge))
         p2, e2 = S.partner((p, exit_edge))
         a = verts[exit_edge]
         evec = S.edge_vector(p, exit_edge)
@@ -252,9 +249,7 @@ def _star_continue(S: TranslationSurface, class_idx: int, d):
 class SaddleConnection:
     """Oriented saddle connection with exact holonomy.
 
-    length is the correctly rounded float sqrt of length_sq. crossings is
-    the chain of edges the unfolding stepped through (edges touched only at
-    a grazed vertex included).
+    length is the correctly rounded float sqrt of length_sq.
     """
 
     id: int
@@ -265,7 +260,6 @@ class SaddleConnection:
     length: float
     out_dir: ConeDirection
     back_dir: ConeDirection
-    crossings: tuple[tuple[int, int], ...]
 
 
 def _sqrt_correctly_rounded(x: Fraction) -> float:
@@ -290,11 +284,11 @@ def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> list[S
             r1, r2 = S.star_rays[cone.id][slot]
             origin = S.polygons[p][v]
             t0 = (-origin[0], -origin[1])
-            _explore(S, B, cone.id, slot, p, t0, Wedge(r1, True, r2, False), (), raw)
+            _explore(S, B, cone.id, slot, p, t0, Wedge(r1, True, r2, False), raw)
 
     raw.sort(key=lambda r: (r[3], r[2][0], r[2][1], r[0], r[1]))
     out = []
-    for i, (cone_id, slot, hol, dsq, endcorner, chain) in enumerate(raw):
+    for i, (cone_id, slot, hol, dsq, endcorner) in enumerate(raw):
         end_cone, back = _landing_direction(S, endcorner, neg(hol))
         out.append(
             SaddleConnection(
@@ -306,7 +300,6 @@ def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> list[S
                 length=_sqrt_correctly_rounded(dsq),
                 out_dir=ConeDirection(cone_id, slot, norm_dir(hol)),
                 back_dir=back,
-                crossings=chain,
             )
         )
     return out
@@ -324,7 +317,7 @@ def _landing_direction(S: TranslationSurface, corner, back_vec) -> tuple[int, Co
     return cone_id, ConeDirection(cone_id, slot, bd)
 
 
-def _explore(S, B, cone_id, slot0, p, t, w, chain, out):
+def _explore(S, B, cone_id, slot0, p, t, w, out):
     verts = [add(vv, t) for vv in S.polygons[p]]
     n = len(verts)
 
@@ -348,7 +341,7 @@ def _explore(S, B, cone_id, slot0, p, t, w, chain, out):
         if key not in emit or dsq < emit[key][0]:
             emit[key] = (dsq, q, vi)
     for dsq, q, vi in emit.values():
-        out.append((cone_id, slot0, q, dsq, (p, vi), chain))
+        out.append((cone_id, slot0, q, dsq, (p, vi)))
 
     pieces = wedge_split(w, [nd for nd, _, _, _ in hits]) if hits else [w]
     if not pieces:
@@ -366,7 +359,7 @@ def _explore(S, B, cone_id, slot0, p, t, w, chain, out):
         for piece in pieces:
             iw = wedge_intersect(piece, span)
             if iw is not None:
-                _explore(S, B, cone_id, slot0, p2, t2, iw, chain + ((p, e),), out)
+                _explore(S, B, cone_id, slot0, p2, t2, iw, out)
 
 
 def reversal_permutation(saddles) -> list[int]:

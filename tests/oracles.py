@@ -9,6 +9,9 @@
 - `slice_min_rotation`: the least rotation as the minimum over all of them.
 - `enumerate_paths`: admissible paths streamed from a heap in length order,
   which the level-synchronised census replaced.
+- `scipy_truncated_scc`: the largest cycle-carrying strongly connected
+  component from scipy's sparse graph routines, which the dense transitive
+  closure replaced.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import heapq
 import math
 
 import numpy as np
-
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from tsurf import BracketFailure, MismatchedCone, spectral_radius
+from tsurf import BracketFailure, EmptySCC, MismatchedCone, spectral_radius
 from tsurf.geometry import cross, same_dir
 
 
@@ -92,7 +95,7 @@ def bisect_lambda_one(pattern, lam_tol: float = 1e-10) -> float:
         return spectral_radius(pattern.at(sig)).lam
 
     minlen = float(pattern.lengths.min())
-    deg = np.diff(pattern.indptr).max()
+    deg = pattern.pattern.sum(axis=1).max()
     lo = 1e-3
     hi = max(10.0 * math.log(max(2.0, float(deg))) / minlen, lo * 4)
     for _ in range(60):
@@ -126,10 +129,10 @@ def five_product_power_iteration(A, tol: float = 1e-12, max_iter: int = 100000):
     """(lam, u, v, residual, iterations) of the shifted power iteration from
     the uniform vector, recomputing m @ v for the eigenvalue and both
     products for the residual."""
-    m = csr_matrix(A)
+    m = np.asarray(A, dtype=np.float64)
     n = m.shape[0]
-    shift = max(float(np.asarray(m.sum(axis=1)).max()), 1e-30)
-    mt = m.T.tocsr()
+    shift = max(float(m.sum(axis=1).max()), 1e-30)
+    mt = m.T
     v = np.full(n, 1.0 / n)
     u = np.full(n, 1.0 / n)
     lam, res, it = 0.0, math.inf, 0
@@ -147,6 +150,30 @@ def five_product_power_iteration(A, tol: float = 1e-12, max_iter: int = 100000):
     v = v / v.sum()
     u = u / float(u @ v)
     return lam, u, v, res, it
+
+
+def scipy_truncated_scc(G, cutoff=None) -> np.ndarray:
+    """Ids of the largest strongly connected component that carries an edge,
+    in the subgraph on saddles with length <= cutoff (all when None); on a
+    tie, the one holding the smallest id."""
+    k = G.n if cutoff is None else int(np.searchsorted(G.lengths, cutoff, side="right"))
+    if k == 0:
+        raise EmptySCC(f"no saddles within cutoff {cutoff}")
+    m = csr_matrix((np.ones(len(G.succ), dtype=np.int8), G.succ, G.indptr),
+                   shape=(G.n, G.n))[:k, :k]
+    if m.nnz == 0:
+        raise EmptySCC(f"no concatenations within cutoff {cutoff}")
+    m.sort_indices()
+    ncomp, labels = connected_components(m, directed=True, connection="strong")
+    rows = np.repeat(labels, np.diff(m.indptr))
+    has_cycle = np.zeros(ncomp, dtype=bool)
+    has_cycle[rows[rows == labels[m.indices]]] = True
+    sizes = np.bincount(labels, minlength=ncomp)
+    sizes[~has_cycle] = 0
+    if sizes.max() == 0:
+        raise EmptySCC(f"no cycles within cutoff {cutoff}")
+    first = int(np.flatnonzero(sizes[labels] == sizes.max())[0])
+    return np.flatnonzero(labels == labels[first]).astype(np.int32)
 
 
 def slice_min_rotation(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,27 @@ def test_no_saddles_within_tmax(capsys, command):
     code, _, err = run(capsys, command, "--builtin", "lshape", "--tmax", "1/2")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("budget", ["0", "1/4"])
+def test_entropy_budget_below_shortest_saddle(capsys, budget):
+    # no cutoffs were passed, so the message names the empty budget
+    code, _, err = run(capsys, "entropy", "--builtin", "lshape",
+                       "--max-length-sq", budget)
+    assert code == 2
+    assert err.startswith(f"error: no saddle connections within the budget "
+                          f"length^2 <= {budget}")
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, tsurf.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("cells", ["a", "99", "0,-1"])

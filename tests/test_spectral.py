@@ -7,7 +7,7 @@ import tsurf
 from tsurf import solve_entropy, spectral_radius, truncated_scc, v_weights
 from tsurf.spectral import default_cutoffs, weight_matrix
 
-from oracles import bisect_lambda_one, five_product_power_iteration
+from oracles import bisect_lambda_one, five_product_power_iteration, scipy_truncated_scc
 
 
 def test_complete3_entropy_is_log3(C3):
@@ -136,6 +136,50 @@ def test_ladder_monotone_and_value(G9):
 def test_scc_covers_everything_on_lshape(G9):
     ids = truncated_scc(G9)
     assert len(ids) == 48
+
+
+def _scc_or_error(scc, G, cutoff):
+    try:
+        return scc(G, cutoff).tolist()
+    except tsurf.EmptySCC as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("surface, params, budget", [
+    ("lshape", None, 49),
+    ("slit_tori", None, 25),
+    ("lshape", ("7/3", "5/2"), "121/4"),
+])
+def test_dense_scc_matches_scipy_oracle(surface, params, budget):
+    S = tsurf.builtin_surface(surface, params=params)
+    G = tsurf.build_concat_graph(S, budget)
+    for L in np.unique(G.lengths):
+        assert _scc_or_error(truncated_scc, G, L) == _scc_or_error(scipy_truncated_scc, G, L), L
+
+
+@pytest.mark.parametrize("density", [0.02, 0.05, 0.1, 0.3])
+def test_dense_scc_matches_scipy_oracle_on_random_graphs(density):
+    # sparse random relations have many components, acyclic parts and
+    # truncations without edges, which the surfaces above never produce
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        n = 40
+        rows = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
+        G = tsurf.ConcatGraph(
+            saddles=None, lengths=np.sort(rng.integers(1, 9, n)).astype(float),
+            start=[0] * n, end=[0] * n,
+            indptr=np.concatenate(([0], np.cumsum([len(r) for r in rows]))),
+            succ=np.concatenate(rows), cone_k=[1], max_length_sq=None)
+        for L in np.unique(G.lengths):
+            assert _scc_or_error(truncated_scc, G, L) == _scc_or_error(scipy_truncated_scc, G, L), L
+
+
+def test_scc_tie_takes_the_smallest_id():
+    # two disjoint 2-cycles {0, 3} and {1, 2} of the same size
+    G = tsurf.ConcatGraph(saddles=None, lengths=[1.0] * 4, start=[0] * 4,
+                          end=[0] * 4, indptr=[0, 1, 2, 3, 4], succ=[3, 2, 1, 0],
+                          cone_k=[1], max_length_sq=None)
+    assert truncated_scc(G).tolist() == [0, 3]
 
 
 def test_empty_scc_below_shortest_length(G9):
