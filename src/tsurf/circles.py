@@ -161,16 +161,14 @@ def _direction_at(S, window: DirectionWindow, theta: float):
 
 @dataclass
 class MeasureHistogram:
+    """Cell masses summing to 1, with the run's metadata."""
+
     grid: CellGrid
     masses: np.ndarray
-    total: float
     meta: dict
 
-    def normalized(self) -> np.ndarray:
-        return self.masses / self.total
-
     def l1_distance(self, other: "MeasureHistogram") -> float:
-        return float(np.abs(self.normalized() - other.normalized()).sum())
+        return float(np.abs(self.masses - other.masses).sum())
 
     def to_csv(self) -> str:
         lines = [f"# {k}={v}" for k, v in sorted(self.meta.items())]
@@ -276,6 +274,8 @@ def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
     dropped = 0
 
     for arc_index, (window, r) in enumerate(arcs):
+        if r <= 0:
+            continue
         nsamp = max(1, round(samples_per_unit_angle * window.width))
         rng = np.random.Generator(np.random.Philox(key=[seed, arc_index]))
         thetas = _stratified(rng, nsamp, window.width)
@@ -299,7 +299,7 @@ def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
             "retried": retried, "dropped": dropped,
             "unnormalized_total": float(masses.sum()),
             "circle_length": total}
-    return MeasureHistogram(grid, masses / total, 1.0, meta)
+    return MeasureHistogram(grid, masses / total, meta)
 
 
 def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,

@@ -17,14 +17,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .circles import CellGrid, circle_measure, region_volume
 from .errors import ParseError, TruncationError, TsurfError
 from .geodesics import enumerate_closed, occupancy, pi_stats, saddle_csv, stats_csv
 from .paths import (ball_volume_closed, build_concat_graph, circle_csv,
-                    circle_length, path_length_census)
+                    path_length_census)
 from .rational import parse_rational
 from .spectral import single_rung_entropy, solve_entropy, v_weights
 from .surface import TranslationSurface, builtin_surface, load_surface_file
@@ -220,9 +218,10 @@ def cmd_volume(args) -> int:
         except ValueError:
             raise ParseError(f"--cells takes 'all' or comma-separated cell "
                              f"ids, got {args.cells!r}") from None
+    census = path_length_census(G, args.center, float(R))
     est, se = region_volume(G, args.center, float(R), grid, cells,
-                            samples=args.samples, seed=args.seed)
-    closed = ball_volume_closed(G, args.center, float(R))
+                            samples=args.samples, seed=args.seed, census=census)
+    closed = ball_volume_closed(G, args.center, float(R), census)
     text = ("R,estimate,standard_error,ball_volume_closed\n"
             f"{float(R):.17g},{est:.17g},{se:.17g},{closed:.17g}\n")
     _emit(args, "volume.csv", text)
@@ -253,7 +252,7 @@ def cmd_weights(args) -> int:
     _emit(args, "weights.csv", saddle_csv(G, pi_s, census.pi(), ids, w))
     if args.grid:
         grid = CellGrid(S, args.grid)
-        hist, _ = occupancy(G, census, grid)
+        hist = occupancy(G, census, grid)
         _emit(args, "occupancy.csv", hist.to_csv())
         if args.svg:
             _emit(args, "occupancy.svg", hist.to_svg())

@@ -2,55 +2,25 @@
 and the occupancy measure.
 
 A closed geodesic is a cyclic word of saddle connections with every
-consecutive pair allowed, wrap-around included. Words are stored in their
-lexicographically minimal rotation; a word is primitive when it is not a
-strict power. Both orientations of a geodesic are counted (they are distinct
-words unless the reversal happens to be a rotation of the word itself).
+consecutive pair allowed, wrap-around included. A primitive cyclic word (one
+that is not a strict power) has exactly one rotation that is a Lyndon word,
+strictly smaller than all its other rotations, and that rotation is the one
+stored. Both orientations of a geodesic are counted (they are distinct words
+unless the reversal happens to be a rotation of the word itself).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, TruncationError
 from .paths import ConcatGraph
-
-
-def canonical_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation, by the two-pointer scan for the
-    minimal cyclic shift: linear in the word length, where comparing all
-    rotations is quadratic."""
-    n = len(word)
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = word[(i + k) % n], word[(j + k) % n]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    i = min(i, j)
-    return word[i:] + word[:i]
-
-
-def is_primitive(word: tuple[int, ...]) -> bool:
-    """A cyclic word is a strict power iff it equals the repetition of one of
-    its prefixes whose length divides the word's."""
-    n = len(word)
-    for per in range(1, n):
-        if n % per == 0 and word[:per] * (n // per) == word:
-            return False
-    return True
 
 
 def word_length(lengths: np.ndarray, word: tuple[int, ...]) -> float:
@@ -65,16 +35,13 @@ def word_length(lengths: np.ndarray, word: tuple[int, ...]) -> float:
 class ClosedGeodesic:
     word: tuple[int, ...]
     length: float
-    primitive: bool
-
-    def counts(self, n: int) -> np.ndarray:
-        return np.bincount(self.word, minlength=n)
 
 
 @dataclass
 class GeodesicCensus:
     """All oriented primitive closed geodesics of length <= T, sorted by
-    (length, word). Counting functions accept any T' <= T."""
+    (length, word). Counting functions accept any T' <= T and raise
+    TruncationError beyond it."""
 
     T: float
     geodesics: list[ClosedGeodesic]
@@ -83,31 +50,49 @@ class GeodesicCensus:
 
     def __post_init__(self):
         self.lengths = np.array([g.length for g in self.geodesics])
+        # The letters of all words, concatenated in census order, and the
+        # number of letters of each word.
+        self._sizes = np.fromiter((len(g.word) for g in self.geodesics),
+                                  dtype=np.int64, count=len(self.geodesics))
+        self._letters = np.fromiter(
+            itertools.chain.from_iterable(g.word for g in self.geodesics),
+            dtype=np.int32, count=int(self._sizes.sum()))
 
     @property
     def n_saddles(self) -> int:
         return len(self.saddle_lengths)
 
+    def _bound(self, T: float | None) -> float:
+        if T is None:
+            return self.T
+        if T > self.T:
+            raise TruncationError(f"bound {T} exceeds the census bound {self.T}")
+        return T
+
     def pi(self, T: float | None = None) -> int:
-        T = self.T if T is None else T
+        T = self._bound(T)
         return int(np.searchsorted(self.lengths, T, side="right"))
 
     def F(self, T: float | None = None) -> float:
         """Sum over pairs (n, q) with n * l(q) <= T of the primitive length
         l(q); each q contributes l(q) * floor(T / l(q))."""
-        T = self.T if T is None else T
+        T = self._bound(T)
         lens = self.lengths[:self.pi(T)]
         if not len(lens):
             return 0.0
         return float(np.dot(lens, np.floor(T / lens)))
 
+    def visits(self, T: float | None = None) -> np.ndarray:
+        """Per saddle s: the sum over census words q with l(q) <= T of
+        (occurrences of s in q) / l(q)."""
+        k = self.pi(T)
+        weights = np.repeat(1.0 / self.lengths[:k], self._sizes[:k])
+        return np.bincount(self._letters[:len(weights)], weights=weights,
+                           minlength=self.n_saddles)
+
     def pi_saddle(self, T: float | None = None) -> np.ndarray:
         """pi_s(T) = sum over census words of (occurrences of s) * l(s)/l(q)."""
-        T = self.T if T is None else T
-        out = np.zeros(self.n_saddles)
-        for g in self.geodesics[:self.pi(T)]:
-            out += g.counts(self.n_saddles) * self.saddle_lengths / g.length
-        return out
+        return self.visits(T) * self.saddle_lengths
 
 
 def _return_bounds(G: ConcatGraph, closes: list[bool], active: np.ndarray,
@@ -136,32 +121,35 @@ def _return_bounds(G: ConcatGraph, closes: list[bool], active: np.ndarray,
 
 
 def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
-    """Depth-first census anchored at each word's minimal saddle id, with
-    exact-return-cost pruning; rotations sharing the minimum are deduplicated
-    through the canonical form."""
+    """Every Lyndon word of the graph that closes up within length T, once.
+
+    Depth-first over the prenecklaces that start at an anchor letter, with
+    exact-return-cost pruning. A prenecklace is a prefix of some Lyndon word
+    (Ruskey, Savage and Wang, Generating necklaces, J. Algorithms 13, 1992);
+    its period p is the length of its longest Lyndon prefix. Appending j to
+    a prenecklace w of length n gives a prenecklace iff j >= w[n - p], with
+    period p when j == w[n - p] and n + 1 when j is larger, and the result
+    is a Lyndon word iff its period is its length. A Lyndon word starts with
+    its minimal letter, so all its letters are >= the anchor."""
     T = float(T)
     if T <= 0:
         raise InvalidParams("need a positive length bound")
     G.check_radius(T)
     slack = 1e-9
-    seen: set[tuple[int, ...]] = set()
     found: list[ClosedGeodesic] = []
     active = np.ones(G.n, dtype=bool)
     lengths = G.lengths.tolist()
+    out = [row.tolist() for row in G.out]
     # rev[j]: the saddles that j may follow, ascending.
     rev: list[list[int]] = [[] for _ in range(G.n)]
-    for s, row in enumerate(G.out):
-        for j in row.tolist():
+    for s, row in enumerate(out):
+        for j in row:
             rev[j].append(s)
 
     def record(word):
-        if closes[word[-1]]:
-            cw = canonical_rotation(tuple(word))
-            if cw not in seen:
-                seen.add(cw)
-                length = word_length(G.lengths, cw)
-                if length <= T and is_primitive(cw):
-                    found.append(ClosedGeodesic(cw, length, True))
+        length = word_length(G.lengths, word)
+        if length <= T:
+            found.append(ClosedGeodesic(tuple(word), length))
 
     for anchor in range(G.n):
         if lengths[anchor] > T:
@@ -171,36 +159,42 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
         closes = [False] * G.n
         for s in rev[anchor]:
             closes[s] = True
-        # Ids below the anchor are banned inside its words, making the anchor
-        # the minimal letter; every rotation class is then met at least once.
         back = _return_bounds(G, closes, active, rev)
         if lengths[anchor] + back[anchor] > T + slack:
             continue
-        live = active.tolist()
         back_of = back.tolist()
         # Explicit-stack depth-first search: one iterator over the
-        # successors of each letter of the current word, and the prefix
-        # lengths. A word is recorded when it is first reached, before its
-        # extensions.
+        # successors of each letter of the current word, with the prefix
+        # lengths and periods alongside. Letters below the anchor fail
+        # j >= ref; saddles longer than T have an infinite return bound. A
+        # word is recorded when it is first reached, before its extensions.
         word = [anchor]
         accs = [lengths[anchor]]
-        stack = [iter(G.out[anchor].tolist())]
-        record(word)
+        periods = [1]
+        stack = [iter(out[anchor])]
+        if closes[anchor]:
+            record(word)
         while stack:
+            n = len(word)
+            p = periods[-1]
+            ref = word[n - p]
             for j in stack[-1]:
-                if not live[j]:
+                if j < ref:
                     continue
                 nxt = accs[-1] + lengths[j]
                 if nxt + back_of[j] > T + slack:
                     continue
                 word.append(j)
                 accs.append(nxt)
-                record(word)
-                stack.append(iter(G.out[j].tolist()))
+                periods.append(p if j == ref else n + 1)
+                if closes[j] and periods[-1] == n + 1:
+                    record(word)
+                stack.append(iter(out[j]))
                 break
             else:
                 stack.pop()
                 accs.pop()
+                periods.pop()
                 word.pop()
     found.sort(key=lambda g: (g.length, g.word))
     return GeodesicCensus(T, found, np.asarray(G.lengths, dtype=np.float64))
@@ -211,14 +205,18 @@ def pi_stats(census: GeodesicCensus, h: float, grid=None) -> dict:
     pi(T)*hT*exp(-hT) and F(T)*h*exp(-hT), and the trailing regression slope
     of log pi."""
     if grid is None:
-        lo = census.lengths[0] if len(census.lengths) else census.T
-        grid = np.linspace(max(lo * 1.5, census.T * 0.4), census.T, 12)
+        # Up to T from the larger of 0.4 T and 1.5 times the shortest
+        # length, or from the shortest length when that start passes T.
+        T = census.T
+        lo = census.lengths[0] if len(census.lengths) else T
+        start = max(lo * 1.5, T * 0.4)
+        grid = np.linspace(start if start <= T else lo, T, 12)
     grid = np.asarray(grid, dtype=np.float64)
     pis = np.array([census.pi(t) for t in grid], dtype=np.float64)
     Fs = np.array([census.F(t) for t in grid])
     ok = pis > 0
     slope = (float(np.polyfit(grid[ok], np.log(pis[ok]), 1)[0])
-             if ok.sum() >= 2 else math.nan)
+             if len(np.unique(grid[ok])) >= 2 else math.nan)
     return {
         "T": grid,
         "pi": pis.astype(int),
@@ -296,34 +294,29 @@ def _split_segment(grid, seg, total_len: float, total_sq, shares):
             shares[cid] = shares.get(cid, 0.0) + piece
 
 
-def occupancy(G: ConcatGraph, census: GeodesicCensus, grid,
-              T: float | None = None):
-    """The occupancy histogram m_T and the per-saddle shares pi_s(T)/pi(T).
-    Mass lives only on cells crossed by saddles occurring in census words;
-    every other cell is exactly zero."""
+def occupancy(G: ConcatGraph, census: GeodesicCensus, grid):
+    """The occupancy histogram m_T at the census bound. Mass lives only on
+    cells crossed by saddles occurring in census words; every other cell is
+    exactly zero."""
     from .circles import MeasureHistogram
 
-    T = census.T if T is None else T
-    pi = census.pi(T)
+    pi = census.pi()
     if pi == 0:
         raise InvalidParams("no closed geodesics within the bound")
-    # m_T factors through A(s) = sum over words of count_s / l(q), combined
-    # linearly with the per-saddle cell decomposition.
-    A = np.zeros(G.n)
-    for g in census.geodesics[:pi]:
-        A += g.counts(G.n) / g.length
+    # m_T factors through the visit vector, combined linearly with the
+    # per-saddle cell decomposition.
+    visits = census.visits()
     cells = saddle_cell_lengths(G, grid)
     masses = np.zeros(grid.num_cells)
     for sid, shares in cells.items():
-        if A[sid] == 0.0:
+        if visits[sid] == 0.0:
             continue
         for cid, ln in shares.items():
-            masses[cid] += ln * A[sid]
+            masses[cid] += ln * visits[sid]
     masses /= pi
     total = masses.sum()
-    meta = {"T": T, "pi": pi, "total_before_normalization": total}
-    hist = MeasureHistogram(grid, masses / total, 1.0, meta)
-    return hist, census.pi_saddle(T) / pi
+    meta = {"T": census.T, "pi": pi, "total_before_normalization": total}
+    return MeasureHistogram(grid, masses / total, meta)
 
 
 def saddle_csv(G: ConcatGraph, pi_s: np.ndarray, pi: int, v_ids, v_weights) -> str:

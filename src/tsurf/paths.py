@@ -149,7 +149,6 @@ class PathCensus:
     """All admissible path lengths from x up to Rmax, sorted ascending, with
     the terminal cone's k and terminal saddle id aligned."""
 
-    x: int
     Rmax: float
     lengths: np.ndarray
     terminal_k: np.ndarray
@@ -185,7 +184,7 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
                for s, v in nxt.items()}
     if not chunks:
         empty = np.zeros(0)
-        return PathCensus(x, Rmax, empty, empty.astype(np.int32),
+        return PathCensus(Rmax, empty, empty.astype(np.int32),
                           empty.astype(np.int32))
     lengths = np.concatenate([arr for _, arr in chunks])
     term = np.concatenate([np.full(len(arr), s, dtype=np.int32)
@@ -193,7 +192,7 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     order = np.argsort(lengths, kind="stable")
     lengths = lengths[order]
     term = term[order]
-    return PathCensus(x, Rmax, lengths, kt[term], term)
+    return PathCensus(Rmax, lengths, kt[term], term)
 
 
 # ----------------------------------------------------------------------------

@@ -69,43 +69,30 @@ def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
 @dataclass
 class WeightMatrix:
     """Dense weight matrix on an SCC index set: the 0/1 pattern of allowed
-    pairs times exp(-sigma * l) of the column's saddle, with the optional
-    tilt t * l(s0) added to the exponent of the column of saddle s0. The
-    pattern is built once and shared by every sigma and t."""
+    pairs times exp(-sigma * l) of the column's saddle. The pattern is built
+    once and shared by every sigma."""
 
     ids: np.ndarray
     lengths: np.ndarray
     pattern: np.ndarray
     sigma: float
-    t: float = 0.0
-    s0: int | None = None
 
     @property
     def size(self) -> int:
         return len(self.ids)
 
     def matrix(self) -> np.ndarray:
-        expo = -self.sigma * self.lengths
-        if self.t != 0.0:
-            if self.s0 is None:
-                raise InvalidParams("tilt t without a marked saddle s0")
-            pos = np.flatnonzero(self.ids == self.s0)
-            if len(pos) == 0:
-                raise InvalidParams(f"saddle {self.s0} not in the index set")
-            expo[pos[0]] += self.t * self.lengths[pos[0]]
-        return self.pattern * np.exp(expo)
+        return self.pattern * np.exp(-self.sigma * self.lengths)
 
-    def at(self, sigma: float, t: float | None = None) -> "WeightMatrix":
-        return WeightMatrix(self.ids, self.lengths, self.pattern,
-                            sigma, self.t if t is None else t, self.s0)
+    def at(self, sigma: float) -> "WeightMatrix":
+        return WeightMatrix(self.ids, self.lengths, self.pattern, sigma)
 
 
-def weight_matrix(G: ConcatGraph, sigma: float, cutoff: float | None = None,
-                  t: float = 0.0, s0: int | None = None) -> WeightMatrix:
+def weight_matrix(G: ConcatGraph, sigma: float,
+                  cutoff: float | None = None) -> WeightMatrix:
     a, ids = _truncated_scc(G, cutoff)
     return WeightMatrix(ids=ids, lengths=G.lengths[ids],
-                        pattern=a[np.ix_(ids, ids)], sigma=float(sigma),
-                        t=float(t), s0=s0)
+                        pattern=a[np.ix_(ids, ids)], sigma=float(sigma))
 
 
 @dataclass
@@ -119,7 +106,10 @@ class SpectralResult:
     scc_size: int
 
 
-def spectral_radius(W, tol: float = 1e-12, max_iter: int = 100000,
+_MAX_ITER = 100000
+
+
+def spectral_radius(W, tol: float = 1e-12,
                     start: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralResult:
     """Perron data by shifted power iteration. The diagonal shift by the max
     row sum makes the iteration matrix primitive regardless of the cycle
@@ -149,7 +139,7 @@ def spectral_radius(W, tol: float = 1e-12, max_iter: int = 100000,
     # the next step: two products per iteration.
     mv = m @ v
     mu = mt @ u
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         nv = mv + shift * v
         nu = mu + shift * u
         sv = nv.sum()
@@ -201,10 +191,13 @@ _SIGMA_TOL = 1e-13
 # Roots below this count as no growth at all.
 _SIGMA_MIN = 1e-12
 _MAX_STEPS = 100
+# A rung counts as converged only if its last eigensolve has
+# |lambda - 1| below this.
+_LAM_TOL = 1e-10
 
 
-def _solve_lambda_one(pattern: WeightMatrix, sigma0: float,
-                      lam_tol: float) -> tuple[float, tuple, list, bool]:
+def _solve_lambda_one(pattern: WeightMatrix,
+                      sigma0: float) -> tuple[float, tuple, list, bool]:
     """Safeguarded Newton for lambda(sigma) = 1 from sigma0.
 
     log(lambda) is convex and decreasing in sigma, with derivative
@@ -218,7 +211,7 @@ def _solve_lambda_one(pattern: WeightMatrix, sigma0: float,
     after the first starts from the previous Perron pair. Returns h, the
     final bracket, the sampled (sigma, lambda) pairs, and a convergence
     flag: every eigensolve converged and the last has |lambda - 1| <
-    lam_tol."""
+    _LAM_TOL."""
     samples = []
     all_converged = True
     lo, hi = _SIGMA_MIN, math.inf
@@ -261,7 +254,7 @@ def _solve_lambda_one(pattern: WeightMatrix, sigma0: float,
         if s2 > s1 and not (l2 < l1 + 1e-12):
             raise BracketFailure(
                 f"lambda not decreasing: lambda({s1})={l1}, lambda({s2})={l2}")
-    converged = all_converged and abs(r.lam - 1.0) < lam_tol
+    converged = all_converged and abs(r.lam - 1.0) < _LAM_TOL
     return 0.5 * (lo + hi), (lo, hi), samples, converged
 
 
@@ -277,13 +270,16 @@ def _tail_estimate(G: ConcatGraph, cutoff: float, h: float) -> float:
     return 2.0 * c * math.exp(-h * cutoff) * (cutoff / h + 1.0 / h ** 2)
 
 
-def default_cutoffs(G: ConcatGraph, count: int = 5) -> list[float]:
+_LADDER_RUNGS = 5
+
+
+def default_cutoffs(G: ConcatGraph) -> list[float]:
     """A short increasing ladder of cutoffs ending at the full graph, spaced
     over the distinct saddle lengths."""
     uniq = np.unique(G.lengths)
-    if len(uniq) <= count:
+    if len(uniq) <= _LADDER_RUNGS:
         return [float(x) for x in uniq]
-    idx = np.linspace(0, len(uniq) - 1, count).round().astype(int)
+    idx = np.linspace(0, len(uniq) - 1, _LADDER_RUNGS).round().astype(int)
     return [float(uniq[i]) for i in sorted(set(idx))]
 
 
@@ -293,13 +289,13 @@ def _require_saddles(G: ConcatGraph) -> None:
                        f"length^2 <= {G.max_length_sq}")
 
 
-def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> EntropyEstimate:
+def solve_entropy(G: ConcatGraph, cutoffs=None) -> EntropyEstimate:
     """Entropy h_L at each cutoff of the ladder (the default ladder when
     None). Each rung solves lambda(sigma) = 1 by safeguarded Newton,
     starting from the previous rung's h (h_L grows with L, so that point
     usually has lambda >= 1 already); the first rung starts at
     sigma = 1e-3. A rung counts as converged when every eigensolve
-    converged and the last one has |lambda - 1| < lam_tol."""
+    converged and the last one has |lambda - 1| < _LAM_TOL."""
     if cutoffs is None:
         _require_saddles(G)
         cutoffs = default_cutoffs(G)
@@ -311,7 +307,7 @@ def solve_entropy(G: ConcatGraph, cutoffs=None, lam_tol: float = 1e-10) -> Entro
     for L in cutoffs:
         L = float(L)
         pattern = weight_matrix(G, 1.0, cutoff=L)
-        h, bracket, samples, conv = _solve_lambda_one(pattern, sigma0, lam_tol)
+        h, bracket, samples, conv = _solve_lambda_one(pattern, sigma0)
         tail = _tail_estimate(G, L, h)
         per.append({
             "cutoff": L,
@@ -337,36 +333,42 @@ def single_rung_entropy(G: ConcatGraph, cutoff: float | None = None) -> float:
     return solve_entropy(G, cutoffs=[float(cutoff)]).h
 
 
+# Step and tolerance of v_weight's finite-difference audit.
+_FD_STEP = 1e-5
+_FD_TOL = 1e-6
+
+
 def v_weight(G: ConcatGraph, s0: int, cutoff: float | None = None,
-             h: float | None = None, fd_step: float = 1e-5,
-             fd_tol: float = 1e-6) -> float:
+             h: float | None = None) -> float:
     """Relative weight of saddle s0: minus the ratio of the tilt derivative to
     the sigma derivative of the leading eigenvalue at sigma = h, computed from
     the eigenvector identity d(lambda) = u (dW) v and cross-checked against
-    central finite differences. h defaults to the single-rung entropy at the
-    cutoff."""
+    central finite differences. The tilt by t scales the column of s0 by
+    exp(t * l(s0)). h defaults to the single-rung entropy at the cutoff."""
     if h is None:
         h = single_rung_entropy(G, cutoff)
-    pattern = weight_matrix(G, h, cutoff=cutoff, t=0.0, s0=s0)
+    pattern = weight_matrix(G, h, cutoff=cutoff)
     pos = np.flatnonzero(pattern.ids == s0)
     if len(pos) == 0:
         raise InvalidParams(f"saddle {s0} is outside the strongly connected "
                             f"component at cutoff {cutoff}")
     p0 = int(pos[0])
+    l0 = float(pattern.lengths[p0])
     r = spectral_radius(pattern)
     lam, u, v = r.lam, r.u, r.v
     luv = float((pattern.lengths * u * v).sum())
-    dt = lam * float(pattern.lengths[p0]) * float(u[p0]) * float(v[p0])
+    dt = lam * l0 * float(u[p0]) * float(v[p0])
     dsig = -lam * luv
     val = -dt / dsig
     # Finite-difference audit of both partials.
-    lam_tp = spectral_radius(pattern.at(h, t=fd_step)).lam
-    lam_tm = spectral_radius(pattern.at(h, t=-fd_step)).lam
-    lam_sp = spectral_radius(pattern.at(h + fd_step, t=0.0)).lam
-    lam_sm = spectral_radius(pattern.at(h - fd_step, t=0.0)).lam
-    dt_fd = (lam_tp - lam_tm) / (2 * fd_step)
-    dsig_fd = (lam_sp - lam_sm) / (2 * fd_step)
-    if abs(dt_fd - dt) > fd_tol or abs(dsig_fd - dsig) > fd_tol:
+    m = pattern.matrix()
+    tilt = np.zeros(pattern.size)
+    tilt[p0] = l0
+    dt_fd = (spectral_radius(m * np.exp(_FD_STEP * tilt)).lam
+             - spectral_radius(m * np.exp(-_FD_STEP * tilt)).lam) / (2 * _FD_STEP)
+    dsig_fd = (spectral_radius(pattern.at(h + _FD_STEP)).lam
+               - spectral_radius(pattern.at(h - _FD_STEP)).lam) / (2 * _FD_STEP)
+    if abs(dt_fd - dt) > _FD_TOL or abs(dsig_fd - dsig) > _FD_TOL:
         raise DerivativeMismatch(
             f"eigenvector vs finite-difference derivatives disagree: "
             f"dt {dt} vs {dt_fd}, dsigma {dsig} vs {dsig_fd}")

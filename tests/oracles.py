@@ -7,6 +7,11 @@
 - `five_product_power_iteration`: the Perron iteration as it was written
   before it reused each iteration's matrix-vector products.
 - `slice_min_rotation`: the least rotation as the minimum over all of them.
+- `is_primitive` and `brute_closed_words`: primitive closed words found by
+  generating every closed word and keeping each least rotation once, which
+  the Lyndon-word search replaced.
+- `per_word_pi_saddle`: pi_s(T) summed word by word, which the single visit
+  vector replaced.
 - `enumerate_paths`: admissible paths streamed from a heap in length order,
   which the level-synchronised census replaced.
 - `scipy_truncated_scc`: the largest cycle-carrying strongly connected
@@ -178,6 +183,47 @@ def scipy_truncated_scc(G, cutoff=None) -> np.ndarray:
 
 def slice_min_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def is_primitive(word: tuple[int, ...]) -> bool:
+    """A cyclic word is a strict power iff it equals the repetition of one of
+    its prefixes whose length divides the word's."""
+    n = len(word)
+    for per in range(1, n):
+        if n % per == 0 and word[:per] * (n // per) == word:
+            return False
+    return True
+
+
+def brute_closed_words(G, T) -> set[tuple[int, ...]]:
+    """All primitive closed words of metric length <= T, each as its least
+    rotation. No pruning at all: every closed word is generated and
+    filtered."""
+    out = set()
+
+    def extend(word, length):
+        last = word[-1]
+        if G.allowed(last, word[0]) and is_primitive(tuple(word)):
+            out.add(slice_min_rotation(tuple(word)))
+        for j in G.out[last]:
+            nl = length + float(G.lengths[j])
+            if nl <= T:
+                extend(word + [int(j)], nl)
+
+    for s in range(G.n):
+        if G.lengths[s] <= T:
+            extend([s], float(G.lengths[s]))
+    return out
+
+
+def per_word_pi_saddle(census, T=None) -> np.ndarray:
+    """pi_s(T) as the sum over census words q with l(q) <= T of
+    (occurrences of s in q) * l(s) / l(q), one word at a time."""
+    out = np.zeros(census.n_saddles)
+    for g in census.geodesics[:census.pi(T)]:
+        out += (np.bincount(g.word, minlength=census.n_saddles)
+                * census.saddle_lengths / g.length)
+    return out
 
 
 def enumerate_paths(G, x: int, R):

@@ -189,3 +189,12 @@ def test_bad_volume_cells(capsys, cells):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_geodesics_grid_stays_within_tmax(capsys):
+    # the shortest closed geodesic on the slit tori has length 1 > 1/1.5
+    code, out, _ = run(capsys, "geodesics", "--builtin", "slit_tori", "--tmax", "1")
+    assert code == 0
+    ts = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert ts == sorted(ts)
+    assert ts[-1] == 1.0

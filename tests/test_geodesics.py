@@ -7,40 +7,18 @@ reproduces the census from scratch.
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import tsurf
-from tsurf import enumerate_closed, occupancy, pi_stats, word_length
-from tsurf.geodesics import (GeodesicCensus, canonical_rotation, is_primitive,
-                             saddle_cell_lengths, stats_csv)
+from tsurf import TruncationError, enumerate_closed, occupancy, pi_stats, word_length
+from tsurf.geodesics import saddle_cell_lengths, stats_csv
 from tsurf.unfold import reversal_permutation
 
-from oracles import slice_min_rotation
-
-
-def _brute_census(G, T):
-    """All primitive closed words of metric length <= T, canonicalized.
-    No pruning at all: every cyclic word is generated and filtered."""
-    out = set()
-    max_words = int(T / min(G.lengths)) + 1
-    def extend(word, length):
-        last = word[-1]
-        if G.allowed(last, word[0]) and is_primitive(tuple(word)):
-            out.add(canonical_rotation(tuple(word)))
-        if len(word) >= max_words:
-            return
-        for j in G.out[last]:
-            nl = length + float(G.lengths[j])
-            if nl <= T:
-                extend(word + [int(j)], nl)
-    for s in range(G.n):
-        if G.lengths[s] <= T:
-            extend([s], float(G.lengths[s]))
-    return out
+from oracles import (brute_closed_words, is_primitive, per_word_pi_saddle,
+                     slice_min_rotation)
 
 
 def test_complete3_counts(C3):
@@ -74,14 +52,14 @@ def test_complete3_F_values(C3):
 
 def test_brute_force_agreement_complete3(C3):
     census = enumerate_closed(C3, 4.0)
-    brute = _brute_census(C3, 4.0)
+    brute = brute_closed_words(C3, 4.0)
     assert {g.word for g in census.geodesics} == brute
 
 
 def test_brute_force_agreement_lshape(G9):
     T = 2.9
     census = enumerate_closed(G9, T)
-    brute = _brute_census(G9, T)
+    brute = brute_closed_words(G9, T)
     assert {g.word for g in census.geodesics} == brute
     assert census.pi() == len(brute)
 
@@ -89,8 +67,8 @@ def test_brute_force_agreement_lshape(G9):
 def test_census_words_are_canonical_and_closed(G9):
     census = enumerate_closed(G9, 3.0)
     for g in census.geodesics:
-        assert g.word == canonical_rotation(g.word)
-        assert g.primitive
+        assert g.word == slice_min_rotation(g.word)
+        assert is_primitive(g.word)
         for a, b in zip(g.word, g.word[1:] + g.word[:1]):
             assert G9.allowed(a, b)
         assert g.length == pytest.approx(
@@ -102,7 +80,7 @@ def test_census_closed_under_reversal(G9, lshape):
     census = enumerate_closed(G9, 3.0)
     words = {g.word for g in census.geodesics}
     for g in census.geodesics:
-        rev = canonical_rotation(tuple(perm[s] for s in reversed(g.word)))
+        rev = slice_min_rotation(tuple(perm[s] for s in reversed(g.word)))
         assert rev in words
 
 
@@ -122,28 +100,11 @@ def test_census_prefix_consistency(G9):
         g.word for g in big.geodesics if g.length <= 2.4}
 
 
-@given(st.lists(st.integers(0, 7), min_size=1, max_size=9))
-def test_canonical_rotation_is_rotation_invariant(word):
-    w = tuple(word)
-    canon = canonical_rotation(w)
-    assert sorted(canon) == sorted(w)
-    for r in range(len(w)):
-        rotated = w[r:] + w[:r]
-        assert canonical_rotation(rotated) == canon
-        assert canon <= rotated
-
-
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=6),
        st.integers(2, 4))
 def test_powers_are_never_primitive(word, p):
     w = tuple(word)
     assert not is_primitive(w * p)
-
-
-def test_canonical_rotation_matches_slice_min():
-    for n in range(1, 8):
-        for word in itertools.product(range(3), repeat=n):
-            assert canonical_rotation(word) == slice_min_rotation(word)
 
 
 def test_long_words_need_no_recursion():
@@ -172,10 +133,9 @@ def test_saddle_cell_lengths_cover(G2, lshape):
 def test_occupancy_histogram(G9, lshape):
     grid = tsurf.CellGrid(lshape, 2)
     census = enumerate_closed(G9, 3.0)
-    hist, shares = occupancy(G9, census, grid)
+    hist = occupancy(G9, census, grid)
     assert hist.masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(hist.masses >= 0)
-    assert shares.sum() == pytest.approx(1.0, rel=1e-12)
     # support: only cells some census saddle actually crosses
     used = set()
     cl = saddle_cell_lengths(G9, grid)
@@ -200,3 +160,57 @@ def test_pi_stats_and_csv(C3):
 def test_no_geodesics_below_systole(G2):
     census = enumerate_closed(G2, 0.9)
     assert census.pi() == 0
+
+
+@pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
+def test_lyndon_census_matches_brute_force_on_random_graphs(density):
+    # sparse relations with unequal lengths: partial cycles, dead ends and
+    # letters that no closed word can use, which the surfaces rarely show
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        n = 10
+        rows = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
+        G = tsurf.ConcatGraph(
+            saddles=None, lengths=np.sort(rng.uniform(1.0, 2.0, n)),
+            start=[0] * n, end=[0] * n,
+            indptr=np.concatenate(([0], np.cumsum([len(r) for r in rows]))),
+            succ=np.concatenate(rows), cone_k=[1], max_length_sq=None)
+        census = enumerate_closed(G, 6.0)
+        words = [g.word for g in census.geodesics]
+        assert len(words) == len(set(words))
+        assert set(words) == brute_closed_words(G, 6.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_complete_census_is_the_lyndon_words(m):
+    census = enumerate_closed(tsurf.complete_graph(m), 7.0)
+    lyndon = {w for n in range(1, 8) for w in itertools.product(range(m), repeat=n)
+              if is_primitive(w) and w == slice_min_rotation(w)}
+    assert [g.word for g in census.geodesics] == sorted(lyndon, key=lambda w: (len(w), w))
+
+
+@pytest.mark.parametrize("T", [None, 2.2, 2.6, 0.5])
+def test_visits_match_the_per_word_sum(G9, T):
+    census = enumerate_closed(G9, 3.0)
+    want = per_word_pi_saddle(census, T)
+    assert np.allclose(census.pi_saddle(T), want, rtol=1e-12, atol=0)
+    assert np.allclose(census.visits(T) * G9.lengths, want, rtol=1e-12, atol=0)
+
+
+def test_counts_beyond_the_census_bound_raise(C3):
+    census = enumerate_closed(C3, 3.0)
+    for count in (census.pi, census.F, census.pi_saddle, census.visits):
+        count(3.0)
+        with pytest.raises(TruncationError):
+            count(3.5)
+
+
+def test_default_grid_stays_below_the_bound(slit):
+    # the shortest closed geodesic is longer than T / 1.5 here
+    G = tsurf.build_concat_graph(slit, 1)
+    census = enumerate_closed(G, 1.0)
+    stats = pi_stats(census, 1.0)
+    lo = census.lengths[0]
+    assert np.all(np.diff(stats["T"]) >= 0)
+    assert lo <= stats["T"][0] and stats["T"][-1] == census.T
+    assert stats["pi"][-1] == census.pi()
