@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-# Where does a big circle spend its time?  Sample points uniformly in
-# angle along the radius-R circle around the cone point, bin them into
-# an area grid, and watch the histograms converge as R grows.
+# Where does a big circle spend its time?  Unfold each arc of the
+# radius-R circle around the cone point through the gluings, cut it at
+# the cells of an area grid, and watch the histograms converge as R grows.
 
 import numpy as np
 
@@ -15,11 +15,10 @@ print(f"grid: {grid.num_cells} cells over the 3 unit squares, "
 
 hists = {}
 for R in (1.5, 2.5, 3.5):
-    hists[R] = tsurf.circle_measure(G, 0, R, grid,
-                                    samples_per_unit_angle=4, seed=0)
+    hists[R] = tsurf.circle_measure(G, 0, R, grid)
     m = hists[R].meta
     print(f"R={R}: circle length {m['circle_length']:.3f}, "
-          f"{m['arcs']} arcs, {int(m['circle_length'] * 4)} samples")
+          f"{m['arcs']} arcs, histogram mass {m['unnormalized_total']:.3f}")
 
 print("\nL1 distances between the three measures:")
 print("  d(1.5, 2.5) =", f"{hists[1.5].l1_distance(hists[2.5]):.4f}")
@@ -41,12 +40,12 @@ for poly, label in ((2, "top square"), (0, "bottom-left"), (1, "bottom-right")):
 print("(the corners carry extra mass; every square corner is a copy of")
 print(" the cone point, and arcs pile up around it)")
 
-# ball volume over a sub-region by Monte Carlo; whole surface recovers
-# the closed form with zero variance since every sample lands somewhere
+# ball volume over a sub-region, by the same unfolding; over the whole
+# surface it recovers the closed form
 top = [cid for cid in range(grid.num_cells) if grid.cell_meta(cid)[0] == 2]
-vt, se = tsurf.region_volume(G, 0, 3.5, grid, top, seed=0)
-va, _ = tsurf.region_volume(G, 0, 3.5, grid, range(grid.num_cells), seed=0)
+vt = tsurf.region_volume(G, 0, 3.5, grid, top)
+va = tsurf.region_volume(G, 0, 3.5, grid, range(grid.num_cells))
 exact = tsurf.ball_volume_closed(G, 0, 3.5)
-print(f"\nvolume over the top square: {vt:.1f} +- {se:.1f} "
+print(f"\nvolume over the top square: {vt:.1f} "
       f"({vt / exact:.1%} of the ball)")
 print(f"whole surface: {va:.4f}  closed form: {exact:.4f}")

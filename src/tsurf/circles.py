@@ -2,10 +2,13 @@
 
 A circle of radius R around a cone point is a union of arcs, one per
 admissible path p (radius R - l(p), angular width 2*pi*k at the terminal
-cone) plus the full arc around the center. The histogram estimator samples
-each arc with stratified angles, traces the straight continuation with the
-exact tracer, and deposits the arc-length weight in the landing cell. Cell
-areas are exact; only the arc-versus-cell split is Monte Carlo.
+cone) plus the full arc around the center. Each distinct (window, radius)
+is developed once through the gluings: the arc is the circle of that
+radius about the origin, cut by the polygon copies the window's rays
+reach. The histogram credits each piece's length to its cell, and the
+region volume adds each copy-cell-wedge polygon's area inside the disk.
+Cell areas and the development are exact; only the clip angles and the
+disk areas are float.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateRadius, InvalidParams
-from .geometry import convex_clip, cross, dot, polygon_area
+from .geometry import (Wedge, clip_half_plane, convex_clip, cross, dot, neg,
+                       polygon_area, segment_within)
 from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
 from .surface import TranslationSurface
-from .unfold import ConeDirection, TracePoint, cone_direction, opposite_sectors, trace_ray
+from .unfold import (ConeDirection, TracePoint, cone_direction,
+                     integer_polygons, opposite_sectors, unfold_wedge)
+# Not called here: the benchmark tracer (perfbench/tracing.py) wraps
+# circles.trace_ray by name to count rays.
+from .unfold import trace_ray  # noqa: F401
 
 TWO_PI = 2 * math.pi
 
@@ -121,44 +129,6 @@ class CellGrid:
         return poly, rem % self.n, rem // self.n
 
 
-# ----------------------------------------------------------------------------
-# Sampling helpers
-
-
-def _slot_angle_offset(S, d: ConeDirection) -> float:
-    """Float angle from the slot's first ray to d.vec, in [0, sector)."""
-    r1 = S.star_rays[d.cone_id][d.slot][0]
-    return math.atan2(cross(r1, d.vec), dot(r1, d.vec)) % TWO_PI
-
-
-def _direction_at(S, window: DirectionWindow, theta: float):
-    """Resolve window-start + theta to a (corner, rational direction) pair
-    ready for the tracer. Rationalization of the unit vector perturbs the
-    angle by ~1e-12, well under a stratum."""
-    cone = S.cone_points[window.cone_id]
-    nslots = len(cone.star)
-    angles = S.star_angles[window.cone_id]
-    slot = window.start.slot
-    rem = _slot_angle_offset(S, window.start) + theta
-    guard = 0
-    while rem >= angles[slot]:
-        rem -= angles[slot]
-        slot = (slot + 1) % nslots
-        guard += 1
-        if guard > 16 * nslots:
-            raise AssertionError("angle walk overflow")
-    r1 = S.star_rays[window.cone_id][slot][0]
-    base = math.atan2(r1[1], r1[0])
-    ang = base + rem
-    dx = Fraction(math.cos(ang)).limit_denominator(10 ** 12)
-    dy = Fraction(math.sin(ang)).limit_denominator(10 ** 12)
-    if dx == 0 and dy == 0:
-        dx = Fraction(1)
-    corner = cone.star[slot]
-    start = TracePoint(corner[0], S.polygons[corner[0]][corner[1]])
-    return start, (dx, dy)
-
-
 @dataclass
 class MeasureHistogram:
     """Cell masses summing to 1, with the run's metadata."""
@@ -220,34 +190,18 @@ class MeasureHistogram:
                 + "".join(rects) + "</svg>\n")
 
 
-def _stratified(rng, n: int, width: float) -> np.ndarray:
-    u = rng.random(n)
-    return (np.arange(n) + u) / n * width
-
-
-def _trace_to_cell(S, grid, start, dvec, r: float):
-    """Trace a straight segment of length r; returns the cell id or None on a
-    mid-flight singular hit."""
-    if r <= 0:
-        return grid.cell_of(start)
-    budget = Fraction(r) ** 2
-    res = trace_ray(S, start, dvec, budget)
-    if res.hit_cone is not None and res.consumed_length_sq < budget:
-        return None
-    return grid.cell_of(res.end)
-
-
 def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
     """Checks shared by the estimators, then the arcs of the radius-R circle
     around cone x: (window, radius) for the full cone at the center, then
-    one per census path of length <= R in census order. An arc's index in
-    the list keys its random stream. Returns (R, census, arcs)."""
-    R = float(R)
+    one per census path of length <= R in census order. The budget check
+    reads R before it is rounded to a float. Returns (float R, census,
+    arcs)."""
     if R <= 0:
         raise DegenerateRadius(f"radius must be positive, got {R}")
     G.check_radius(R)
-    if census is None or census.Rmax < R:
+    if census is None or census.Rmax < float(R):
         census = path_length_census(G, x, R)
+    R = float(R)
     arcs = [(direction_window(G, x), R)]
     windows: dict[int, DirectionWindow] = {}
     idx = int(np.searchsorted(census.lengths, R, side="right"))
@@ -259,84 +213,258 @@ def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
     return R, census, arcs
 
 
-def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
-                   samples_per_unit_angle: int = 1, seed: int = 0,
-                   census: PathCensus | None = None) -> MeasureHistogram:
-    """Histogram of the radius-R circle around cone x over the grid cells,
-    normalized to total mass 1. Deterministic for a fixed seed: each arc uses
-    its own counter-based stream keyed by (seed, arc index)."""
-    if samples_per_unit_angle < 1:
-        raise InvalidParams("need at least one sample per unit angle")
-    R, census, arcs = _circle_arcs(G, x, R, census)
-    S = G.surface
-    masses = np.zeros(grid.num_cells)
-    retried = 0
-    dropped = 0
+def _window_wedges(S: TranslationSurface, window: DirectionWindow) -> list:
+    """The window as exact per-sector wedges (slot, wedge). A window of m
+    full turns runs from its start vector to the same vector m turns later;
+    the full cone is every sector whole."""
+    rays = S.star_rays[window.cone_id]
+    n = len(rays)
+    sectors = [Wedge(r1, True, r2, False) for r1, r2 in rays]
+    vec, first = window.start.vec, window.start.slot
+    holding = sorted((j for j in range(n) if sectors[j].contains(vec)),
+                     key=lambda j: (j - first) % n)
+    turns = round(window.width / TWO_PI)
+    if turns >= len(holding):
+        return list(enumerate(sectors))
+    last = holding[turns]
+    out = [(first, Wedge(vec, True, rays[first][1], False))]
+    slot = (first + 1) % n
+    while slot != last:
+        out.append((slot, sectors[slot]))
+        slot = (slot + 1) % n
+    tail = Wedge(rays[last][0], True, vec, False)
+    if not tail.is_empty():
+        out.append((last, tail))
+    return out
 
-    for arc_index, (window, r) in enumerate(arcs):
+
+def _distinct_arcs(arcs) -> dict:
+    """Multiplicity of each distinct (window, radius > 0)."""
+    groups: dict[tuple, list] = {}
+    for window, r in arcs:
         if r <= 0:
             continue
-        nsamp = max(1, round(samples_per_unit_angle * window.width))
-        rng = np.random.Generator(np.random.Philox(key=[seed, arc_index]))
-        thetas = _stratified(rng, nsamp, window.width)
-        wgt = r * window.width / nsamp
-        ulp = window.width / nsamp * 2 ** -30
-        for th in thetas:
-            start, dvec = _direction_at(S, window, float(th))
-            cid = _trace_to_cell(S, grid, start, dvec, r)
-            if cid is None:
-                retried += 1
-                start, dvec = _direction_at(S, window, float(th) + ulp)
-                cid = _trace_to_cell(S, grid, start, dvec, r)
-            if cid is None:
-                dropped += 1
-                continue
-            masses[cid] += wgt
+        key = (window.cone_id, window.start.slot, window.start.vec,
+               window.width, r)
+        if key in groups:
+            groups[key][2] += 1
+        else:
+            groups[key] = [window, r, 1]
+    return groups
+
+
+def _developed_copies(S, polys, window, rho):
+    """Every polygon copy that the rays of the window reach within length
+    rho (in the scaled coordinates of `polys`). The budget is widened by a
+    relative 1e-12 so that no copy the float circle enters is pruned by a
+    rounded comparison; an extra copy only contributes nothing."""
+    B = rho * rho * (1 + 1e-12)
+    for slot, w in _window_wedges(S, window):
+        p, v = S.cone_points[window.cone_id].star[slot]
+        yield from unfold_wedge(S, polys, B, p, neg(polys[p][v]), w)
+
+
+class _ScaledCells:
+    """The grid in the integer coordinates of `integer_polygons`: per
+    polygon the scaled bounding box and cell lines."""
+
+    def __init__(self, grid: CellGrid, D: int):
+        self.grid = grid
+        self.boxes = [tuple(float(c * D) for c in box) for box in grid.boxes]
+        n = grid.n
+        self.xlines = [[x0 + (x1 - x0) * i / n for i in range(1, n)]
+                       for x0, _, x1, _ in self.boxes]
+        self.ylines = [[y0 + (y1 - y0) * i / n for i in range(1, n)]
+                       for _, y0, _, y1 in self.boxes]
+
+    def cell_of(self, p: int, x: float, y: float) -> int:
+        x0, y0, x1, y1 = self.boxes[p]
+        n = self.grid.n
+        i = min(max(int((x - x0) * n // (x1 - x0)), 0), n - 1)
+        j = min(max(int((y - y0) * n // (y1 - y0)), 0), n - 1)
+        return self.grid.offsets[p] + j * n + i
+
+
+def _half_circle_cut(nx, ny, h, rho):
+    """The part of the circle of radius rho about the origin in the
+    half-plane n.p >= h, as (angle of n, half-width): the angles within the
+    half-width of n's angle. Half-width -1 when the part is at most a point,
+    4 (> pi) when it is the whole circle. A half-plane and its complement
+    get complementary arcs from the same float quotient, so an arc split
+    between two copies along their shared edge is counted once."""
+    q = h / (rho * math.hypot(nx, ny))
+    if q >= 1:
+        return math.atan2(ny, nx), -1.0
+    if q <= -1:
+        return math.atan2(ny, nx), 4.0
+    return math.atan2(ny, nx), math.acos(q)
+
+
+def _arc_angles(copy, cells: _ScaledCells, rho):
+    """(cell id, angle) of each piece of the circle of radius rho about the
+    origin inside a copy from `unfold_wedge` and its wedge, split at the
+    cell lines. The pieces come from float clip angles; each is credited to
+    the cell that holds its midpoint."""
+    p, (tx, ty), verts, w = copy[:4]
+    a, b = w.a, w.b
+    width = math.atan2(cross(a, b), dot(a, b))
+    if width <= 0:
+        return []
+    base = math.atan2(a[1], a[0])
+    n = len(verts)
+    edges = []
+    for k in range(n):
+        (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % n]
+        nx, ny = y1 - y2, x2 - x1
+        th, half = _half_circle_cut(nx, ny, nx * x1 + ny * y1, rho)
+        if half < 0:
+            return []
+        if half <= math.pi:
+            edges.append((th, half))
+    cuts = list(edges)
+    for X in cells.xlines[p]:
+        cuts.append(_half_circle_cut(1, 0, X + tx, rho))
+    for Y in cells.ylines[p]:
+        cuts.append(_half_circle_cut(0, 1, Y + ty, rho))
+    marks = [0.0, width]
+    for th, half in cuts:
+        if 0 <= half <= math.pi:
+            for ang in (th - half, th + half):
+                phi = (ang - base) % TWO_PI
+                if 0 < phi < width:
+                    marks.append(phi)
+    marks.sort()
+    out = []
+    for lo, hi in zip(marks, marks[1:]):
+        if hi <= lo:
+            continue
+        mid = base + 0.5 * (lo + hi)
+        inside = True
+        for th, half in edges:
+            off = (mid - th) % TWO_PI
+            if min(off, TWO_PI - off) >= half:
+                inside = False
+                break
+        if inside:
+            cid = cells.cell_of(p, rho * math.cos(mid) - tx,
+                                rho * math.sin(mid) - ty)
+            out.append((cid, hi - lo))
+    return out
+
+
+def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
+                   census: PathCensus | None = None) -> MeasureHistogram:
+    """Histogram of the radius-R circle around cone x over the grid cells,
+    normalized to total mass 1, by developing each distinct arc.
+
+    The arc of radius r in a window is the circle of radius r about the
+    origin in the development of that window: in every polygon copy the
+    window's rays reach within r, the circle is clipped to the copy, to the
+    copy's wedge and to the cell lines, and each piece credits r times its
+    angle to its cell. Which copy and wedge a piece belongs to is exact; the
+    clip angles are float. Nothing is sampled."""
+    R, census, arcs = _circle_arcs(G, x, R, census)
+    S = G.surface
+    D, polys = integer_polygons(S)
+    cells = _ScaledCells(grid, D)
+    masses = np.zeros(grid.num_cells)
+    for window, r, mult in _distinct_arcs(arcs).values():
+        rho = r * D
+        arc = np.zeros(grid.num_cells)
+        for copy in _developed_copies(S, polys, window, rho):
+            for cid, ang in _arc_angles(copy, cells, rho):
+                arc[cid] += ang
+        masses += (mult * r) * arc
 
     total = circle_length(G, x, R, census)
-    meta = {"R": R, "seed": seed, "arcs": len(arcs),
-            "samples_per_unit_angle": samples_per_unit_angle,
-            "retried": retried, "dropped": dropped,
+    # Nothing is sampled, so no sample is retried or dropped; the keys stay
+    # because perfbench/tracing.py reads them.
+    meta = {"R": R, "arcs": len(arcs), "retried": 0, "dropped": 0,
             "unnormalized_total": float(masses.sum()),
             "circle_length": total}
     return MeasureHistogram(grid, masses / total, meta)
 
 
+def _disk_triangle(A, B, rho):
+    """Signed area of the triangle (origin, A, B) inside the disk of radius
+    rho about the origin, in closed form."""
+    dx, dy = B[0] - A[0], B[1] - A[1]
+    a = dx * dx + dy * dy
+
+    def sector(P, Q):
+        return 0.5 * rho * rho * math.atan2(cross(P, Q), dot(P, Q))
+
+    if a == 0:
+        return 0.0
+    b = A[0] * dx + A[1] * dy
+    disc = b * b - a * (A[0] * A[0] + A[1] * A[1] - rho * rho)
+    if disc <= 0:
+        return sector(A, B)
+    root = math.sqrt(disc)
+    s1, s2 = (-b - root) / a, (-b + root) / a
+    if s1 >= 1 or s2 <= 0:
+        return sector(A, B)
+    s1, s2 = max(s1, 0.0), min(s2, 1.0)
+    P = (A[0] + s1 * dx, A[1] + s1 * dy)
+    Q = (A[0] + s2 * dx, A[1] + s2 * dy)
+    return sector(A, P) + 0.5 * cross(P, Q) + sector(Q, B)
+
+
+def _disk_area(poly, rho) -> float:
+    """Area of a convex ccw polygon inside the disk of radius rho about the
+    origin, summed edge by edge over the fan from the origin."""
+    pts = [(float(px), float(py)) for px, py in poly]
+    return math.fsum(_disk_triangle(A, B, rho)
+                     for A, B in zip(pts, pts[1:] + pts[:1]))
+
+
 def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
-                  samples: int = 32, seed: int = 0,
-                  census: PathCensus | None = None) -> tuple[float, float]:
-    """Monte Carlo ball-volume mass inside the given cell set: per sector,
-    area-uniform points (radius r_p*sqrt(U)), traced to their landing cell.
-    Returns (estimate, standard error)."""
-    if samples < 1:
-        raise InvalidParams("need at least one sample per sector")
+                  census: PathCensus | None = None) -> float:
+    """Area of the radius-R ball around cone x inside the given cell set.
+
+    Each distinct arc's window is developed as in `circle_measure`; in every
+    copy, copy-cell-wedge is clipped exactly and its area inside the disk
+    of radius r is added in closed form."""
     cells = frozenset(int(c) for c in cells)
     outside = sorted(c for c in cells if not 0 <= c < grid.num_cells)
     if outside:
         raise InvalidParams(f"cell ids {outside} are outside the "
                             f"{grid.num_cells}-cell grid")
     R, census, arcs = _circle_arcs(G, x, R, census)
+    if not cells:
+        return 0.0
     S = G.surface
-    est = 0.0
-    var = 0.0
-
-    for arc_index, (window, r) in enumerate(arcs):
-        if r <= 0 or not cells:
-            continue
-        rng = np.random.Generator(np.random.Philox(key=[seed, arc_index]))
-        thetas = _stratified(rng, samples, window.width)
-        radii = r * np.sqrt(rng.random(samples))
-        sector_vol = 0.5 * window.width * r * r
-        hits = 0
-        for th, rr in zip(thetas, radii):
-            start, dvec = _direction_at(S, window, float(th))
-            cid = _trace_to_cell(S, grid, start, dvec, float(rr))
-            if cid is None:
-                start, dvec = _direction_at(S, window, float(th) + 1e-9)
-                cid = _trace_to_cell(S, grid, start, dvec, float(rr))
-            if cid is not None and cid in cells:
-                hits += 1
-        p = hits / samples
-        est += sector_vol * p
-        var += (sector_vol ** 2) * p * (1 - p) / samples
-    return est, math.sqrt(var)
+    D, polys = integer_polygons(S)
+    pieces = [[] for _ in polys]  # per polygon: its cells in the set
+    for cid in sorted(cells):
+        p, i, j = grid.cell_meta(cid)
+        x0, y0, x1, y1 = (c * D for c in grid.boxes[p])
+        cw, ch = (x1 - x0) / grid.n, (y1 - y0) / grid.n
+        piece = convex_clip(polys[p], x0 + i * cw, x0 + (i + 1) * cw,
+                            y0 + j * ch, y0 + (j + 1) * ch)
+        if len(piece) >= 3:
+            pieces[p].append(piece)
+    # Scale once more so that the piece vertices are integers as well.
+    m = math.lcm(*(Fraction(c).denominator for mine in pieces
+                   for piece in mine for pt in piece for c in pt))
+    D *= m
+    polys = tuple(tuple((px * m, py * m) for px, py in poly) for poly in polys)
+    pieces = [[[(int(px * m), int(py * m)) for px, py in piece]
+               for piece in mine] for mine in pieces]
+    total = 0.0
+    for window, r, mult in _distinct_arcs(arcs).values():
+        rho = r * D
+        vol = 0.0
+        copies = _developed_copies(S, polys, window, rho)
+        for p, (tx, ty), _, w, _, _ in copies:
+            for piece in pieces[p]:
+                part = [(px + tx, py + ty) for px, py in piece]
+                if not any(segment_within(P, Q, rho * rho)
+                           for P, Q in zip(part, part[1:] + part[:1])):
+                    continue  # beyond the disk; no copy holds the origin
+                part = clip_half_plane(part, (0, 0), w.a)
+                part = clip_half_plane(part, (0, 0), neg(w.b))
+                if len(part) >= 3:
+                    vol += _disk_area(part, rho)
+        total += mult * vol
+    return total / (D * D)

@@ -2,8 +2,13 @@
 
 Machine-readable output (CSV or JSON) goes to stdout and, with --out, into
 files under that directory; one-line human summaries go to stderr. Artifacts
-are deterministic: the same subcommand, flags, and seed produce the same
-bytes.
+are deterministic: the same subcommand and flags produce the same bytes.
+Nothing is sampled; `--seed`, and `--samples` of `measure` and `volume`,
+are accepted for old command lines and not read.
+
+Radii, bounds and budgets are parsed as exact rationals and reach the
+budget check unrounded, so `--radius 11/10` needs `--max-length-sq 121/100`
+and no more.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 length budget too
 small for the requested radius or bound.
@@ -42,7 +47,8 @@ def _common(p: argparse.ArgumentParser):
                    help="load a surface description from FILE")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="also write artifacts under DIR")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: no subcommand samples")
     p.add_argument("--svg", action="store_true",
                    help="also emit an SVG figure where supported")
 
@@ -184,7 +190,7 @@ def cmd_circle(args) -> int:
     while r <= rmax:
         radii.append(float(r))
         r += step
-    census = path_length_census(G, args.center, float(rmax))
+    census = path_length_census(G, args.center, rmax)
     _emit(args, "circle.csv", circle_csv(G, args.center, radii, census))
     _note(f"{len(radii)} radii up to {float(rmax):g} around cone {args.center}")
     return 0
@@ -195,13 +201,11 @@ def cmd_measure(args) -> int:
     R = _rat(args.radius)
     G = _graph(S, args, need_sq=R * R)
     grid = CellGrid(S, args.grid)
-    hist = circle_measure(G, args.center, float(R), grid,
-                          samples_per_unit_angle=args.samples, seed=args.seed)
+    hist = circle_measure(G, args.center, R, grid)
     _emit(args, "measure.csv", hist.to_csv())
     if args.svg:
         _emit(args, "measure.svg", hist.to_svg())
-    _note(f"measure at R={float(R):g}: {hist.meta['arcs']} arcs, "
-          f"{hist.meta['dropped']} dropped samples")
+    _note(f"measure at R={float(R):g}: {hist.meta['arcs']} arcs")
     return 0
 
 
@@ -218,14 +222,14 @@ def cmd_volume(args) -> int:
         except ValueError:
             raise ParseError(f"--cells takes 'all' or comma-separated cell "
                              f"ids, got {args.cells!r}") from None
-    census = path_length_census(G, args.center, float(R))
-    est, se = region_volume(G, args.center, float(R), grid, cells,
-                            samples=args.samples, seed=args.seed, census=census)
+    census = path_length_census(G, args.center, R)
+    est = region_volume(G, args.center, R, grid, cells, census=census)
     closed = ball_volume_closed(G, args.center, float(R), census)
+    # volume.csv keeps its standard_error column; the estimate is exact.
     text = ("R,estimate,standard_error,ball_volume_closed\n"
-            f"{float(R):.17g},{est:.17g},{se:.17g},{closed:.17g}\n")
+            f"{float(R):.17g},{est:.17g},0,{closed:.17g}\n")
     _emit(args, "volume.csv", text)
-    _note(f"V_A({float(R):g}) = {est:.6g} +- {se:.2g}")
+    _note(f"V_A({float(R):g}) = {est:.6g}")
     return 0
 
 
@@ -233,7 +237,7 @@ def cmd_geodesics(args) -> int:
     S = _load(args)
     T = _rat(args.tmax)
     G = _graph(S, args, need_sq=T * T)
-    census = enumerate_closed(G, float(T))
+    census = enumerate_closed(G, T)
     h = single_rung_entropy(G)
     stats = pi_stats(census, h)
     _emit(args, "geodesics.csv", stats_csv(stats))
@@ -246,7 +250,7 @@ def cmd_weights(args) -> int:
     S = _load(args)
     T = _rat(args.tmax)
     G = _graph(S, args, need_sq=T * T)
-    census = enumerate_closed(G, float(T))
+    census = enumerate_closed(G, T)
     ids, w = v_weights(G)
     pi_s = census.pi_saddle()
     _emit(args, "weights.csv", saddle_csv(G, pi_s, census.pi(), ids, w))
@@ -297,21 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", required=True)
     p.add_argument("--max-length-sq", default=None)
 
-    p = add("measure", cmd_measure, "circle measure histogram")
+    p = add("measure", cmd_measure,
+            "circle measure histogram, by unfolding each arc")
     p.add_argument("--center", type=int, default=0)
     p.add_argument("--radius", required=True)
     p.add_argument("--grid", type=int, default=4, help="cells per polygon side")
     p.add_argument("--samples", type=int, default=2,
-                   help="samples per unit angle")
+                   help="accepted and ignored: the measure is not sampled")
     p.add_argument("--max-length-sq", default=None)
 
-    p = add("volume", cmd_volume, "Monte Carlo sector volume")
+    p = add("volume", cmd_volume, "ball volume inside a set of cells")
     p.add_argument("--center", type=int, default=0)
     p.add_argument("--radius", required=True)
     p.add_argument("--grid", type=int, default=4)
     p.add_argument("--cells", default="all",
                    help="'all' or comma-separated cell ids")
-    p.add_argument("--samples", type=int, default=32, help="per sector")
+    p.add_argument("--samples", type=int, default=32,
+                   help="accepted and ignored: the volume is not sampled")
     p.add_argument("--max-length-sq", default=None)
 
     p = add("geodesics", cmd_geodesics, "primitive closed geodesic counts")

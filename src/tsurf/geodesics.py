@@ -131,10 +131,10 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
     period p when j == w[n - p] and n + 1 when j is larger, and the result
     is a Lyndon word iff its period is its length. A Lyndon word starts with
     its minimal letter, so all its letters are >= the anchor."""
-    T = float(T)
     if T <= 0:
         raise InvalidParams("need a positive length bound")
     G.check_radius(T)
+    T = float(T)
     slack = 1e-9
     found: list[ClosedGeodesic] = []
     active = np.ones(G.n, dtype=bool)

@@ -149,20 +149,19 @@ def _ccw_cmp(d1, d2) -> int:
 ccw_sort_key = functools.cmp_to_key(_ccw_cmp)
 
 
-def point_seg_dist_sq_from_origin(p1, p2) -> Fraction:
-    """Exact squared distance from the origin to segment [p1, p2]."""
+def segment_within(p1, p2, B) -> bool:
+    """Whether the segment [p1, p2] comes within squared distance B of the
+    origin. No division, so integer coordinates stay integers and the test
+    is exact for any exact B."""
     d = sub(p2, p1)
+    s = -dot(p1, d)
+    if s <= 0:
+        return norm_sq(p1) <= B
     dd = norm_sq(d)
-    if dd == 0:
-        return Fraction(norm_sq(p1))
-    # Projection parameter of origin onto the segment's line: t = -(p1.d)/dd
-    t = Fraction(-dot(p1, d), dd)
-    if t <= 0:
-        return Fraction(norm_sq(p1))
-    if t >= 1:
-        return Fraction(norm_sq(p2))
-    foot = (p1[0] + t * d[0], p1[1] + t * d[1])
-    return Fraction(norm_sq(foot))
+    if s >= dd:
+        return norm_sq(p2) <= B
+    c = cross(p1, d)
+    return c * c <= B * dd
 
 
 def point_in_convex(verts, p) -> int:
@@ -197,46 +196,34 @@ def point_in_convex(verts, p) -> int:
     return 1
 
 
+def clip_half_plane(verts, o, u):
+    """Sutherland-Hodgman clip of a convex ccw polygon to the closed half-plane
+    left of the line through `o` with direction `u`. Exact for rational
+    input; returns the clipped vertex list (possibly empty or degenerate)."""
+    side = [cross(u, sub(p, o)) for p in verts]
+    out = []
+    n = len(verts)
+    for i in range(n):
+        j = (i + 1) % n
+        if side[i] >= 0:
+            out.append(verts[i])
+        if (side[i] >= 0) != (side[j] >= 0):
+            p, q = verts[i], verts[j]
+            s = Fraction(side[i]) / (side[i] - side[j])
+            out.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
+    return out
+
+
 def convex_clip(verts, xlo, xhi, ylo, yhi):
-    """Sutherland-Hodgman clip of a convex ccw polygon against an axis box.
-
-    Exact rational arithmetic; returns the clipped vertex list (possibly
-    empty, possibly degenerate with zero area).
-    """
-    def clip_half(poly, inside, intersect):
-        out = []
-        n = len(poly)
-        for i in range(n):
-            cur, nxt = poly[i], poly[(i + 1) % n]
-            cin, nin = inside(cur), inside(nxt)
-            if cin:
-                out.append(cur)
-            if cin != nin:
-                out.append(intersect(cur, nxt))
-        return out
-
-    def x_cut(bound):
-        def inter(p, q):
-            t = Fraction(bound - p[0], q[0] - p[0])
-            return (Fraction(bound), p[1] + t * (q[1] - p[1]))
-        return inter
-
-    def y_cut(bound):
-        def inter(p, q):
-            t = Fraction(bound - p[1], q[1] - p[1])
-            return (p[0] + t * (q[0] - p[0]), Fraction(bound))
-        return inter
-
-    poly = [(Fraction(x), Fraction(y)) for x, y in verts]
-    for keep, inter in (
-        (lambda p: p[0] >= xlo, x_cut(xlo)),
-        (lambda p: p[0] <= xhi, x_cut(xhi)),
-        (lambda p: p[1] >= ylo, y_cut(ylo)),
-        (lambda p: p[1] <= yhi, y_cut(yhi)),
-    ):
+    """Clip a convex ccw polygon to an axis box; exact for rational input,
+    returns the clipped vertex list (possibly empty, possibly degenerate
+    with zero area)."""
+    poly = list(verts)
+    for o, u in (((xlo, 0), (0, -1)), ((xhi, 0), (0, 1)),
+                 ((0, ylo), (1, 0)), ((0, yhi), (-1, 0))):
         if not poly:
             return []
-        poly = clip_half(poly, keep, inter)
+        poly = clip_half_plane(poly, o, u)
     return poly
 
 

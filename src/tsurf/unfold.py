@@ -24,8 +24,8 @@ from .geometry import (
     norm_dir,
     norm_sq,
     point_in_convex,
-    point_seg_dist_sq_from_origin,
     same_dir,
+    segment_within,
     sub,
     wedge_intersect,
     wedge_split,
@@ -268,6 +268,65 @@ def _sqrt_correctly_rounded(x: Fraction) -> float:
         return float((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
 
 
+def integer_polygons(S: TranslationSurface) -> tuple[int, tuple]:
+    """The least common denominator D of the vertex coordinates, and every
+    polygon scaled by D to integer vertex tuples. Developing on these keeps
+    every cross and dot product in machine-sized ints."""
+    D = 1
+    for poly in S.polygons:
+        for x, y in poly:
+            D = math.lcm(D, x.denominator, y.denominator)
+    return D, tuple(tuple((int(x * D), int(y * D)) for x, y in poly)
+                    for poly in S.polygons)
+
+
+def unfold_wedge(S: TranslationSurface, polys, B, p: int, t, w: Wedge):
+    """Develop the rays of wedge w from the origin through the gluings and
+    yield every polygon copy they reach within squared length B, starting
+    from polygon p translated by t. A ray leaves a copy through an edge that
+    faces away from the origin and enters the partner edge's polygon; a
+    cone-point lift stops the rays in exactly its direction, regular lifts
+    stop nothing. All decisions are exact sign tests on the coordinates of
+    `polys` (integers from `integer_polygons`).
+
+    Each copy is yielded as (polygon, translation, verts, wedge, hits,
+    pieces): verts are the polygon's vertices plus the translation, wedge
+    the directions that reach the copy, hits the cone-point lifts in the
+    wedge within B as (direction, length_sq, vertex, vertex index), and
+    pieces the wedge split at their directions, which develops on."""
+    stack = [(p, t, w)]
+    while stack:
+        p, t, w = stack.pop()
+        verts = [add(vv, t) for vv in polys[p]]
+        hits = []
+        for vi, q in enumerate(verts):
+            if (p, vi) not in S.corner_cone or q == (0, 0):
+                continue
+            dsq = norm_sq(q)
+            if dsq > B:
+                continue
+            nd = norm_dir(q)
+            if w.contains(nd):
+                hits.append((nd, dsq, q, vi))
+        pieces = wedge_split(w, [nd for nd, _, _, _ in hits]) if hits else [w]
+        yield p, t, verts, w, hits, pieces
+
+        n = len(verts)
+        for e in reversed(range(n)):
+            E1, E2 = verts[e], verts[(e + 1) % n]
+            if cross(E1, E2) <= 0:
+                continue  # front-facing or edge-on as seen from the origin
+            if not segment_within(E1, E2, B):
+                continue
+            span = Wedge(norm_dir(E1), True, norm_dir(E2), False)
+            p2, e2 = S.partner((p, e))
+            t2 = sub(E2, polys[p2][e2])
+            for piece in reversed(pieces):
+                iw = wedge_intersect(piece, span)
+                if iw is not None:
+                    stack.append((p2, t2, iw))
+
+
 def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> list[SaddleConnection]:
     """All saddle connections with length_sq <= max_length_sq, in canonical
     order (length_sq, holonomy lexicographic, start cone, out sector).
@@ -278,27 +337,39 @@ def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> list[S
     B = parse_rational(max_length_sq)
     if B < 0:
         raise InvalidParams(f"negative length budget {B}")
+    D, polys = integer_polygons(S)
+    B = B * D * D
+    if B.denominator == 1:
+        B = B.numerator
     raw: list[tuple] = []
     for cone in S.cone_points:
         for slot, (p, v) in enumerate(cone.star):
             r1, r2 = S.star_rays[cone.id][slot]
-            origin = S.polygons[p][v]
-            t0 = (-origin[0], -origin[1])
-            _explore(S, B, cone.id, slot, p, t0, Wedge(r1, True, r2, False), raw)
+            sector = Wedge(r1, True, r2, False)
+            copies = unfold_wedge(S, polys, B, p, neg(polys[p][v]), sector)
+            for poly, _, _, _, hits, _ in copies:
+                # A lift hides any farther lift in exactly its own direction.
+                nearest = {}
+                for nd, dsq, q, vi in hits:
+                    if nd not in nearest or dsq < nearest[nd][0]:
+                        nearest[nd] = (dsq, q, vi)
+                for dsq, q, vi in nearest.values():
+                    raw.append((cone.id, slot, q, dsq, (poly, vi)))
 
     raw.sort(key=lambda r: (r[3], r[2][0], r[2][1], r[0], r[1]))
     out = []
-    for i, (cone_id, slot, hol, dsq, endcorner) in enumerate(raw):
-        end_cone, back = _landing_direction(S, endcorner, neg(hol))
+    for i, (cone_id, slot, q, dsq, endcorner) in enumerate(raw):
+        end_cone, back = _landing_direction(S, endcorner, neg(q))
+        length_sq = Fraction(dsq, D * D)
         out.append(
             SaddleConnection(
                 id=i,
                 start=cone_id,
                 end=end_cone,
-                holonomy=hol,
-                length_sq=dsq,
-                length=_sqrt_correctly_rounded(dsq),
-                out_dir=ConeDirection(cone_id, slot, norm_dir(hol)),
+                holonomy=(Fraction(q[0], D), Fraction(q[1], D)),
+                length_sq=length_sq,
+                length=_sqrt_correctly_rounded(length_sq),
+                out_dir=ConeDirection(cone_id, slot, norm_dir(q)),
                 back_dir=back,
             )
         )
@@ -315,51 +386,6 @@ def _landing_direction(S: TranslationSurface, corner, back_vec) -> tuple[int, Co
     if same_dir(bd, r2):
         slot = (slot + 1) % len(S.star_rays[cone_id])
     return cone_id, ConeDirection(cone_id, slot, bd)
-
-
-def _explore(S, B, cone_id, slot0, p, t, w, out):
-    verts = [add(vv, t) for vv in S.polygons[p]]
-    n = len(verts)
-
-    # Cone-point lifts inside the wedge, within budget. A lift hides any
-    # farther lift in exactly its own direction; regular lifts hide nothing.
-    hits = []
-    for vi, q in enumerate(verts):
-        if q[0] == 0 and q[1] == 0:
-            continue
-        dsq = Fraction(norm_sq(q))
-        if dsq > B:
-            continue
-        nd = norm_dir(q)
-        if not w.contains(nd):
-            continue
-        if (p, vi) in S.corner_cone:
-            hits.append((nd, dsq, q, vi))
-    emit = {}
-    for nd, dsq, q, vi in hits:
-        key = next((k for k in emit if same_dir(k, nd)), nd)
-        if key not in emit or dsq < emit[key][0]:
-            emit[key] = (dsq, q, vi)
-    for dsq, q, vi in emit.values():
-        out.append((cone_id, slot0, q, dsq, (p, vi)))
-
-    pieces = wedge_split(w, [nd for nd, _, _, _ in hits]) if hits else [w]
-    if not pieces:
-        return
-
-    for e in range(n):
-        E1, E2 = verts[e], verts[(e + 1) % n]
-        if cross(E1, E2) <= 0:
-            continue  # front-facing or edge-on as seen from the origin
-        if point_seg_dist_sq_from_origin(E1, E2) > B:
-            continue
-        span = Wedge(norm_dir(E1), True, norm_dir(E2), False)
-        p2, e2 = S.partner((p, e))
-        t2 = sub(E2, S.polygons[p2][e2])
-        for piece in pieces:
-            iw = wedge_intersect(piece, span)
-            if iw is not None:
-                _explore(S, B, cone_id, slot0, p2, t2, iw, out)
 
 
 def reversal_permutation(saddles) -> list[int]:

@@ -17,19 +17,38 @@
 - `scipy_truncated_scc`: the largest cycle-carrying strongly connected
   component from scipy's sparse graph routines, which the dense transitive
   closure replaced.
+- `fraction_saddle_connections`: saddle connections by the recursive
+  corner unfolding on the `Fraction` vertices, which the explicit-stack
+  walk on integer coordinates replaced.
+- `monte_carlo_circle_measure` and `monte_carlo_region_volume`: the circle
+  histogram and the region ball volume from stratified random angles, each
+  traced to its landing cell by the exact ray tracer, which the developed
+  arcs replaced. Deterministic per seed: each arc draws from its own
+  counter-based stream keyed by (seed, arc index).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from tsurf import BracketFailure, EmptySCC, MismatchedCone, spectral_radius
-from tsurf.geometry import cross, same_dir
+from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
+                   spectral_radius)
+from tsurf.circles import MeasureHistogram, _circle_arcs
+from tsurf.geometry import (Wedge, add, cross, dot, neg, norm_dir, norm_sq,
+                            same_dir, sub, wedge_intersect, wedge_split)
+from tsurf.paths import circle_length
+from tsurf.rational import parse_rational
+from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
+                          _landing_direction, _sqrt_correctly_rounded,
+                          trace_ray)
+
+TWO_PI = 2 * math.pi
 
 
 def _zmul(z, w):
@@ -242,3 +261,243 @@ def enumerate_paths(G, x: int, R):
             ext = length + float(G.lengths[j])
             if ext <= R:
                 heapq.heappush(heap, (ext, ids + (int(j),)))
+
+
+# ----------------------------------------------------------------------------
+# Saddle connections on Fraction coordinates
+
+
+def point_seg_dist_sq_from_origin(p1, p2) -> Fraction:
+    """Exact squared distance from the origin to segment [p1, p2]."""
+    d = sub(p2, p1)
+    dd = norm_sq(d)
+    if dd == 0:
+        return Fraction(norm_sq(p1))
+    # Projection parameter of origin onto the segment's line: t = -(p1.d)/dd
+    t = Fraction(-dot(p1, d), dd)
+    if t <= 0:
+        return Fraction(norm_sq(p1))
+    if t >= 1:
+        return Fraction(norm_sq(p2))
+    foot = (p1[0] + t * d[0], p1[1] + t * d[1])
+    return Fraction(norm_sq(foot))
+
+
+def fraction_saddle_connections(S, max_length_sq):
+    """All saddle connections with length_sq <= max_length_sq, in canonical
+    order (length_sq, holonomy lexicographic, start cone, out sector).
+
+    Enumerating with a larger budget extends the list without renumbering:
+    ids are stable under budget growth.
+    """
+    B = parse_rational(max_length_sq)
+    if B < 0:
+        raise InvalidParams(f"negative length budget {B}")
+    raw: list[tuple] = []
+    for cone in S.cone_points:
+        for slot, (p, v) in enumerate(cone.star):
+            r1, r2 = S.star_rays[cone.id][slot]
+            origin = S.polygons[p][v]
+            t0 = (-origin[0], -origin[1])
+            _explore(S, B, cone.id, slot, p, t0, Wedge(r1, True, r2, False), raw)
+
+    raw.sort(key=lambda r: (r[3], r[2][0], r[2][1], r[0], r[1]))
+    out = []
+    for i, (cone_id, slot, hol, dsq, endcorner) in enumerate(raw):
+        end_cone, back = _landing_direction(S, endcorner, neg(hol))
+        out.append(
+            SaddleConnection(
+                id=i,
+                start=cone_id,
+                end=end_cone,
+                holonomy=hol,
+                length_sq=dsq,
+                length=_sqrt_correctly_rounded(dsq),
+                out_dir=ConeDirection(cone_id, slot, norm_dir(hol)),
+                back_dir=back,
+            )
+        )
+    return out
+
+
+def _explore(S, B, cone_id, slot0, p, t, w, out):
+    verts = [add(vv, t) for vv in S.polygons[p]]
+    n = len(verts)
+
+    # Cone-point lifts inside the wedge, within budget. A lift hides any
+    # farther lift in exactly its own direction; regular lifts hide nothing.
+    hits = []
+    for vi, q in enumerate(verts):
+        if q[0] == 0 and q[1] == 0:
+            continue
+        dsq = Fraction(norm_sq(q))
+        if dsq > B:
+            continue
+        nd = norm_dir(q)
+        if not w.contains(nd):
+            continue
+        if (p, vi) in S.corner_cone:
+            hits.append((nd, dsq, q, vi))
+    emit = {}
+    for nd, dsq, q, vi in hits:
+        key = next((k for k in emit if same_dir(k, nd)), nd)
+        if key not in emit or dsq < emit[key][0]:
+            emit[key] = (dsq, q, vi)
+    for dsq, q, vi in emit.values():
+        out.append((cone_id, slot0, q, dsq, (p, vi)))
+
+    pieces = wedge_split(w, [nd for nd, _, _, _ in hits]) if hits else [w]
+    if not pieces:
+        return
+
+    for e in range(n):
+        E1, E2 = verts[e], verts[(e + 1) % n]
+        if cross(E1, E2) <= 0:
+            continue  # front-facing or edge-on as seen from the origin
+        if point_seg_dist_sq_from_origin(E1, E2) > B:
+            continue
+        span = Wedge(norm_dir(E1), True, norm_dir(E2), False)
+        p2, e2 = S.partner((p, e))
+        t2 = sub(E2, S.polygons[p2][e2])
+        for piece in pieces:
+            iw = wedge_intersect(piece, span)
+            if iw is not None:
+                _explore(S, B, cone_id, slot0, p2, t2, iw, out)
+
+
+# ----------------------------------------------------------------------------
+# Monte Carlo circle measure and region volume
+
+
+def _slot_angle_offset(S, d: ConeDirection) -> float:
+    """Float angle from the slot's first ray to d.vec, in [0, sector)."""
+    r1 = S.star_rays[d.cone_id][d.slot][0]
+    return math.atan2(cross(r1, d.vec), dot(r1, d.vec)) % TWO_PI
+
+
+def _direction_at(S, window: DirectionWindow, theta: float):
+    """Resolve window-start + theta to a (corner, rational direction) pair
+    ready for the tracer. Rationalization of the unit vector perturbs the
+    angle by ~1e-12, well under a stratum."""
+    cone = S.cone_points[window.cone_id]
+    nslots = len(cone.star)
+    angles = S.star_angles[window.cone_id]
+    slot = window.start.slot
+    rem = _slot_angle_offset(S, window.start) + theta
+    guard = 0
+    while rem >= angles[slot]:
+        rem -= angles[slot]
+        slot = (slot + 1) % nslots
+        guard += 1
+        if guard > 16 * nslots:
+            raise AssertionError("angle walk overflow")
+    r1 = S.star_rays[window.cone_id][slot][0]
+    base = math.atan2(r1[1], r1[0])
+    ang = base + rem
+    dx = Fraction(math.cos(ang)).limit_denominator(10 ** 12)
+    dy = Fraction(math.sin(ang)).limit_denominator(10 ** 12)
+    if dx == 0 and dy == 0:
+        dx = Fraction(1)
+    corner = cone.star[slot]
+    start = TracePoint(corner[0], S.polygons[corner[0]][corner[1]])
+    return start, (dx, dy)
+
+
+def _stratified(rng, n: int, width: float) -> np.ndarray:
+    u = rng.random(n)
+    return (np.arange(n) + u) / n * width
+
+
+def _trace_to_cell(S, grid, start, dvec, r: float):
+    """Trace a straight segment of length r; returns the cell id or None on a
+    mid-flight singular hit."""
+    if r <= 0:
+        return grid.cell_of(start)
+    budget = Fraction(r) ** 2
+    res = trace_ray(S, start, dvec, budget)
+    if res.hit_cone is not None and res.consumed_length_sq < budget:
+        return None
+    return grid.cell_of(res.end)
+
+
+def monte_carlo_circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
+                   samples_per_unit_angle: int = 1, seed: int = 0,
+                   census: PathCensus | None = None) -> MeasureHistogram:
+    """Histogram of the radius-R circle around cone x over the grid cells,
+    normalized to total mass 1. Deterministic for a fixed seed: each arc uses
+    its own counter-based stream keyed by (seed, arc index)."""
+    if samples_per_unit_angle < 1:
+        raise InvalidParams("need at least one sample per unit angle")
+    R, census, arcs = _circle_arcs(G, x, R, census)
+    S = G.surface
+    masses = np.zeros(grid.num_cells)
+    retried = 0
+    dropped = 0
+
+    for arc_index, (window, r) in enumerate(arcs):
+        if r <= 0:
+            continue
+        nsamp = max(1, round(samples_per_unit_angle * window.width))
+        rng = np.random.Generator(np.random.Philox(key=[seed, arc_index]))
+        thetas = _stratified(rng, nsamp, window.width)
+        wgt = r * window.width / nsamp
+        ulp = window.width / nsamp * 2 ** -30
+        for th in thetas:
+            start, dvec = _direction_at(S, window, float(th))
+            cid = _trace_to_cell(S, grid, start, dvec, r)
+            if cid is None:
+                retried += 1
+                start, dvec = _direction_at(S, window, float(th) + ulp)
+                cid = _trace_to_cell(S, grid, start, dvec, r)
+            if cid is None:
+                dropped += 1
+                continue
+            masses[cid] += wgt
+
+    total = circle_length(G, x, R, census)
+    meta = {"R": R, "seed": seed, "arcs": len(arcs),
+            "samples_per_unit_angle": samples_per_unit_angle,
+            "retried": retried, "dropped": dropped,
+            "unnormalized_total": float(masses.sum()),
+            "circle_length": total}
+    return MeasureHistogram(grid, masses / total, meta)
+
+
+def monte_carlo_region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
+                  samples: int = 32, seed: int = 0,
+                  census: PathCensus | None = None) -> tuple[float, float]:
+    """Monte Carlo ball-volume mass inside the given cell set: per sector,
+    area-uniform points (radius r_p*sqrt(U)), traced to their landing cell.
+    Returns (estimate, standard error)."""
+    if samples < 1:
+        raise InvalidParams("need at least one sample per sector")
+    cells = frozenset(int(c) for c in cells)
+    outside = sorted(c for c in cells if not 0 <= c < grid.num_cells)
+    if outside:
+        raise InvalidParams(f"cell ids {outside} are outside the "
+                            f"{grid.num_cells}-cell grid")
+    R, census, arcs = _circle_arcs(G, x, R, census)
+    S = G.surface
+    est = 0.0
+    var = 0.0
+
+    for arc_index, (window, r) in enumerate(arcs):
+        if r <= 0 or not cells:
+            continue
+        rng = np.random.Generator(np.random.Philox(key=[seed, arc_index]))
+        thetas = _stratified(rng, samples, window.width)
+        radii = r * np.sqrt(rng.random(samples))
+        sector_vol = 0.5 * window.width * r * r
+        hits = 0
+        for th, rr in zip(thetas, radii):
+            start, dvec = _direction_at(S, window, float(th))
+            cid = _trace_to_cell(S, grid, start, dvec, float(rr))
+            if cid is None:
+                start, dvec = _direction_at(S, window, float(th) + 1e-9)
+                cid = _trace_to_cell(S, grid, start, dvec, float(rr))
+            if cid is not None and cid in cells:
+                hits += 1
+        p = hits / samples
+        est += sector_vol * p
+        var += (sector_vol ** 2) * p * (1 - p) / samples
+    return est, math.sqrt(var)

@@ -176,9 +176,9 @@ def test_circle_growth_prefactor_stabilizes(lshape):
 
 def test_ball_volume_monte_carlo_and_derivative(G36, lshape):
     grid = CellGrid(lshape, 2)
-    for i, R in enumerate((1.1, 1.7, 2.3, 2.9, 3.5)):
-        est, se = region_volume(G36, 0, R, grid, range(grid.num_cells),
-                                samples=16, seed=100 + i)
+    for R in (1.1, 1.7, 2.3, 2.9, 3.5):
+        est = region_volume(G36, 0, R, grid, range(grid.num_cells))
+        se = 0.0  # the volume is exact
         exact = tsurf.ball_volume_closed(G36, 0, R)
         assert abs(est - exact) <= max(3 * se, 1e-9 * exact), R
 
@@ -199,12 +199,10 @@ def test_ball_volume_monte_carlo_and_derivative(G36, lshape):
 def test_circle_measures_equidistribute(G36, lshape):
     t0 = time.monotonic()
     grid = CellGrid(lshape, 4)
-    # spacing of 1.0 keeps the successive distances well above the Monte
-    # Carlo noise floor (about 0.03 in L1 at R = 4 with one sample per
-    # unit angle), so the decreasing trend is a property of the measures
+    # the measures are exact, so the decreasing trend of the successive
+    # distances is a property of the measures, not of sampling noise
     radii = (2.0, 3.0, 4.0)
-    hists = [circle_measure(G36, 0, R, grid, samples_per_unit_angle=1, seed=0)
-             for R in radii]
+    hists = [circle_measure(G36, 0, R, grid) for R in radii]
     d12 = hists[0].l1_distance(hists[1])
     d23 = hists[1].l1_distance(hists[2])
     d13 = hists[0].l1_distance(hists[2])
@@ -212,12 +210,11 @@ def test_circle_measures_equidistribute(G36, lshape):
     assert d23 < d13, (d13, d23)
     assert np.all(hists[2].masses > 0)
 
-    # non-constant density, far beyond the sampling noise: compare the
-    # densest and thinnest cells across independent replicates
+    # non-constant density, far beyond the noise across replicates (zero
+    # for the exact measure): compare the densest and thinnest cells
     dens = []
-    for seed in (1, 2, 3):
-        h = circle_measure(G36, 0, 4.0, grid, samples_per_unit_angle=1,
-                           seed=seed)
+    for _ in range(3):
+        h = circle_measure(G36, 0, 4.0, grid)
         areas = np.array([float(a) for a in grid.areas])
         dens.append(h.masses / areas)
     dens = np.array(dens)

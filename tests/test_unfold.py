@@ -10,6 +10,8 @@ import tsurf
 from tsurf import enumerate_saddle_connections, trace_ray
 from tsurf.unfold import TracePoint, cone_direction, reversal_permutation
 
+from oracles import fraction_saddle_connections
+
 
 def test_trace_straight_across_square(lshape):
     r = trace_ray(lshape, TracePoint(0, (Fraction(1, 2), Fraction(1, 2))),
@@ -96,3 +98,15 @@ def test_slit_tori_saddles_exist(slit):
     assert len(sad) > 0
     # both cone points appear as endpoints
     assert {s.start for s in sad} == {0, 1}
+
+
+@pytest.mark.parametrize("name, params, scale, budget", [
+    ("lshape", None, 1, 49),
+    ("slit_tori", None, 1, 25),
+    ("lshape", ("7/3", "5/2"), 1, Fraction(121, 4)),
+    ("lshape", None, Fraction(2, 3), 9),
+])
+def test_saddles_match_fraction_oracle(name, params, scale, budget):
+    S = tsurf.scale_surface(tsurf.builtin_surface(name, params), scale)
+    assert enumerate_saddle_connections(S, budget) == \
+        fraction_saddle_connections(S, budget)
