@@ -192,24 +192,25 @@ class MeasureHistogram:
 
 def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
     """Checks shared by the estimators, then the arcs of the radius-R circle
-    around cone x: (window, radius) for the full cone at the center, then
-    one per census path of length <= R in census order. The budget check
-    reads R before it is rounded to a float. Returns (float R, census,
-    arcs)."""
+    around cone x as (window, radius, count): the full cone at the center
+    once, then one entry per census group of length <= R in census order,
+    standing for its count paths. The budget check reads R before it is
+    rounded to a float. Returns (float R, census, arcs)."""
     if R <= 0:
         raise DegenerateRadius(f"radius must be positive, got {R}")
     G.check_radius(R)
     if census is None or census.Rmax < float(R):
         census = path_length_census(G, x, R)
     R = float(R)
-    arcs = [(direction_window(G, x), R)]
+    arcs = [(direction_window(G, x), R, 1)]
     windows: dict[int, DirectionWindow] = {}
-    idx = int(np.searchsorted(census.lengths, R, side="right"))
-    for length, term in zip(census.lengths[:idx].tolist(),
-                            census.terminal_saddle[:idx].tolist()):
+    g = census.groups(R)
+    for length, term, count in zip(census.group_lengths[:g].tolist(),
+                                   census.group_saddle[:g].tolist(),
+                                   census.counts[:g].tolist()):
         if term not in windows:
             windows[term] = direction_window(G, x, term)
-        arcs.append((windows[term], R - length))
+        arcs.append((windows[term], R - length, count))
     return R, census, arcs
 
 
@@ -239,17 +240,18 @@ def _window_wedges(S: TranslationSurface, window: DirectionWindow) -> list:
 
 
 def _distinct_arcs(arcs) -> dict:
-    """Multiplicity of each distinct (window, radius > 0)."""
+    """Multiplicity of each distinct (window, radius > 0), in order of first
+    appearance."""
     groups: dict[tuple, list] = {}
-    for window, r in arcs:
+    for window, r, count in arcs:
         if r <= 0:
             continue
         key = (window.cone_id, window.start.slot, window.start.vec,
                window.width, r)
         if key in groups:
-            groups[key][2] += 1
+            groups[key][2] += count
         else:
-            groups[key] = [window, r, 1]
+            groups[key] = [window, r, count]
     return groups
 
 
@@ -379,7 +381,8 @@ def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
     total = circle_length(G, x, R, census)
     # Nothing is sampled, so no sample is retried or dropped; the keys stay
     # because perfbench/tracing.py reads them.
-    meta = {"R": R, "arcs": len(arcs), "retried": 0, "dropped": 0,
+    meta = {"R": R, "arcs": sum(count for _, _, count in arcs),
+            "retried": 0, "dropped": 0,
             "unnormalized_total": float(masses.sum()),
             "circle_length": total}
     return MeasureHistogram(grid, masses / total, meta)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -164,14 +165,16 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
             continue
         back_of = back.tolist()
         # Explicit-stack depth-first search: one iterator over the
-        # successors of each letter of the current word, with the prefix
-        # lengths and periods alongside. Letters below the anchor fail
-        # j >= ref; saddles longer than T have an infinite return bound. A
-        # word is recorded when it is first reached, before its extensions.
+        # successors of each letter of the current word, started at the
+        # first one >= ref (rows are sorted, and ref >= anchor), with the
+        # prefix lengths and periods alongside. Saddles longer than T have
+        # an infinite return bound. A word is recorded when it is first
+        # reached, before its extensions.
         word = [anchor]
         accs = [lengths[anchor]]
         periods = [1]
-        stack = [iter(out[anchor])]
+        row = out[anchor]
+        stack = [itertools.islice(row, bisect_left(row, anchor), None)]
         if closes[anchor]:
             record(word)
         while stack:
@@ -179,8 +182,6 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
             p = periods[-1]
             ref = word[n - p]
             for j in stack[-1]:
-                if j < ref:
-                    continue
                 nxt = accs[-1] + lengths[j]
                 if nxt + back_of[j] > T + slack:
                     continue
@@ -189,7 +190,9 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
                 periods.append(p if j == ref else n + 1)
                 if closes[j] and periods[-1] == n + 1:
                     record(word)
-                stack.append(iter(out[j]))
+                row = out[j]
+                first = bisect_left(row, word[n + 1 - periods[-1]])
+                stack.append(itertools.islice(row, first, None))
                 break
             else:
                 stack.pop()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -146,57 +146,135 @@ def complete_graph(m: int, length: float = 1.0, k: int = 1) -> ConcatGraph:
 
 @dataclass
 class PathCensus:
-    """All admissible path lengths from x up to Rmax, sorted ascending, with
-    the terminal cone's k and terminal saddle id aligned."""
+    """All admissible paths from x up to Rmax, as counted groups: group g
+    stands for counts[g] paths of float length group_lengths[g] that end
+    with saddle group_saddle[g], at a cone of excess group_k[g]. Groups are
+    sorted by length, and repeating each one counts[g] times gives the
+    census one row per path, in the order of a stable sort of the paths by
+    length. ends[g] is the number of paths in the groups before g."""
 
     Rmax: float
-    lengths: np.ndarray
-    terminal_k: np.ndarray
-    terminal_saddle: np.ndarray
+    group_lengths: np.ndarray
+    group_saddle: np.ndarray
+    group_k: np.ndarray
+    counts: np.ndarray
+    ends: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.ends = np.concatenate(([0], np.cumsum(self.counts)))
+
+    def groups(self, R: float) -> int:
+        """Number of groups of length <= R."""
+        return int(np.searchsorted(self.group_lengths, R, side="right"))
 
     def count(self, R: float) -> int:
-        return int(np.searchsorted(self.lengths, R, side="right"))
+        return int(self.ends[self.groups(R)])
+
+    # One row per path, expanded on every access for the benchmark tracer
+    # and the tests; nothing in the package reads these.
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.repeat(self.group_lengths, self.counts)
+
+    @property
+    def terminal_saddle(self) -> np.ndarray:
+        return np.repeat(self.group_saddle, self.counts)
+
+    @property
+    def terminal_k(self) -> np.ndarray:
+        return np.repeat(self.group_k, self.counts)
 
 
 def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
-    """Level-synchronized sweep over word lengths; vectorized per saddle."""
+    """Level-synchronized sweep over word lengths on counted groups.
+
+    A level holds the groups (terminal saddle, length, count) of its paths,
+    ordered by terminal in chunk order: the first-level terminals by id,
+    then each level's terminals by the first (chunk of the predecessor,
+    successor id) pair that reaches them. A step extends every group along
+    the CSR row of its terminal saddle j when length <= Rmax - l_j, to
+    length + l_j, and merges equal (j, length) by summing counts. The float
+    lengths are those of the per-path sums in path order, and the final
+    stable sort by length puts equal lengths in (level, chunk) order."""
     G.check_radius(Rmax)
     Rmax = float(Rmax)
     if not (0 <= x < len(G.cone_k)):
         raise InvalidParams(f"no cone point {x}")
-    kt = G.cone_k[G.end]
-    chunks = []
-    cur: dict[int, np.ndarray] = {}
-    for s in range(G.n):
-        if G.start[s] == x and G.lengths[s] <= Rmax:
-            cur[s] = np.array([G.lengths[s]])
-    while cur:
-        for s, arr in cur.items():
-            chunks.append((s, arr))
-        nxt: dict[int, list] = {}
-        for s, arr in cur.items():
-            for j in G.out[s]:
-                lj = G.lengths[j]
-                ext = arr[arr <= Rmax - lj] + lj
-                if len(ext):
-                    nxt.setdefault(int(j), []).append(ext)
-        cur = {s: (np.concatenate(v) if len(v) > 1 else v[0])
-               for s, v in nxt.items()}
-    if not chunks:
-        empty = np.zeros(0)
-        return PathCensus(Rmax, empty, empty.astype(np.int32),
-                          empty.astype(np.int32))
-    lengths = np.concatenate([arr for _, arr in chunks])
-    term = np.concatenate([np.full(len(arr), s, dtype=np.int32)
-                           for s, arr in chunks])
-    order = np.argsort(lengths, kind="stable")
-    lengths = lengths[order]
-    term = term[order]
-    return PathCensus(Rmax, lengths, kt[term], term)
+    term = np.flatnonzero((G.start == x) & (G.lengths <= Rmax))
+    length = G.lengths[term]
+    count = np.ones(len(term), dtype=np.int64)
+    rank = np.arange(len(term))
+    levels = [(term[:0], length[:0], count[:0])]
+    while len(term):
+        levels.append((term, length, count))
+        # Every (group, successor) pair, read off the CSR row of the group.
+        first = G.indptr[term]
+        deg = G.indptr[term + 1] - first
+        src = np.repeat(np.arange(len(term)), deg)
+        offset = np.arange(len(src)) - np.repeat(np.cumsum(deg) - deg, deg)
+        j = G.succ[first[src] + offset]
+        lj = G.lengths[j]
+        keep = length[src] <= Rmax - lj
+        if not keep.any():
+            break
+        src, j = src[keep], j[keep]
+        ext = length[src] + lj[keep]
+        # Pairs run by group, groups by chunk: the first pair into each j
+        # comes from its earliest predecessor chunk. Chunks follow those
+        # ranks, ties by id.
+        by = np.argsort(j, kind="stable")
+        at = by[np.concatenate(([True], np.diff(j[by]) != 0))]
+        order = j[at][np.argsort(rank[src[at]], kind="stable")]
+        chunk = np.empty(G.n, dtype=np.int64)
+        chunk[order] = np.arange(len(order))
+        by = np.lexsort((ext, chunk[j]))
+        j, ext = j[by], ext[by]
+        starts = np.ones(len(j), dtype=bool)
+        starts[1:] = (j[1:] != j[:-1]) | (ext[1:] != ext[:-1])
+        new = np.flatnonzero(starts)
+        count = np.add.reduceat(count[src[by]], new)
+        term, length = j[new], ext[new]
+        rank = chunk[term]
+    term, length, count = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(length, kind="stable")
+    term = term[order].astype(np.int32)
+    return PathCensus(Rmax, length[order], term, G.cone_k[G.end[term]],
+                      count[order])
 
 
 # ----------------------------------------------------------------------------
 # Circle length and ball volume (exact combinatorial formulas)
+
+# The float sums over paths run over one block of at most this many
+# per-path terms at a time.
+_BLOCK = 1 << 20
+
+
+def _streamed_prefix_sums(census: PathCensus, terms, targets) -> np.ndarray:
+    """For each per-group term array w and each path count t in targets,
+    the float sum of the first t per-path terms (w[g] repeated counts[g]
+    times), added one term at a time in census order as np.cumsum would.
+    The terms are expanded one block at a time, the running sum carried
+    from block to block."""
+    ends = census.ends
+    out = np.zeros((len(terms), len(targets)))
+    acc = [0.0] * len(terms)
+    stop = int(targets.max(initial=0))
+    for lo in range(0, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        g0 = int(np.searchsorted(ends, lo, side="right")) - 1
+        g1 = int(np.searchsorted(ends, hi, side="left"))
+        reps = (np.minimum(ends[g0 + 1:g1 + 1], hi)
+                - np.maximum(ends[g0:g1], lo))
+        hit = (targets > lo) & (targets <= hi)
+        block = np.empty(hi - lo + 1)
+        for i, w in enumerate(terms):
+            block[0] = acc[i]
+            block[1:] = np.repeat(w[g0:g1], reps)
+            np.cumsum(block, out=block)
+            out[i, hit] = block[targets[hit] - lo]
+            acc[i] = block[-1]
+    return out
 
 
 def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
@@ -204,15 +282,20 @@ def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
     circle length, the ball volume and the circle's slope in R. The center
     contributes a full 2*pi*(k(x)+1) arc, and each path p an arc of angle
     2*pi*k(t(p)) and radius R - l(p); the sums of k(t(p)) * l(p)^j behind
-    all three run in nondecreasing path length order. The census is rebuilt
-    when missing or shorter than the largest radius."""
+    all three run in nondecreasing path length order. The sum of k(t(p))
+    is an exact integer; the float sums of k * l and k * l^2 are streamed
+    path by path. The census is rebuilt when missing or shorter than the
+    largest radius."""
     radii = np.asarray(radii, dtype=np.float64)
     if census is None or census.Rmax < radii.max():
         census = path_length_census(G, x, float(radii.max()))
-    idx = np.searchsorted(census.lengths, radii, side="right")
-    kt = census.terminal_k.astype(np.float64)
-    s0, s1, s2 = [np.concatenate([[0.0], np.cumsum(w)])[idx]
-                  for w in (kt, kt * census.lengths, kt * census.lengths ** 2)]
+    g = np.searchsorted(census.group_lengths, radii, side="right")
+    idx = census.ends[g]
+    k_ends = np.concatenate(([0], np.cumsum(census.group_k * census.counts)))
+    s0 = k_ends[g].astype(np.float64)
+    kt = census.group_k.astype(np.float64)
+    L = census.group_lengths
+    s1, s2 = _streamed_prefix_sums(census, (kt * L, kt * L ** 2), idx)
     kx1 = float(G.cone_k[x]) + 1.0
     circle = TWO_PI * (kx1 * radii + radii * s0 - s1)
     ball = math.pi * (kx1 * radii ** 2 + radii ** 2 * s0 - 2 * radii * s1 + s2)

@@ -14,6 +14,10 @@
   vector replaced.
 - `enumerate_paths`: admissible paths streamed from a heap in length order,
   which the level-synchronised census replaced.
+- `expanded_path_census`: the level-synchronised census one row per path,
+  which the census on counted (terminal, length) groups replaced.
+- `cumsum_circle_formulas`: the circle formulas from `np.cumsum` over that
+  per-path census, which the block-streamed sums over groups replaced.
 - `scipy_truncated_scc`: the largest cycle-carrying strongly connected
   component from scipy's sparse graph routines, which the dense transitive
   closure replaced.
@@ -42,7 +46,7 @@ from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
 from tsurf.circles import MeasureHistogram, _circle_arcs
 from tsurf.geometry import (Wedge, add, cross, dot, neg, norm_dir, norm_sq,
                             same_dir, sub, wedge_intersect, wedge_split)
-from tsurf.paths import circle_length
+from tsurf.paths import PathCensus, circle_length
 from tsurf.rational import parse_rational
 from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
                           _landing_direction, _sqrt_correctly_rounded,
@@ -245,6 +249,60 @@ def per_word_pi_saddle(census, T=None) -> np.ndarray:
     return out
 
 
+def expanded_path_census(G, x: int, Rmax) -> PathCensus:
+    """The path census one row per path: a level-synchronised sweep that
+    keeps, per terminal saddle, the array of all path lengths, extends it
+    along each successor, and sorts all paths stably by length at the end.
+    Returned as a PathCensus of one group per path."""
+    G.check_radius(Rmax)
+    Rmax = float(Rmax)
+    if not (0 <= x < len(G.cone_k)):
+        raise InvalidParams(f"no cone point {x}")
+    kt = G.cone_k[G.end]
+    chunks = []
+    cur: dict[int, np.ndarray] = {}
+    for s in range(G.n):
+        if G.start[s] == x and G.lengths[s] <= Rmax:
+            cur[s] = np.array([G.lengths[s]])
+    while cur:
+        for s, arr in cur.items():
+            chunks.append((s, arr))
+        nxt: dict[int, list] = {}
+        for s, arr in cur.items():
+            for j in G.out[s]:
+                lj = G.lengths[j]
+                ext = arr[arr <= Rmax - lj] + lj
+                if len(ext):
+                    nxt.setdefault(int(j), []).append(ext)
+        cur = {s: (np.concatenate(v) if len(v) > 1 else v[0])
+               for s, v in nxt.items()}
+    lengths = np.concatenate([np.zeros(0)] + [arr for _, arr in chunks])
+    term = np.concatenate([np.zeros(0, dtype=np.int32)]
+                          + [np.full(len(arr), s, dtype=np.int32)
+                             for s, arr in chunks])
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    term = term[order]
+    return PathCensus(Rmax, lengths, term, kt[term],
+                      np.ones(len(lengths), dtype=np.int64))
+
+
+def cumsum_circle_formulas(G, x: int, radii, census):
+    """N, circle length, ball volume and slope at each radius from
+    np.cumsum over the census one row per path, as `_circle_formulas`
+    computed them before it streamed the sums."""
+    radii = np.asarray(radii, dtype=np.float64)
+    lengths = census.lengths
+    idx = np.searchsorted(lengths, radii, side="right")
+    kt = census.terminal_k.astype(np.float64)
+    s0, s1, s2 = [np.concatenate([[0.0], np.cumsum(w)])[idx]
+                  for w in (kt, kt * lengths, kt * lengths ** 2)]
+    kx1 = float(G.cone_k[x]) + 1.0
+    circle = TWO_PI * (kx1 * radii + radii * s0 - s1)
+    ball = math.pi * (kx1 * radii ** 2 + radii ** 2 * s0 - 2 * radii * s1 + s2)
+    return idx, circle, ball, TWO_PI * (kx1 + s0)
+
+
 def enumerate_paths(G, x: int, R):
     """(length, saddle ids) of every admissible path from cone x with length
     <= R, in nondecreasing length order (ties broken by id sequence); the
@@ -420,6 +478,13 @@ def _trace_to_cell(S, grid, start, dvec, r: float):
     return grid.cell_of(res.end)
 
 
+def _expanded_arcs(G, x: int, R, census):
+    """The arcs of `_circle_arcs` as one (window, radius) per path, so that
+    each arc draws from its own stream."""
+    R, census, arcs = _circle_arcs(G, x, R, census)
+    return R, census, [(w, r) for w, r, count in arcs for _ in range(count)]
+
+
 def monte_carlo_circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
                    samples_per_unit_angle: int = 1, seed: int = 0,
                    census: PathCensus | None = None) -> MeasureHistogram:
@@ -428,7 +493,7 @@ def monte_carlo_circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
     its own counter-based stream keyed by (seed, arc index)."""
     if samples_per_unit_angle < 1:
         raise InvalidParams("need at least one sample per unit angle")
-    R, census, arcs = _circle_arcs(G, x, R, census)
+    R, census, arcs = _expanded_arcs(G, x, R, census)
     S = G.surface
     masses = np.zeros(grid.num_cells)
     retried = 0
@@ -476,7 +541,7 @@ def monte_carlo_region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
     if outside:
         raise InvalidParams(f"cell ids {outside} are outside the "
                             f"{grid.num_cells}-cell grid")
-    R, census, arcs = _circle_arcs(G, x, R, census)
+    R, census, arcs = _expanded_arcs(G, x, R, census)
     S = G.surface
     est = 0.0
     var = 0.0

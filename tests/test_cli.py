@@ -216,6 +216,26 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_circle_census_peak_memory(tmp_path):
+    # 24,872,412 paths up to R = 7 on the L; the census keeps counted
+    # groups, so the process stays far below one row per path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "tsurf.cli", "circle", "--builtin", "lshape",
+            "--rmax", "7", "--step", "1/10", "--max-length-sq", "49",
+            "--out", str(tmp_path)]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here
+    assert proc.returncode == 0
+    assert usage.ru_maxrss / 1024 < 256  # KiB on Linux
+    rows = (tmp_path / "circle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 70
+    assert rows[-1].startswith("7,24872412,")
+
+
 @pytest.mark.parametrize("cells", ["a", "99", "0,-1"])
 def test_bad_volume_cells(capsys, cells):
     # the default grid has 48 cells

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import tsurf
+from tsurf import CellGrid, circle_measure, paths, region_volume
 from tsurf.paths import circle_csv
 
-from oracles import enumerate_paths, pairwise_allowed
+from oracles import (cumsum_circle_formulas, enumerate_paths,
+                     expanded_path_census, pairwise_allowed)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -195,3 +197,83 @@ def test_circle_csv_golden(G9):
     r, n, cl, bv = lines[1].split(",")
     assert (r, n) == ("0.5", "0")
     assert float(cl) == pytest.approx(3 * math.pi, rel=1e-15)
+
+
+# Grouped census against the per-path oracle -----------------------------
+
+CENSUS_CASES = [("lshape", None, 9, 3), ("lshape", None, 36, 6),
+                ("complete3", None, None, 4), ("lshape", "7/3,5/2", 49, 7),
+                ("slit_tori", None, 16, 4)]
+
+
+@pytest.fixture(scope="module", params=CENSUS_CASES,
+                ids=["lshape-9-3", "lshape-36-6", "complete3-4",
+                     "lshape_7_3_5_2-49-7", "slit_tori-16-4"])
+def census_case(request):
+    name, params, budget, R = request.param
+    if name == "complete3":
+        G = tsurf.complete_graph(3)
+    else:
+        S = tsurf.builtin_surface(name, params.split(",") if params else None)
+        G = tsurf.build_concat_graph(S, budget)
+    return G, R, tsurf.path_length_census(G, 0, R), expanded_path_census(G, 0, R)
+
+
+def test_grouped_census_expands_to_the_per_path_census(census_case):
+    G, R, census, oracle = census_case
+    for field in ("lengths", "terminal_saddle", "terminal_k"):
+        got, want = getattr(census, field), getattr(oracle, field)
+        assert got.dtype == want.dtype, field
+        assert got.tobytes() == want.tobytes(), field
+    assert census.count(census.Rmax) == len(oracle.group_lengths)
+    # groups of one level are merged on equal (terminal, length)
+    assert len(census.group_lengths) < len(oracle.group_lengths)
+    radii = np.arange(1, 10 * R + 1) / 10
+    assert circle_csv(G, 0, radii, census) == circle_csv(G, 0, radii, oracle)
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_streamed_sums_equal_cumsum_over_paths(census_case, small_blocks,
+                                               monkeypatch):
+    # small blocks carry the running sums across a few hundred blocks
+    G, R, census, _ = census_case
+    if small_blocks:
+        monkeypatch.setattr(paths, "_BLOCK", census.count(R) // 257 + 7)
+    radii = np.concatenate((np.arange(1, 10 * R + 1) / 10, [R / 2, R / 3]))
+    got = paths._circle_formulas(G, 0, radii, census)
+    want = cumsum_circle_formulas(G, 0, radii, census)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,budget,R", [("lshape", 9, 3),
+                                           ("slit_tori", 16, 5 / 2)])
+def test_measure_and_volume_same_bytes_from_either_census(name, budget, R):
+    S = tsurf.builtin_surface(name)
+    G = tsurf.build_concat_graph(S, budget)
+    grid = CellGrid(S, 3)
+    census = tsurf.path_length_census(G, 0, R)
+    oracle = expanded_path_census(G, 0, R)
+    a = circle_measure(G, 0, R, grid, census=census)
+    b = circle_measure(G, 0, R, grid, census=oracle)
+    assert a.to_csv() == b.to_csv()
+    assert a.meta["arcs"] == 1 + census.count(R)
+    cells = range(0, grid.num_cells, 2)
+    assert (region_volume(G, 0, R, grid, cells, census=census)
+            == region_volume(G, 0, R, grid, cells, census=oracle))
+
+
+def test_large_census_counts_and_closed_forms():
+    # 72,559,410 paths in one group per (word length, saddle); every length
+    # is an integer, so the streamed float sums are exact
+    m, k, R = 6, 1, 10
+    G = tsurf.complete_graph(m, k=k)
+    census = tsurf.path_length_census(G, 0, float(R))
+    assert census.count(10.0) == sum(m ** n for n in range(1, R + 1))
+    assert len(census.group_lengths) <= m * R
+    circle = 2 * math.pi * ((k + 1) * R
+                            + sum(m ** n * k * (R - n) for n in range(1, R + 1)))
+    ball = math.pi * ((k + 1) * R ** 2
+                      + sum(m ** n * k * (R - n) ** 2 for n in range(1, R + 1)))
+    assert tsurf.circle_length(G, 0, R, census) == circle
+    assert tsurf.ball_volume_closed(G, 0, R, census) == ball
