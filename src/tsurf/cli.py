@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .circles import CellGrid, circle_measure, region_volume
-from .errors import ParseError, TruncationError, TsurfError
+from .errors import InvalidParams, ParseError, TruncationError, TsurfError
 from .geodesics import enumerate_closed, occupancy, pi_stats, saddle_csv, stats_csv
 from .paths import (ball_volume_closed, build_concat_graph, circle_csv,
                     path_length_census)
@@ -251,6 +251,9 @@ def cmd_weights(args) -> int:
     T = _rat(args.tmax)
     G = _graph(S, args, need_sq=T * T)
     census = enumerate_closed(G, T)
+    if census.pi() == 0:
+        # pi_s / pi and the occupancy are undefined; nothing is emitted.
+        raise InvalidParams("no closed geodesics within the bound")
     ids, w = v_weights(G)
     pi_s = census.pi_saddle()
     _emit(args, "weights.csv", saddle_csv(G, pi_s, census.pi(), ids, w))

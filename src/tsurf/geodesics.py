@@ -11,17 +11,21 @@ unless the reversal happens to be a rotation of the word itself).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParams, TruncationError
+from .geometry import Wedge, neg
 from .paths import ConcatGraph
+from .unfold import integer_polygons, unfold_wedge
+
+
+# Words per batch of `word_lengths`.
+_WORD_BLOCK = 4096
 
 
 def word_length(lengths: np.ndarray, word: tuple[int, ...]) -> float:
@@ -96,29 +100,91 @@ class GeodesicCensus:
         return self.visits(T) * self.saddle_lengths
 
 
-def _return_bounds(G: ConcatGraph, closes: list[bool], active: np.ndarray,
-                   rev: list[list[int]]) -> np.ndarray:
-    """Cheapest completion cost from each saddle back to the anchor: the sum
-    of the lengths of the letters still to be appended (closing after a
-    saddle s with closes[s], one the anchor may follow, is free). Dijkstra
-    on the reversed edges `rev` between active saddles."""
-    dist = np.full(G.n, math.inf)
-    heap = []
-    for s in range(G.n):
-        if active[s] and closes[s]:
-            dist[s] = 0.0
-            heap.append((0.0, s))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        nd = d + float(G.lengths[u])
-        for s in rev[u]:
-            if active[s] and nd < dist[s]:
-                dist[s] = nd
-                heapq.heappush(heap, (nd, s))
-    return dist
+def _follows(G: ConcatGraph, m: int) -> np.ndarray:
+    """follows[s, j]: j may follow s, among the first m saddles."""
+    follows = np.zeros((m, m), dtype=bool)
+    for s in range(m):
+        row = G.out[s]
+        follows[s, row[:np.searchsorted(row, m)]] = True
+    return follows
+
+
+def return_bounds(G: ConcatGraph, T: float) -> np.ndarray:
+    """Cheapest completion cost back to each anchor, for every anchor at once.
+
+    Row a, column s: the least sum of the lengths of the letters still to be
+    appended after s so that the word can close at anchor a, with every
+    letter >= a and of length <= T (zero when a may follow s). Rows cover the
+    anchors of length <= T; columns of saddles below the anchor or longer
+    than T are infinite.
+
+    One Floyd-Warshall over the m saddles of length <= T (the first m ids),
+    relaxing through k = m - 1 down to 0: after step k, D[s, u] is the
+    cheapest path s -> u with every intermediate letter >= k, weighted by
+    the lengths of the letters entered (the empty path of D[s, s] is free),
+    so row k reads off D at the letters k may follow. O(m^3) in dense
+    min-plus steps."""
+    m = int(np.searchsorted(G.lengths, T, side="right"))
+    follows = _follows(G, m)
+    D = np.where(follows, G.lengths[:m], math.inf)
+    np.fill_diagonal(D, 0.0)
+    bounds = np.full((m, G.n), math.inf)
+    for k in range(m - 1, -1, -1):
+        np.minimum(D, D[:, k, None] + D[k], out=D)
+        last = k + np.flatnonzero(follows[k:, k])
+        if len(last):
+            bounds[k, k:m] = D[k:, last].min(axis=1)
+    return bounds
+
+
+class _RankedRows(dict):
+    """For one anchor, the successors of each letter among the letters
+    >= anchor with a finite return bound, in ascending cost (length plus
+    return bound), with those costs: two Python lists per letter, built when
+    the search first reaches the letter."""
+
+    def __init__(self, follows: np.ndarray, lengths: np.ndarray,
+                 back: np.ndarray, anchor: int):
+        super().__init__()
+        live = anchor + np.flatnonzero(np.isfinite(back[anchor:len(follows)]))
+        cost = lengths[live] + back[live]
+        order = np.argsort(cost, kind="stable")
+        self.follows = follows
+        self.ranked = live[order]
+        self.cost = cost[order]
+
+    def __missing__(self, s: int):
+        take = self.follows[s, self.ranked]
+        row = self[s] = (self.ranked[take].tolist(), self.cost[take].tolist())
+        return row
+
+
+def word_lengths(lengths: np.ndarray, words: list[tuple[int, ...]]) -> np.ndarray:
+    """`word_length` of many words in one pass. Each word's (count, length)
+    pairs in ascending saddle id are gathered from one sort, and the words
+    with the same number of distinct letters share one stacked matmul. That
+    runs the dot kernel of `word_length` on the same vectors, so the values
+    agree bit for bit whatever the kernel's summation order."""
+    if len(words) > _WORD_BLOCK:
+        # Blocks of words keep the temporary arrays small.
+        return np.concatenate([word_lengths(lengths, words[i:i + _WORD_BLOCK])
+                               for i in range(0, len(words), _WORD_BLOCK)])
+    n = len(lengths)
+    sizes = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    letters = np.fromiter(itertools.chain.from_iterable(words),
+                          dtype=np.int64, count=int(sizes.sum()))
+    keys, counts = np.unique(np.repeat(np.arange(len(words)), sizes) * n + letters,
+                             return_counts=True)
+    owner = keys // n
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    distinct = np.diff(first, append=len(keys))
+    out = np.empty(len(words))
+    for k in np.flatnonzero(np.bincount(distinct)):
+        sel = np.flatnonzero(distinct == k)
+        at = first[sel, None] + np.arange(k)
+        c = counts[at].astype(np.float64)
+        out[sel] = np.matmul(c[:, None, :], lengths[keys[at] % n][:, :, None])[:, 0, 0]
+    return out
 
 
 def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
@@ -131,74 +197,67 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
     a prenecklace w of length n gives a prenecklace iff j >= w[n - p], with
     period p when j == w[n - p] and n + 1 when j is larger, and the result
     is a Lyndon word iff its period is its length. A Lyndon word starts with
-    its minimal letter, so all its letters are >= the anchor."""
+    its minimal letter, so all its letters are >= the anchor.
+
+    The return bounds of all anchors come from one pass, `return_bounds`.
+    Each letter's successors are ranked by their length plus return bound,
+    so the search reads only those that can still close within T. It
+    collects the Lyndon words that close; their float lengths are computed
+    in one batch by `word_lengths` afterwards, and the bound T is applied to
+    those."""
     if T <= 0:
         raise InvalidParams("need a positive length bound")
     G.check_radius(T)
     T = float(T)
     slack = 1e-9
-    found: list[ClosedGeodesic] = []
-    active = np.ones(G.n, dtype=bool)
+    limit = T + slack
     lengths = G.lengths.tolist()
-    out = [row.tolist() for row in G.out]
-    # rev[j]: the saddles that j may follow, ascending.
-    rev: list[list[int]] = [[] for _ in range(G.n)]
-    for s, row in enumerate(out):
-        for j in row:
-            rev[j].append(s)
-
-    def record(word):
-        length = word_length(G.lengths, word)
-        if length <= T:
-            found.append(ClosedGeodesic(tuple(word), length))
-
-    for anchor in range(G.n):
-        if lengths[anchor] > T:
-            break
-        active[:] = G.lengths <= T
-        active[:anchor] = False
-        closes = [False] * G.n
-        for s in rev[anchor]:
-            closes[s] = True
-        back = _return_bounds(G, closes, active, rev)
-        if lengths[anchor] + back[anchor] > T + slack:
-            continue
+    bounds = return_bounds(G, T)
+    follows = _follows(G, len(bounds))
+    words: list[tuple[int, ...]] = []
+    for anchor, back in enumerate(bounds):
         back_of = back.tolist()
+        if lengths[anchor] + back_of[anchor] > limit:
+            continue
+        succ = _RankedRows(follows, G.lengths, back, anchor)
         # Explicit-stack depth-first search: one iterator over the
-        # successors of each letter of the current word, started at the
-        # first one >= ref (rows are sorted, and ref >= anchor), with the
-        # prefix lengths and periods alongside. Saddles longer than T have
-        # an infinite return bound. A word is recorded when it is first
-        # reached, before its extensions.
+        # successors of each letter of the current word that can still
+        # close within T (a prefix of its ranked successors), with the
+        # prefix lengths and periods alongside; successors below ref are
+        # skipped. Lengths are positive, so a word can close at the anchor
+        # exactly when its last letter's bound is zero. A word is
+        # collected when it is first reached, before its extensions.
         word = [anchor]
         accs = [lengths[anchor]]
         periods = [1]
-        row = out[anchor]
-        stack = [itertools.islice(row, bisect_left(row, anchor), None)]
-        if closes[anchor]:
-            record(word)
+        ids, costs = succ[anchor]
+        stack = [itertools.islice(ids, bisect_right(costs, limit - accs[0]))]
+        if back_of[anchor] == 0.0:
+            words.append((anchor,))
         while stack:
             n = len(word)
             p = periods[-1]
             ref = word[n - p]
             for j in stack[-1]:
-                nxt = accs[-1] + lengths[j]
-                if nxt + back_of[j] > T + slack:
+                if j < ref:
                     continue
+                nxt = accs[-1] + lengths[j]
                 word.append(j)
                 accs.append(nxt)
                 periods.append(p if j == ref else n + 1)
-                if closes[j] and periods[-1] == n + 1:
-                    record(word)
-                row = out[j]
-                first = bisect_left(row, word[n + 1 - periods[-1]])
-                stack.append(itertools.islice(row, first, None))
+                if back_of[j] == 0.0 and periods[-1] == n + 1:
+                    words.append(tuple(word))
+                ids, costs = succ[j]
+                stack.append(itertools.islice(ids, bisect_right(costs, limit - nxt)))
                 break
             else:
                 stack.pop()
                 accs.pop()
                 periods.pop()
                 word.pop()
+    found = [ClosedGeodesic(w, length) for w, length
+             in zip(words, word_lengths(G.lengths, words).tolist())
+             if length <= T]
     found.sort(key=lambda g: (g.length, g.word))
     return GeodesicCensus(T, found, np.asarray(G.lengths, dtype=np.float64))
 
@@ -243,56 +302,100 @@ def stats_csv(stats: dict) -> str:
 # Occupancy measure
 
 
-def saddle_cell_lengths(G: ConcatGraph, grid) -> dict[int, dict[int, float]]:
-    """Exact split of every saddle connection's length across grid cells,
-    assembled by retracing the connection and clipping each chart segment."""
-    from .unfold import TracePoint, trace_ray
+def saddle_cell_lengths(G: ConcatGraph, grid, ids=None) -> dict[int, dict[int, float]]:
+    """Exact split of each saddle connection's length across the grid cells,
+    for every saddle or for those in `ids`, read off the integer development
+    of its direction.
 
+    `unfold_wedge` develops the single direction of the saddle from its
+    start corner; the chain of polygon copies it yields is the chain of
+    charts the connection crosses. In each copy the ray tau * q (q the
+    holonomy scaled by the coordinate denominator D, 0 <= tau <= 1) is
+    clipped to the copy and cut at the cell lines, all in integer
+    cross-multiplications over one common denominator per copy. Each piece
+    is credited to the cell of its midpoint with its share of the length;
+    only that share is float."""
     S = G.surface
     if S is None:
         raise InvalidParams("synthetic graphs carry no geometry")
+    D, polys = integer_polygons(S)
+    n = grid.n
+    boxes = [tuple(int(c * D) for c in box) for box in grid.boxes]
     out: dict[int, dict[int, float]] = {}
-    for s in G.saddles:
-        cone = S.cone_points[s.start]
-        poly, v = cone.star[s.out_dir.slot]
-        startpt = TracePoint(poly, S.polygons[poly][v])
-        res = trace_ray(S, startpt, s.out_dir.vec, s.length_sq)
+    for sid in (range(G.n) if ids is None else ids):
+        s = G.saddles[sid]
+        qx, qy = int(s.holonomy[0] * D), int(s.holonomy[1] * D)
+        p, v = S.cone_points[s.start].star[s.out_dir.slot]
+        d = s.out_dir.vec
+        copies = unfold_wedge(S, polys, qx * qx + qy * qy, p, neg(polys[p][v]),
+                              Wedge(d, True, d, True))
         shares: dict[int, float] = {}
-        for seg in res.segments:
-            _split_segment(grid, seg, s.length, s.length_sq, shares)
-        out[s.id] = shares
+        for poly, (tx, ty), verts, *_ in copies:
+            span = _clip_ray(verts, qx, qy)
+            if span is not None:
+                _split_span(span, qx, qy, tx, ty, boxes[poly], n,
+                            grid.offsets[poly], s.length, shares)
+        out[sid] = shares
     return out
 
 
-def _split_segment(grid, seg, total_len: float, total_sq, shares):
-    """Clip one chart segment at the cell lines and credit each piece to its
-    cell. Cut parameters are exact rationals; only the final length is float."""
-    from .geometry import norm_sq
+def _clip_ray(verts, qx, qy):
+    """The parameters [lo, hi] (as numerator, denominator pairs) of the part
+    of the segment tau * (qx, qy), 0 <= tau <= 1, inside a convex ccw
+    polygon, or None when that part is at most a point. A point P is inside
+    when cross(E2 - E1, P - E1) >= 0 for every edge E1 E2."""
+    lo, hi = (0, 1), (1, 1)
+    m = len(verts)
+    for k in range(m):
+        (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % m]
+        ex, ey = x2 - x1, y2 - y1
+        c = ex * qy - ey * qx
+        h = ex * y1 - ey * x1
+        # Inside this edge's half-plane: tau * c >= h.
+        if c > 0:
+            if h * lo[1] > lo[0] * c:
+                lo = (h, c)
+        elif c < 0:
+            if -h * hi[1] < hi[0] * -c:
+                hi = (-h, -c)
+        elif h > 0:
+            return None
+    if lo[0] * hi[1] >= hi[0] * lo[1]:
+        return None
+    return lo, hi
 
-    poly, a, b = seg
-    x0, y0, x1, y1 = grid.boxes[poly]
-    n = grid.n
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    cuts = {Fraction(0), Fraction(1)}
-    cw = Fraction(x1 - x0, n)
-    ch = Fraction(y1 - y0, n)
-    if dx != 0:
-        for i in range(1, n):
-            t = (x0 + i * cw - a[0]) / dx
-            if 0 < t < 1:
-                cuts.add(t)
-    if dy != 0:
-        for j in range(1, n):
-            t = (y0 + j * ch - a[1]) / dy
-            if 0 < t < 1:
-                cuts.add(t)
-    ts = sorted(cuts)
-    frac_of_total = math.sqrt(float(Fraction(norm_sq((dx, dy))) / total_sq))
-    for t0, t1 in zip(ts, ts[1:]):
-        mid = (a[0] + dx * (t0 + t1) / 2, a[1] + dy * (t0 + t1) / 2)
-        cid = grid.cell_of_point(poly, mid)
-        piece = float(t1 - t0) * frac_of_total * total_len
+
+def _split_span(span, qx, qy, tx, ty, box, n, offset, total_len, shares):
+    """Cut the ray's span in one copy (translated by (tx, ty)) at the cell
+    lines of its polygon's scaled bounding box and credit each piece to its
+    cell. Every parameter is an integer over the common denominator L."""
+    (an, ad), (bn, bd) = span
+    X0, Y0, X1, Y1 = box
+    L = math.lcm(ad, bd, n * qx or 1, n * qy or 1)
+    ua, ub = an * (L // ad), bn * (L // bd)
+    cuts = {ua, ub}
+    # Line i of a coordinate sits at X0 + i (X1 - X0) / n in the polygon,
+    # which the ray reaches at tau = (n (X0 + tx) + i (X1 - X0)) / (n qx).
+    for q, lo, hi, t in ((qx, X0, X1, tx), (qy, Y0, Y1, ty)):
+        if q:
+            scale = L // (n * q)
+            for i in range(1, n):
+                u = (n * (lo + t) + i * (hi - lo)) * scale
+                if ua < u < ub:
+                    cuts.add(u)
+    us = sorted(cuts)
+    width = ub - ua
+    # The float terms are those of the chart-segment split in `Fraction`
+    # (tests/oracles.py), evaluated on the same rationals: int / int rounds
+    # correctly as float(Fraction) does, so the shares agree bit for bit.
+    frac_of_total = math.sqrt(width * width / (L * L))
+    for u0, u1 in zip(us, us[1:]):
+        # The midpoint (u0 + u1) / 2L of the piece, in the polygon's own
+        # scaled coordinates, located on the cell lines by floor division.
+        i = ((u0 + u1) * qx - 2 * L * (tx + X0)) * n // (2 * L * (X1 - X0))
+        j = ((u0 + u1) * qy - 2 * L * (ty + Y0)) * n // (2 * L * (Y1 - Y0))
+        cid = offset + min(max(j, 0), n - 1) * n + min(max(i, 0), n - 1)
+        piece = (u1 - u0) / width * frac_of_total * total_len
         if piece:
             shares[cid] = shares.get(cid, 0.0) + piece
 
@@ -309,11 +412,9 @@ def occupancy(G: ConcatGraph, census: GeodesicCensus, grid):
     # m_T factors through the visit vector, combined linearly with the
     # per-saddle cell decomposition.
     visits = census.visits()
-    cells = saddle_cell_lengths(G, grid)
+    cells = saddle_cell_lengths(G, grid, np.flatnonzero(visits).tolist())
     masses = np.zeros(grid.num_cells)
     for sid, shares in cells.items():
-        if visits[sid] == 0.0:
-            continue
         for cid, ln in shares.items():
             masses[cid] += ln * visits[sid]
     masses /= pi

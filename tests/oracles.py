@@ -29,6 +29,12 @@
   traced to its landing cell by the exact ray tracer, which the developed
   arcs replaced. Deterministic per seed: each arc draws from its own
   counter-based stream keyed by (seed, arc index).
+- `dijkstra_return_bounds`: one anchor's return bounds by Dijkstra on the
+  reversed edges, which the one Floyd-Warshall pass for all anchors
+  replaced.
+- `fraction_saddle_cell_lengths`: each saddle connection's split across
+  the grid cells, retraced with the `Fraction` ray tracer and clipped per
+  chart segment, which the split along the integer development replaced.
 """
 
 from __future__ import annotations
@@ -566,3 +572,83 @@ def monte_carlo_region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
         est += sector_vol * p
         var += (sector_vol ** 2) * p * (1 - p) / samples
     return est, math.sqrt(var)
+
+
+# ----------------------------------------------------------------------------
+# Closed-geodesic return bounds and the occupancy split
+
+
+def dijkstra_return_bounds(G: ConcatGraph, closes: list[bool],
+                           active: np.ndarray,
+                           rev: list[list[int]]) -> np.ndarray:
+    """Cheapest completion cost from each saddle back to the anchor: the sum
+    of the lengths of the letters still to be appended (closing after a
+    saddle s with closes[s], one the anchor may follow, is free). Dijkstra
+    on the reversed edges `rev` between active saddles."""
+    dist = np.full(G.n, math.inf)
+    heap = []
+    for s in range(G.n):
+        if active[s] and closes[s]:
+            dist[s] = 0.0
+            heap.append((0.0, s))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        nd = d + float(G.lengths[u])
+        for s in rev[u]:
+            if active[s] and nd < dist[s]:
+                dist[s] = nd
+                heapq.heappush(heap, (nd, s))
+    return dist
+
+
+def fraction_saddle_cell_lengths(G, grid) -> dict[int, dict[int, float]]:
+    """Exact split of every saddle connection's length across grid cells,
+    assembled by retracing the connection and clipping each chart segment."""
+    S = G.surface
+    if S is None:
+        raise InvalidParams("synthetic graphs carry no geometry")
+    out: dict[int, dict[int, float]] = {}
+    for s in G.saddles:
+        cone = S.cone_points[s.start]
+        poly, v = cone.star[s.out_dir.slot]
+        startpt = TracePoint(poly, S.polygons[poly][v])
+        res = trace_ray(S, startpt, s.out_dir.vec, s.length_sq)
+        shares: dict[int, float] = {}
+        for seg in res.segments:
+            _split_segment(grid, seg, s.length, s.length_sq, shares)
+        out[s.id] = shares
+    return out
+
+
+def _split_segment(grid, seg, total_len: float, total_sq, shares):
+    """Clip one chart segment at the cell lines and credit each piece to its
+    cell. Cut parameters are exact rationals; only the final length is float."""
+    poly, a, b = seg
+    x0, y0, x1, y1 = grid.boxes[poly]
+    n = grid.n
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    cuts = {Fraction(0), Fraction(1)}
+    cw = Fraction(x1 - x0, n)
+    ch = Fraction(y1 - y0, n)
+    if dx != 0:
+        for i in range(1, n):
+            t = (x0 + i * cw - a[0]) / dx
+            if 0 < t < 1:
+                cuts.add(t)
+    if dy != 0:
+        for j in range(1, n):
+            t = (y0 + j * ch - a[1]) / dy
+            if 0 < t < 1:
+                cuts.add(t)
+    ts = sorted(cuts)
+    frac_of_total = math.sqrt(float(Fraction(norm_sq((dx, dy))) / total_sq))
+    for t0, t1 in zip(ts, ts[1:]):
+        mid = (a[0] + dx * (t0 + t1) / 2, a[1] + dy * (t0 + t1) / 2)
+        cid = grid.cell_of_point(poly, mid)
+        piece = float(t1 - t0) * frac_of_total * total_len
+        if piece:
+            shares[cid] = shares.get(cid, 0.0) + piece

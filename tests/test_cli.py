@@ -195,6 +195,19 @@ def test_no_saddles_within_tmax(capsys, command):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "2"]])
+def test_weights_without_closed_geodesics(capsys, tmp_path, grid):
+    # the slit tori have saddle connections shorter than 1/2 but no closed
+    # geodesic that short: no pi_s / pi column, no occupancy, nothing written
+    out_dir = tmp_path / "w"
+    code, out, err = run(capsys, "weights", "--builtin", "slit_tori",
+                         "--tmax", "1/2", *grid, "--out", str(out_dir))
+    assert code == 2
+    assert err == "error: no closed geodesics within the bound\n"
+    assert out == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("budget", ["0", "1/4"])
 def test_entropy_budget_below_shortest_saddle(capsys, budget):
     # no cutoffs were passed, so the message names the empty budget

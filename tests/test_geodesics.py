@@ -7,6 +7,7 @@ reproduces the census from scratch.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +15,39 @@ from hypothesis import given, strategies as st
 
 import tsurf
 from tsurf import TruncationError, enumerate_closed, occupancy, pi_stats, word_length
-from tsurf.geodesics import saddle_cell_lengths, stats_csv
+from tsurf.geodesics import (return_bounds, saddle_cell_lengths, stats_csv,
+                             word_lengths)
 from tsurf.unfold import reversal_permutation
 
-from oracles import (brute_closed_words, is_primitive, per_word_pi_saddle,
-                     slice_min_rotation)
+from oracles import (brute_closed_words, dijkstra_return_bounds,
+                     fraction_saddle_cell_lengths, is_primitive,
+                     per_word_pi_saddle, slice_min_rotation)
+
+
+@pytest.fixture(scope="module")
+def wide_lshape():
+    # the L of the geodesic_weights benchmark, with little length sharing
+    return tsurf.builtin_surface("lshape", [Fraction(7, 3), Fraction(5, 2)])
+
+
+@pytest.fixture(scope="module")
+def G_wide(wide_lshape):
+    return tsurf.build_concat_graph(wide_lshape, Fraction(121, 4))
+
+
+def random_graphs(density):
+    """Seeded sparse relations with unequal lengths: partial cycles, dead
+    ends and letters that no closed word can use, which the surfaces rarely
+    show."""
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        n = 10
+        rows = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
+        yield tsurf.ConcatGraph(
+            saddles=None, lengths=np.sort(rng.uniform(1.0, 2.0, n)),
+            start=[0] * n, end=[0] * n,
+            indptr=np.concatenate(([0], np.cumsum([len(r) for r in rows]))),
+            succ=np.concatenate(rows), cone_k=[1], max_length_sq=None)
 
 
 def test_complete3_counts(C3):
@@ -164,17 +193,7 @@ def test_no_geodesics_below_systole(G2):
 
 @pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
 def test_lyndon_census_matches_brute_force_on_random_graphs(density):
-    # sparse relations with unequal lengths: partial cycles, dead ends and
-    # letters that no closed word can use, which the surfaces rarely show
-    rng = np.random.default_rng(13)
-    for _ in range(4):
-        n = 10
-        rows = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
-        G = tsurf.ConcatGraph(
-            saddles=None, lengths=np.sort(rng.uniform(1.0, 2.0, n)),
-            start=[0] * n, end=[0] * n,
-            indptr=np.concatenate(([0], np.cumsum([len(r) for r in rows]))),
-            succ=np.concatenate(rows), cone_k=[1], max_length_sq=None)
+    for G in random_graphs(density):
         census = enumerate_closed(G, 6.0)
         words = [g.word for g in census.geodesics]
         assert len(words) == len(set(words))
@@ -214,3 +233,87 @@ def test_default_grid_stays_below_the_bound(slit):
     assert np.all(np.diff(stats["T"]) >= 0)
     assert lo <= stats["T"][0] and stats["T"][-1] == census.T
     assert stats["pi"][-1] == census.pi()
+
+
+def _dijkstra_bounds(G, T):
+    """The oracle's bounds of every anchor of length <= T, one Dijkstra
+    per anchor."""
+    rev = [[] for _ in range(G.n)]
+    for s, row in enumerate(G.out):
+        for j in row.tolist():
+            rev[j].append(s)
+    rows = []
+    for anchor in range(G.n):
+        if G.lengths[anchor] > T:
+            break
+        active = G.lengths <= T
+        active[:anchor] = False
+        closes = [False] * G.n
+        for s in rev[anchor]:
+            closes[s] = True
+        rows.append(dijkstra_return_bounds(G, closes, active, rev))
+    return np.array(rows).reshape(len(rows), G.n)
+
+
+def _assert_bounds_match(G, T):
+    got = return_bounds(G, T)
+    want = _dijkstra_bounds(G, T)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("graph, T", [("G9", 3.0), ("G_wide", 5.5),
+                                      ("C3", 4.0)])
+def test_return_bounds_match_dijkstra(request, graph, T):
+    _assert_bounds_match(request.getfixturevalue(graph), T)
+
+
+@pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
+def test_return_bounds_match_dijkstra_on_random_graphs(density):
+    for G in random_graphs(density):
+        _assert_bounds_match(G, 6.0)
+
+
+def test_census_lengths_are_word_length_bit_for_bit(G36):
+    census = enumerate_closed(G36, 4.5)
+    assert census.pi() > 0
+    for g in census.geodesics:
+        assert g.length == word_length(G36.lengths, g.word), g.word
+
+
+def test_word_lengths_match_word_length_on_random_words():
+    # repeated letters whose products round, and up to 40 distinct letters,
+    # where a dot kernel may sum in another order than column by column;
+    # more words than one batch holds
+    rng = np.random.default_rng(5)
+    lengths = np.sort(rng.uniform(1.0, 7.0, 50))
+    words = [tuple(rng.integers(0, 50, rng.integers(1, 60)).tolist())
+             for _ in range(5000)]
+    got = word_lengths(lengths, words)
+    assert got.tolist() == [word_length(lengths, w) for w in words]
+    assert word_lengths(lengths, []).shape == (0,)
+
+
+@pytest.mark.parametrize("surface, budget, n", [
+    ("lshape", 9, 2), ("lshape", 9, 3), ("wide_lshape", Fraction(121, 4), 2),
+    ("slit", 16, 4)])
+def test_saddle_cell_lengths_match_the_fraction_tracer(
+        request, surface, budget, n):
+    S = request.getfixturevalue(surface)
+    G = tsurf.build_concat_graph(S, budget)
+    grid = tsurf.CellGrid(S, n)
+    got = saddle_cell_lengths(G, grid)
+    want = fraction_saddle_cell_lengths(G, grid)
+    assert list(got) == list(want)
+    for sid in want:
+        assert list(got[sid].items()) == list(want[sid].items()), sid
+
+
+def test_saddle_cell_lengths_of_a_subset(G9, lshape):
+    grid = tsurf.CellGrid(lshape, 2)
+    every = saddle_cell_lengths(G9, grid)
+    some = saddle_cell_lengths(G9, grid, [3, 0, 7])
+    assert list(some) == [3, 0, 7]
+    assert all(some[s] == every[s] for s in some)
