@@ -184,6 +184,8 @@ def cmd_circle(args) -> int:
     step = _rat(args.step)
     if rmax <= 0 or step <= 0:
         raise TsurfError("--rmax and --step must be positive")
+    if step > rmax:
+        raise InvalidParams("--step exceeds --rmax: the radius grid is empty")
     G = _graph(S, args, need_sq=rmax * rmax)
     radii = []
     r = step

@@ -11,6 +11,7 @@ R - l(p), plus the full 2*pi*(k(x)+1) arc of the center itself.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -185,6 +186,17 @@ class PathCensus:
         return np.repeat(self.group_k, self.counts)
 
 
+def _dot(a, b) -> int:
+    """Sum of a[i] * b[i] over integer arrays, in Python ints."""
+    return sum(map(operator.mul, a.tolist(), b.tolist()))
+
+
+def _check_int64(total: int, what: str, Rmax: float):
+    if total >= 1 << 63:
+        raise InvalidParams(f"{total} {what} up to R = {Rmax:g} reach 2**63; "
+                            "the census counts are int64")
+
+
 def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     """Level-synchronized sweep over word lengths on counted groups.
 
@@ -205,6 +217,7 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     count = np.ones(len(term), dtype=np.int64)
     rank = np.arange(len(term))
     levels = [(term[:0], length[:0], count[:0])]
+    total = len(term)
     while len(term):
         levels.append((term, length, count))
         # Every (group, successor) pair, read off the CSR row of the group.
@@ -218,6 +231,11 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
         if not keep.any():
             break
         src, j = src[keep], j[keep]
+        # The next level's paths, in Python ints: while the running total
+        # stays below 2**63, no int64 count of the census and no prefix sum
+        # of them wraps.
+        total += _dot(count, np.bincount(src, minlength=len(count)))
+        _check_int64(total, "paths", Rmax)
         ext = length[src] + lj[keep]
         # Pairs run by group, groups by chunk: the first pair into each j
         # comes from its earliest predecessor chunk. Chunks follow those
@@ -245,35 +263,51 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
 # ----------------------------------------------------------------------------
 # Circle length and ball volume (exact combinatorial formulas)
 
-# The float sums over paths run over one block of at most this many
-# per-path terms at a time.
-_BLOCK = 1 << 20
+_TOP = (1 << 53) - 1
 
 
-def _streamed_prefix_sums(census: PathCensus, terms, targets) -> np.ndarray:
-    """For each per-group term array w and each path count t in targets,
-    the float sum of the first t per-path terms (w[g] repeated counts[g]
-    times), added one term at a time in census order as np.cumsum would.
-    The terms are expanded one block at a time, the running sum carried
-    from block to block."""
-    ends = census.ends
-    out = np.zeros((len(terms), len(targets)))
-    acc = [0.0] * len(terms)
-    stop = int(targets.max(initial=0))
-    for lo in range(0, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        g0 = int(np.searchsorted(ends, lo, side="right")) - 1
-        g1 = int(np.searchsorted(ends, hi, side="left"))
-        reps = (np.minimum(ends[g0 + 1:g1 + 1], hi)
-                - np.maximum(ends[g0:g1], lo))
-        hit = (targets > lo) & (targets <= hi)
-        block = np.empty(hi - lo + 1)
-        for i, w in enumerate(terms):
-            block[0] = acc[i]
-            block[1:] = np.repeat(w[g0:g1], reps)
-            np.cumsum(block, out=block)
-            out[i, hit] = block[targets[hit] - lo]
-            acc[i] = block[-1]
+def _run_sums(values, counts, targets) -> np.ndarray:
+    """For each path count t in targets, the float sum of the first t terms
+    of values[g] repeated counts[g] times, added one at a time from 0.0:
+    bit for bit np.cumsum of the expansion, in time per group and binade
+    crossing instead of per term. The values are finite and >= 0.
+
+    The running sum s never decreases. Inside one binade s = m*u, with u =
+    ulp(s) and m < 2**53 an integer, and s + c rounds to (m + r)*u, where r
+    is c/u (exact: u is a power of two) rounded to nearest; on a tie, when
+    m is even, to the even one of the two, which keeps m even. So a run of
+    equal terms moves m by r per term until m would pass 2**53 - 1. A term
+    not below s, a tie with m odd and each binade crossing take one float
+    addition."""
+    out = np.zeros(len(targets))
+    order = np.argsort(targets, kind="stable").tolist()
+    want = [int(targets[o]) for o in order]
+    i = bisect_right(want, 0)  # the empty sum is 0.0
+    s, done = 0.0, 0
+    for c, n in zip(values.tolist(), counts.tolist()):
+        end = done + n
+        while done < end and i < len(want):
+            u = math.ulp(s)
+            m = int(s / u)
+            if c == 0:
+                t, r = end - done, 0
+            elif c >= s or (m & 1 and c / u % 1 == 0.5):
+                t = 0
+            else:
+                r = round(c / u)  # ties to even
+                t = end - done if r == 0 else min(end - done, (_TOP - m) // r)
+            if t == 0:
+                s += c
+                done += 1
+                while i < len(want) and want[i] == done:
+                    out[order[i]] = s
+                    i += 1
+                continue
+            while i < len(want) and want[i] <= done + t:
+                out[order[i]] = (m + (want[i] - done) * r) * u
+                i += 1
+            s = (m + t * r) * u
+            done += t
     return out
 
 
@@ -283,19 +317,22 @@ def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
     contributes a full 2*pi*(k(x)+1) arc, and each path p an arc of angle
     2*pi*k(t(p)) and radius R - l(p); the sums of k(t(p)) * l(p)^j behind
     all three run in nondecreasing path length order. The sum of k(t(p))
-    is an exact integer; the float sums of k * l and k * l^2 are streamed
-    path by path. The census is rebuilt when missing or shorter than the
-    largest radius."""
+    is an exact integer; the float sums of k * l and k * l^2 round as one
+    sum path by path would, and take time per group (`_run_sums`). The
+    census is rebuilt when missing or shorter than the largest radius."""
     radii = np.asarray(radii, dtype=np.float64)
     if census is None or census.Rmax < radii.max():
         census = path_length_census(G, x, float(radii.max()))
     g = np.searchsorted(census.group_lengths, radii, side="right")
     idx = census.ends[g]
+    _check_int64(_dot(census.group_k, census.counts),
+                 "k-weighted paths", census.Rmax)
     k_ends = np.concatenate(([0], np.cumsum(census.group_k * census.counts)))
     s0 = k_ends[g].astype(np.float64)
     kt = census.group_k.astype(np.float64)
     L = census.group_lengths
-    s1, s2 = _streamed_prefix_sums(census, (kt * L, kt * L ** 2), idx)
+    s1 = _run_sums(kt * L, census.counts, idx)
+    s2 = _run_sums(kt * L ** 2, census.counts, idx)
     kx1 = float(G.cone_k[x]) + 1.0
     circle = TWO_PI * (kx1 * radii + radii * s0 - s1)
     ball = math.pi * (kx1 * radii ** 2 + radii ** 2 * s0 - 2 * radii * s1 + s2)

@@ -18,6 +18,9 @@
   which the census on counted (terminal, length) groups replaced.
 - `cumsum_circle_formulas`: the circle formulas from `np.cumsum` over that
   per-path census, which the block-streamed sums over groups replaced.
+- `streamed_prefix_sums`: the float sums of the circle formulas from
+  `np.cumsum` over per-path terms expanded one block at a time, which the
+  run-length sums per group and binade replaced.
 - `scipy_truncated_scc`: the largest cycle-carrying strongly connected
   component from scipy's sparse graph routines, which the dense transitive
   closure replaced.
@@ -307,6 +310,34 @@ def cumsum_circle_formulas(G, x: int, radii, census):
     circle = TWO_PI * (kx1 * radii + radii * s0 - s1)
     ball = math.pi * (kx1 * radii ** 2 + radii ** 2 * s0 - 2 * radii * s1 + s2)
     return idx, circle, ball, TWO_PI * (kx1 + s0)
+
+
+def streamed_prefix_sums(census: PathCensus, terms, targets,
+                         block: int = 1 << 20) -> np.ndarray:
+    """For each per-group term array w and each path count t in targets,
+    the float sum of the first t per-path terms (w[g] repeated counts[g]
+    times), added one term at a time in census order as np.cumsum would.
+    The terms are expanded one block at a time, the running sum carried
+    from block to block."""
+    ends = census.ends
+    out = np.zeros((len(terms), len(targets)))
+    acc = [0.0] * len(terms)
+    stop = int(targets.max(initial=0))
+    for lo in range(0, stop, block):
+        hi = min(lo + block, stop)
+        g0 = int(np.searchsorted(ends, lo, side="right")) - 1
+        g1 = int(np.searchsorted(ends, hi, side="left"))
+        reps = (np.minimum(ends[g0 + 1:g1 + 1], hi)
+                - np.maximum(ends[g0:g1], lo))
+        hit = (targets > lo) & (targets <= hi)
+        chunk = np.empty(hi - lo + 1)
+        for i, w in enumerate(terms):
+            chunk[0] = acc[i]
+            chunk[1:] = np.repeat(w[g0:g1], reps)
+            np.cumsum(chunk, out=chunk)
+            out[i, hit] = chunk[targets[hit] - lo]
+            acc[i] = chunk[-1]
+    return out
 
 
 def enumerate_paths(G, x: int, R):

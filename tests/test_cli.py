@@ -249,6 +249,31 @@ def test_circle_census_peak_memory(tmp_path):
     assert rows[-1].startswith("7,24872412,")
 
 
+def test_circle_step_beyond_rmax(capsys, tmp_path):
+    code, out, err = run(capsys, "circle", "--builtin", "lshape", "--rmax", "1",
+                         "--step", "2", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_circle_radius_nine_in_seconds(tmp_path):
+    # 3,506,769,108 paths up to R = 9 on the L; the float sums take time per
+    # census group, not per path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "tsurf.cli", "circle", "--builtin", "lshape",
+            "--rmax", "9", "--step", "1/10", "--max-length-sq", "81",
+            "--out", str(tmp_path)]
+    subprocess.run(argv, env=env, check=True, timeout=15,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    rows = (tmp_path / "circle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 90
+    assert rows[-1] == "9,3506769108,16664575646.396481,6574625384.1329679"
+
+
 @pytest.mark.parametrize("cells", ["a", "99", "0,-1"])
 def test_bad_volume_cells(capsys, cells):
     # the default grid has 48 cells

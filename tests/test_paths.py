@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tsurf
 from tsurf import CellGrid, circle_measure, paths, region_volume
 from tsurf.paths import circle_csv
 
 from oracles import (cumsum_circle_formulas, enumerate_paths,
-                     expanded_path_census, pairwise_allowed)
+                     expanded_path_census, pairwise_allowed,
+                     streamed_prefix_sums)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -233,17 +235,52 @@ def test_grouped_census_expands_to_the_per_path_census(census_case):
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])
-def test_streamed_sums_equal_cumsum_over_paths(census_case, small_blocks,
-                                               monkeypatch):
-    # small blocks carry the running sums across a few hundred blocks
+def test_streamed_sums_equal_cumsum_over_paths(census_case, small_blocks):
+    # the run-length sums against np.cumsum over the paths, and against the
+    # block-streamed oracle; small blocks carry its running sums across a
+    # few hundred blocks
     G, R, census, _ = census_case
-    if small_blocks:
-        monkeypatch.setattr(paths, "_BLOCK", census.count(R) // 257 + 7)
     radii = np.concatenate((np.arange(1, 10 * R + 1) / 10, [R / 2, R / 3]))
     got = paths._circle_formulas(G, 0, radii, census)
     want = cumsum_circle_formulas(G, 0, radii, census)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+    kt = census.group_k.astype(np.float64)
+    terms = (kt * census.group_lengths, kt * census.group_lengths ** 2)
+    idx = got[0]
+    block = census.count(R) // 257 + 7 if small_blocks else 1 << 20
+    streamed = streamed_prefix_sums(census, terms, idx, block)
+    for w, row in zip(terms, streamed):
+        assert paths._run_sums(w, census.counts, idx).tobytes() == row.tobytes()
+
+
+def _dyadic(a, e):
+    return st.builds(lambda a, e: a * 2.0 ** e, st.integers(*a), st.integers(*e))
+
+
+# Dyadic terms: short ones, zero included, over a range of scales wider
+# than the 53 bits of a sum, so that a term can be half an ulp of the sum
+# (a tie) or less (a stall); and full 53-bit ones, whose last bit is half
+# the ulp of a sum 2 to 4 times as large. Runs of up to 2**17 equal terms
+# cross binades.
+_terms = (_dyadic((0, 15), (-60, 8))
+          | _dyadic((1 << 52, (1 << 53) - 1), (-60, -40)))
+_runs = st.lists(st.tuples(_terms, st.integers(0, 9) | st.integers(0, 1 << 17)),
+                 min_size=1, max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs, st.data())
+def test_run_sums_equal_cumsum_of_expansion(runs, data):
+    values = np.array([c for c, _ in runs])
+    counts = np.array([n for _, n in runs], dtype=np.int64)
+    total = int(counts.sum())
+    drawn = data.draw(st.lists(st.integers(0, total), max_size=8))
+    # 0, the total, duplicates, unsorted
+    targets = np.array(drawn + [total, 0] + drawn[:2], dtype=np.int64)
+    want = np.concatenate(([0.0], np.cumsum(np.repeat(values, counts))))
+    got = paths._run_sums(values, counts, targets)
+    assert got.tobytes() == want[targets].tobytes()
 
 
 @pytest.mark.parametrize("name,budget,R", [("lshape", 9, 3),
@@ -265,7 +302,7 @@ def test_measure_and_volume_same_bytes_from_either_census(name, budget, R):
 
 def test_large_census_counts_and_closed_forms():
     # 72,559,410 paths in one group per (word length, saddle); every length
-    # is an integer, so the streamed float sums are exact
+    # is an integer, so the float sums are exact
     m, k, R = 6, 1, 10
     G = tsurf.complete_graph(m, k=k)
     census = tsurf.path_length_census(G, 0, float(R))
@@ -277,3 +314,44 @@ def test_large_census_counts_and_closed_forms():
                       + sum(m ** n * k * (R - n) ** 2 for n in range(1, R + 1)))
     assert tsurf.circle_length(G, 0, R, census) == circle
     assert tsurf.ball_volume_closed(G, 0, R, census) == ball
+    # 2,199,023,255,550 paths, more than any expansion could hold; every
+    # partial sum stays below 2**53, so the float sums are exact
+    m, k, R = 2, 1, 40
+    G = tsurf.complete_graph(m, k=k)
+    census = tsurf.path_length_census(G, 0, float(R))
+    assert census.count(R) == 2 ** (R + 1) - 2
+    circle = 2 * math.pi * ((k + 1) * R
+                            + sum(m ** n * k * (R - n) for n in range(1, R + 1)))
+    ball = math.pi * ((k + 1) * R ** 2
+                      + sum(m ** n * k * (R - n) ** 2 for n in range(1, R + 1)))
+    assert tsurf.circle_length(G, 0, R, census) == circle
+    assert tsurf.ball_volume_closed(G, 0, R, census) == ball
+
+
+@pytest.mark.parametrize("values,counts", [
+    # 1 + 2**-52 has an odd last bit and 2**-53 is half its ulp: the first
+    # tie rounds up to an even last bit, every later one rounds away
+    ([1 + 2.0 ** -52, 2.0 ** -53, 3 * 2.0 ** -53], [1, 1000, 1000]),
+    # 2**53 - 2 + 1.25 rounds to 2**53 - 1, the top of its binade; the next
+    # term rounds to 2**53 and the one after it to 2**53 + 2
+    ([2.0 ** 53 - 2, 1.25], [1, 3]),
+], ids=["ties", "binade-top"])
+def test_run_sums_at_ties_and_binade_tops(values, counts):
+    values, counts = np.array(values), np.array(counts)
+    targets = np.arange(int(counts.sum()) + 1)
+    want = np.concatenate(([0.0], np.cumsum(np.repeat(values, counts))))
+    assert paths._run_sums(values, counts, targets).tobytes() == want.tobytes()
+
+
+def test_counts_past_int64_raise():
+    # 8**21 alone is 2**63: the int64 counts would wrap to a negative
+    G = tsurf.complete_graph(8)
+    assert (tsurf.path_length_census(G, 0, 20.0).count(20.0)
+            == sum(8 ** n for n in range(1, 21)))
+    with pytest.raises(tsurf.InvalidParams):
+        tsurf.path_length_census(G, 0, 21.0)
+    # the count fits, the sum of terminal excesses does not
+    G = tsurf.complete_graph(8, k=8)
+    census = tsurf.path_length_census(G, 0, 20.0)
+    with pytest.raises(tsurf.InvalidParams):
+        tsurf.circle_length(G, 0, 20.0, census)
