@@ -2,102 +2,287 @@
 and the occupancy measure.
 
 A closed geodesic is a cyclic word of saddle connections with every
-consecutive pair allowed, wrap-around included. A primitive cyclic word (one
-that is not a strict power) has exactly one rotation that is a Lyndon word,
-strictly smaller than all its other rotations, and that rotation is the one
-stored. Both orientations of a geodesic are counted (they are distinct words
-unless the reversal happens to be a rotation of the word itself).
+consecutive pair allowed, wrap-around included; a primitive one is not a
+strict power of a shorter word. Both orientations of a geodesic are counted
+(they are distinct words unless the reversal happens to be a rotation of
+the word itself).
+
+The census never lists words. It counts rooted closed walks by letter count
+and exact length, and recovers the primitive words from those counts by
+Moebius inversion over the letter count, as in the prime-orbit counting of
+Parry and Pollicott (Zeta functions and the periodic orbit structure of
+hyperbolic dynamics, Asterisque 187-188, 1990). Lengths are exact: a
+saddle's length is q sqrt(r) with q rational and r squarefree, and a sum of
+such lengths is a vector of rational coefficients over the distinct r.
+Square roots of distinct squarefree integers are linearly independent over
+Q (Besicovitch, J. London Math. Soc. 15, 1940), so equal vectors are equal
+lengths and every inclusion decision is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParams, TruncationError
 from .geometry import Wedge, neg
-from .paths import ConcatGraph
+from .paths import ConcatGraph, _dot
+from .rational import parse_rational
 from .unfold import integer_polygons, unfold_wedge
 
 
-# Words per batch of `word_lengths`.
-_WORD_BLOCK = 4096
+# Cells per chunk of the (walks x saddles) extension masks.
+_MASK_CELLS = 1 << 16
+# Relative width of the band around a float comparison in which `F`
+# decides n * l(q) <= T exactly; float errors here are about 1e-16.
+_BAND = 1e-12
 
 
-def word_length(lengths: np.ndarray, word: tuple[int, ...]) -> float:
-    """Float length of a cyclic word, accumulated by ascending saddle id so
-    the value does not depend on which rotation was handed in."""
-    counts = np.bincount(word, minlength=len(lengths))
-    ids = np.flatnonzero(counts)
-    return float(np.dot(counts[ids].astype(np.float64), lengths[ids]))
+def _square_part(n: int) -> tuple[int, int]:
+    """(c, r) with n = c * c * r and r squarefree, by trial division."""
+    c, r, p = 1, 1, 2
+    while p * p <= n:
+        while n % (p * p) == 0:
+            n //= p * p
+            c *= p
+        if n % p == 0:
+            n //= p
+            r *= p
+        p += 1
+    return c, r * n
 
 
-@dataclass(frozen=True)
-class ClosedGeodesic:
-    word: tuple[int, ...]
-    length: float
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
-@dataclass
+class _Keys:
+    """Exact lengths sum_i a_i sqrt(radicands[i]) / den, each a tuple of
+    nonnegative integer coefficients a_i, with integer ids in order of first
+    appearance and the correctly rounded float of each.
+
+    `step` adds a saddle's length class to many keys at once through a
+    (key id, class) -> key id table that is filled on demand."""
+
+    def __init__(self, saddles: list[tuple[Fraction, int]]):
+        # saddles: (q, r) with l = q sqrt(r) per saddle
+        self.radicands = sorted({r for _, r in saddles})
+        self.den = math.lcm(*(q.denominator for q, _ in saddles))
+        at = {r: i for i, r in enumerate(self.radicands)}
+        self.irrational = [i for i, r in enumerate(self.radicands) if r != 1]
+        self.one = at.get(1)
+        self.vecs: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self._floats: list[float] = []
+        self._sqrt: dict[int, list[Decimal]] = {}
+        classes: dict[tuple[int, ...], int] = {}
+        cls = []
+        for q, r in saddles:
+            vec = [0] * len(self.radicands)
+            vec[at[r]] = int(q * self.den)
+            cls.append(classes.setdefault(tuple(vec), len(classes)))
+        self.classes = list(classes)
+        self.cls = np.array(cls, dtype=np.int64)
+        self.class_key = np.array([self.id(v) for v in self.classes], dtype=np.int64)
+        self.table = np.full((64, max(len(classes), 1)), -1, dtype=np.int64)
+
+    def id(self, vec: tuple[int, ...]) -> int:
+        k = self.ids.get(vec)
+        if k is None:
+            k = self.ids[vec] = len(self.vecs)
+            self.vecs.append(vec)
+            self._floats.append(self._float(vec))
+        return k
+
+    def floats(self) -> np.ndarray:
+        return np.array(self._floats)
+
+    def step(self, key: np.ndarray, cls: np.ndarray) -> np.ndarray:
+        """Ids of key[i] + the length of class cls[i]."""
+        if len(self.vecs) > len(self.table):
+            grown = np.full((2 * len(self.vecs), self.table.shape[1]), -1,
+                            dtype=np.int64)
+            grown[:len(self.table)] = self.table
+            self.table = grown
+        nxt = self.table[key, cls]
+        miss = nxt < 0
+        if miss.any():
+            width = self.table.shape[1]
+            for pair in np.unique(key[miss] * width + cls[miss]).tolist():
+                k, c = divmod(pair, width)
+                self.table[k, c] = self.id(tuple(
+                    a + b for a, b in zip(self.vecs[k], self.classes[c])))
+            return self.step(key, cls)
+        return nxt
+
+    def _rational(self, vec) -> Fraction | None:
+        if any(vec[i] for i in self.irrational):
+            return None
+        return Fraction(0 if self.one is None else vec[self.one], self.den)
+
+    def _bracket(self, vec, prec: int) -> tuple[Decimal, Decimal]:
+        """Decimals lo < l < hi around an irrational length l, about prec
+        digits apart: the sum at prec digits, widened by a bound on its
+        rounding (each square root, product, sum and the quotient round
+        once, relative 10**(1 - prec) / 2 each, and all terms are >= 0)."""
+        with localcontext() as ctx:
+            ctx.prec = prec
+            roots = self._sqrt.get(prec)
+            if roots is None:
+                roots = self._sqrt[prec] = [Decimal(r).sqrt() for r in self.radicands]
+            v = sum((a * s for a, s in zip(vec, roots) if a), Decimal(0)) / self.den
+            # the bracket's own rounding at prec + 10 digits is far inside
+            # the widening
+            ctx.prec = prec + 10
+            err = (v * (2 * len(vec) + 4)).scaleb(1 - prec)
+            return v - err, v + err
+
+    def _float(self, vec) -> float:
+        exact = self._rational(vec)
+        if exact is not None:
+            return float(exact)
+        prec = 40
+        while True:
+            lo, hi = self._bracket(vec, prec)
+            if float(lo) == float(hi):
+                return float(lo)
+            prec *= 2
+
+    def le(self, vec, T: Fraction) -> bool:
+        """Whether the length vec is <= T, exactly. A length with an
+        irrational part is never equal to T, so rising precision decides."""
+        exact = self._rational(vec)
+        if exact is not None:
+            return exact <= T
+        prec = 40
+        while True:
+            # Decimal compares with a Fraction exactly
+            lo, hi = self._bracket(vec, prec)
+            if hi <= T:
+                return True
+            if lo > T:
+                return False
+            prec *= 2
+
+
+def _length_keys(G: ConcatGraph, m: int) -> _Keys:
+    """The keys of the first m saddles. A surface saddle's length is the
+    square root of length_sq = num / den, that is c sqrt(r) / den with
+    num * den = c**2 r; a synthetic graph's float length is exact as it
+    stands."""
+    if G.saddles is None:
+        return _Keys([(Fraction(x), 1) for x in G.lengths[:m].tolist()])
+    split = {}
+    for s in G.saddles[:m]:
+        if s.length_sq not in split:
+            num, den = s.length_sq.numerator, s.length_sq.denominator
+            c, r = _square_part(num * den)
+            split[s.length_sq] = (Fraction(c, den), r)
+    return _Keys([split[s.length_sq] for s in G.saddles[:m]])
+
+
 class GeodesicCensus:
-    """All oriented primitive closed geodesics of length <= T, sorted by
-    (length, word). Counting functions accept any T' <= T and raise
-    TruncationError beyond it."""
+    """The oriented primitive closed geodesics of exact length <= T, counted
+    by length: counts[i] words have length lengths[i], the correctly rounded
+    float of an exact length, in ascending order. Counting functions accept
+    any T' <= T (a Fraction or a float; the float T itself stands for the
+    exact bound) and decide l(q) <= T' exactly; beyond T they raise
+    TruncationError."""
 
-    T: float
-    geodesics: list[ClosedGeodesic]
-    saddle_lengths: np.ndarray
-    lengths: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.lengths = np.array([g.length for g in self.geodesics])
-        # The letters of all words, concatenated in census order, and the
-        # number of letters of each word.
-        self._sizes = np.fromiter((len(g.word) for g in self.geodesics),
-                                  dtype=np.int64, count=len(self.geodesics))
-        self._letters = np.fromiter(
-            itertools.chain.from_iterable(g.word for g in self.geodesics),
-            dtype=np.int32, count=int(self._sizes.sum()))
+    def __init__(self, T: Fraction, keys: _Keys, key_ids, counts,
+                 visit_at, visit_saddle, visit_count, saddle_lengths):
+        self.bound = T
+        self.T = float(T)
+        lengths = keys.floats()[key_ids]
+        order = np.argsort(lengths, kind="stable")
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        self._keys = keys
+        self._vecs = [keys.vecs[k] for k in key_ids[order].tolist()]
+        self.lengths = lengths[order]
+        self.counts = counts[order]
+        self.saddle_lengths = saddle_lengths
+        # visits: visit_count[v] occurrences of saddle visit_saddle[v] over
+        # the words of length lengths[visit_at[v]]
+        self._visit_at = rank[visit_at]
+        self._visit_saddle = visit_saddle
+        self._visit_weight = visit_count / self.lengths[self._visit_at]
 
     @property
     def n_saddles(self) -> int:
         return len(self.saddle_lengths)
 
-    def _bound(self, T: float | None) -> float:
-        if T is None:
-            return self.T
-        if T > self.T:
+    def _bound(self, T) -> Fraction:
+        if T is None or (isinstance(T, float) and T == self.T):
+            return self.bound
+        T = parse_rational(T)
+        if T > self.bound:
             raise TruncationError(f"bound {T} exceeds the census bound {self.T}")
         return T
 
-    def pi(self, T: float | None = None) -> int:
+    def _included(self, T) -> tuple[np.ndarray, Fraction]:
+        """Which lengths are <= T. Rounding is monotone, so only a length
+        whose float equals the float of T needs the exact test."""
         T = self._bound(T)
-        return int(np.searchsorted(self.lengths, T, side="right"))
+        t = float(T)
+        inc = self.lengths < t
+        for i in range(int(inc.sum()), int(np.searchsorted(self.lengths, t, "right"))):
+            inc[i] = self._keys.le(self._vecs[i], T)
+        return inc, T
 
-    def F(self, T: float | None = None) -> float:
+    def pi(self, T=None) -> int:
+        inc, _ = self._included(T)
+        return int(self.counts[inc].sum())
+
+    def F(self, T=None) -> float:
         """Sum over pairs (n, q) with n * l(q) <= T of the primitive length
         l(q); each q contributes l(q) * floor(T / l(q))."""
-        T = self._bound(T)
-        lens = self.lengths[:self.pi(T)]
-        if not len(lens):
-            return 0.0
-        return float(np.dot(lens, np.floor(T / lens)))
+        inc, T = self._included(T)
+        t = float(T)
+        lens = self.lengths[inc]
+        n = np.floor(t / lens)
+        # n = floor(T / l) unless T / l is within rounding of an integer
+        near = ((np.abs(n * lens - t) <= _BAND * t)
+                | (np.abs((n + 1) * lens - t) <= _BAND * t))
+        vecs = [v for v, keep in zip(self._vecs, inc) if keep]
+        for i in np.flatnonzero(near).tolist():
+            k = int(n[i])
+            while k > 1 and not self._keys.le(tuple(a * k for a in vecs[i]), T):
+                k -= 1
+            while self._keys.le(tuple(a * (k + 1) for a in vecs[i]), T):
+                k += 1
+            n[i] = k
+        return float(np.dot(self.counts[inc] * lens, n))
 
-    def visits(self, T: float | None = None) -> np.ndarray:
-        """Per saddle s: the sum over census words q with l(q) <= T of
+    def visits(self, T=None) -> np.ndarray:
+        """Per saddle s: the sum over words q with l(q) <= T of
         (occurrences of s in q) / l(q)."""
-        k = self.pi(T)
-        weights = np.repeat(1.0 / self.lengths[:k], self._sizes[:k])
-        return np.bincount(self._letters[:len(weights)], weights=weights,
+        inc, _ = self._included(T)
+        take = inc[self._visit_at]
+        return np.bincount(self._visit_saddle[take],
+                           weights=self._visit_weight[take],
                            minlength=self.n_saddles)
 
-    def pi_saddle(self, T: float | None = None) -> np.ndarray:
-        """pi_s(T) = sum over census words of (occurrences of s) * l(s)/l(q)."""
+    def pi_saddle(self, T=None) -> np.ndarray:
+        """pi_s(T) = sum over words of (occurrences of s) * l(s)/l(q)."""
         return self.visits(T) * self.saddle_lengths
+
+
+def _runs(code: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in a sorted array of ids >= 0."""
+    return np.flatnonzero(np.diff(code, prepend=-1))
 
 
 def _follows(G: ConcatGraph, m: int) -> np.ndarray:
@@ -109,157 +294,167 @@ def _follows(G: ConcatGraph, m: int) -> np.ndarray:
     return follows
 
 
-def return_bounds(G: ConcatGraph, T: float) -> np.ndarray:
-    """Cheapest completion cost back to each anchor, for every anchor at once.
+def _closing_costs(follows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """cost[r, j]: l(j) plus the least sum of the lengths of the letters
+    still to be appended after j so that r may follow the last one (zero
+    when r may follow j).
 
-    Row a, column s: the least sum of the lengths of the letters still to be
-    appended after s so that the word can close at anchor a, with every
-    letter >= a and of length <= T (zero when a may follow s). Rows cover the
-    anchors of length <= T; columns of saddles below the anchor or longer
-    than T are infinite.
-
-    One Floyd-Warshall over the m saddles of length <= T (the first m ids),
-    relaxing through k = m - 1 down to 0: after step k, D[s, u] is the
-    cheapest path s -> u with every intermediate letter >= k, weighted by
-    the lengths of the letters entered (the empty path of D[s, s] is free),
-    so row k reads off D at the letters k may follow. O(m^3) in dense
-    min-plus steps."""
-    m = int(np.searchsorted(G.lengths, T, side="right"))
-    follows = _follows(G, m)
-    D = np.where(follows, G.lengths[:m], math.inf)
-    np.fill_diagonal(D, 0.0)
-    bounds = np.full((m, G.n), math.inf)
-    for k in range(m - 1, -1, -1):
+    One Floyd-Warshall with no zero diagonal gives D[j, u], the cheapest
+    path of at least one step from j to u, weighted by the letters entered;
+    the letters appended after j before closing at r cost D[j, r] - l(r)."""
+    D = np.where(follows, lengths, math.inf)
+    for k in range(len(lengths)):
         np.minimum(D, D[:, k, None] + D[k], out=D)
-        last = k + np.flatnonzero(follows[k:, k])
-        if len(last):
-            bounds[k, k:m] = D[k:, last].min(axis=1)
-    return bounds
+    return lengths + (D - lengths).T
 
 
-class _RankedRows(dict):
-    """For one anchor, the successors of each letter among the letters
-    >= anchor with a finite return bound, in ascending cost (length plus
-    return bound), with those costs: two Python lists per letter, built when
-    the search first reaches the letter."""
+def _closed_walks(follows, cost, keys: _Keys, limit: float):
+    """Rooted closed walks of float length <= limit, graded by letter count
+    and key: arrays (letters, root, key, count), one row per distinct
+    (letters, root, key).
 
-    def __init__(self, follows: np.ndarray, lengths: np.ndarray,
-                 back: np.ndarray, anchor: int):
-        super().__init__()
-        live = anchor + np.flatnonzero(np.isfinite(back[anchor:len(follows)]))
-        cost = lengths[live] + back[live]
-        order = np.argsort(cost, kind="stable")
-        self.follows = follows
-        self.ranked = live[order]
-        self.cost = cost[order]
-
-    def __missing__(self, s: int):
-        take = self.follows[s, self.ranked]
-        row = self[s] = (self.ranked[take].tolist(), self.cost[take].tolist())
-        return row
-
-
-def word_lengths(lengths: np.ndarray, words: list[tuple[int, ...]]) -> np.ndarray:
-    """`word_length` of many words in one pass. Each word's (count, length)
-    pairs in ascending saddle id are gathered from one sort, and the words
-    with the same number of distinct letters share one stacked matmul. That
-    runs the dot kernel of `word_length` on the same vectors, so the values
-    agree bit for bit whatever the kernel's summation order."""
-    if len(words) > _WORD_BLOCK:
-        # Blocks of words keep the temporary arrays small.
-        return np.concatenate([word_lengths(lengths, words[i:i + _WORD_BLOCK])
-                               for i in range(0, len(words), _WORD_BLOCK)])
-    n = len(lengths)
-    sizes = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    letters = np.fromiter(itertools.chain.from_iterable(words),
-                          dtype=np.int64, count=int(sizes.sum()))
-    keys, counts = np.unique(np.repeat(np.arange(len(words)), sizes) * n + letters,
-                             return_counts=True)
-    owner = keys // n
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
-    distinct = np.diff(first, append=len(keys))
-    out = np.empty(len(words))
-    for k in np.flatnonzero(np.bincount(distinct)):
-        sel = np.flatnonzero(distinct == k)
-        at = first[sel, None] + np.arange(k)
-        c = counts[at].astype(np.float64)
-        out[sel] = np.matmul(c[:, None, :], lengths[keys[at] % n][:, :, None])[:, 0, 0]
-    return out
+    A state (root r, last letter c, key, count) stands for count walks that
+    start with r. Each step extends a state to the successors j of c with
+    l(j) plus the cost of closing at r within limit - l(key), and merges
+    equal (r, j, key) by summing counts. A state is a closed walk when r
+    may follow c. The running total of walks is kept in Python ints, so no
+    int64 count or sum of counts below it wraps."""
+    m = len(follows)
+    kf = keys.floats()
+    r = np.flatnonzero(np.diagonal(cost) <= limit)
+    c = r
+    key = keys.class_key[keys.cls[r]]
+    count = np.ones(len(r), dtype=np.int64)
+    total = len(r)
+    rows, n = [], 1
+    while len(r):
+        closed = follows[c, r]
+        rows.append((np.full(int(closed.sum()), n), r[closed], key[closed],
+                     count[closed]))
+        if len(kf) < len(keys.vecs):
+            kf = keys.floats()
+        budget = limit - kf[key]
+        step = max(1, _MASK_CELLS // m)
+        src, nxt = [], []
+        for a in range(0, len(r), step):
+            mask = follows[c[a:a + step]] & (cost[r[a:a + step]]
+                                              <= budget[a:a + step, None])
+            s, j = np.nonzero(mask)
+            src.append(s + a)
+            nxt.append(j)
+        src, j = np.concatenate(src), np.concatenate(nxt)
+        if not len(src):
+            break
+        total += _dot(count, np.bincount(src, minlength=len(count)))
+        if total >= 1 << 63:
+            raise InvalidParams(f"{total} closed walks within the bound "
+                                "reach 2**63; the counts are int64")
+        code = (keys.step(key[src], keys.cls[j]) * m + r[src]) * m + j
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        first = _runs(code)
+        count = np.add.reduceat(count[src[order]], first)
+        code = code[first]
+        c = code % m
+        r = code // m % m
+        key = code // (m * m)
+        n += 1
+    if not rows:
+        return (np.zeros(0, dtype=np.int64),) * 4
+    letters, root, key, count = (np.concatenate(a) for a in zip(*rows))
+    # merge the closing last letters of each (letters, root, key), sorted
+    # by key, root and letters
+    code = (key * m + root) * (n + 1) + letters
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    first = _runs(code)
+    code = code[first]
+    return (code % (n + 1), code // (n + 1) % m, code // ((n + 1) * m),
+            np.add.reduceat(count[order], first))
 
 
 def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
-    """Every Lyndon word of the graph that closes up within length T, once.
+    """Count the primitive closed words of the graph of exact length <= T.
 
-    Depth-first over the prenecklaces that start at an anchor letter, with
-    exact-return-cost pruning. A prenecklace is a prefix of some Lyndon word
-    (Ruskey, Savage and Wang, Generating necklaces, J. Algorithms 13, 1992);
-    its period p is the length of its longest Lyndon prefix. Appending j to
-    a prenecklace w of length n gives a prenecklace iff j >= w[n - p], with
-    period p when j == w[n - p] and n + 1 when j is larger, and the result
-    is a Lyndon word iff its period is its length. A Lyndon word starts with
-    its minimal letter, so all its letters are >= the anchor.
+    Rooted closed walks are counted by (letters n, root r, key K) with
+    `_closed_walks`: a_r(n, K). A walk that is a d-th power has d times the
+    letters and d times the length of its primitive root, which starts with
+    the same letter, so the primitive rooted walks are
+        p_r(n, K) = sum over d | n of mu(n / d) a_r(d, K d / n),
+    with every term of length <= l(K) <= T. A primitive word of n letters
+    has n distinct rotations, one per occurrence of each letter, so the
+    words of length K number sum over n, r of p_r(n, K) / n, and saddle s
+    occurs sum over n of p_s(n, K) times in them.
 
-    The return bounds of all anchors come from one pass, `return_bounds`.
-    Each letter's successors are ranked by their length plus return bound,
-    so the search reads only those that can still close within T. It
-    collects the Lyndon words that close; their float lengths are computed
-    in one batch by `word_lengths` afterwards, and the bound T is applied to
-    those."""
+    The walks are pruned in floats with a margin that bounds their rounding,
+    and only the keys <= T, decided exactly, are kept."""
     if T <= 0:
         raise InvalidParams("need a positive length bound")
     G.check_radius(T)
-    T = float(T)
-    slack = 1e-9
-    limit = T + slack
-    lengths = G.lengths.tolist()
-    bounds = return_bounds(G, T)
-    follows = _follows(G, len(bounds))
-    words: list[tuple[int, ...]] = []
-    for anchor, back in enumerate(bounds):
-        back_of = back.tolist()
-        if lengths[anchor] + back_of[anchor] > limit:
+    T = parse_rational(T)
+    t = float(T)
+    # Rounding is monotone, so every saddle of length <= T is in the first m.
+    m = int(np.searchsorted(G.lengths, t, side="right"))
+    keys = _length_keys(G, m)
+    follows = _follows(G, m)
+    cost = _closing_costs(follows, G.lengths[:m])
+    # Each float compared against the limit is a sum of at most m + 3
+    # correctly rounded terms of size at most 2T, so this margin bounds its
+    # rounding: no walk of exact length <= T is pruned.
+    limit = t + 4 * (m + 4) * np.finfo(np.float64).eps * t
+    letters, root, key, a = _closed_walks(follows, cost, keys, limit)
+    # Moebius inversion: add mu(k) times each walk's count at its k-th
+    # power, for squarefree k >= 2 with the power within the limit. Every
+    # count and every p is below 2**63 and p >= 0, so int64 array sums,
+    # which wrap silently, give p exactly.
+    top = int(letters.max()) if len(letters) else 0
+    code = (key * m + root) * (top + 1) + letters
+    kf = keys.floats()
+    at, add = [], []
+    for k in range(2, top + 1):
+        mu = _mobius(k)
+        if mu == 0:
             continue
-        succ = _RankedRows(follows, G.lengths, back, anchor)
-        # Explicit-stack depth-first search: one iterator over the
-        # successors of each letter of the current word that can still
-        # close within T (a prefix of its ranked successors), with the
-        # prefix lengths and periods alongside; successors below ref are
-        # skipped. Lengths are positive, so a word can close at the anchor
-        # exactly when its last letter's bound is zero. A word is
-        # collected when it is first reached, before its extensions.
-        word = [anchor]
-        accs = [lengths[anchor]]
-        periods = [1]
-        ids, costs = succ[anchor]
-        stack = [itertools.islice(ids, bisect_right(costs, limit - accs[0]))]
-        if back_of[anchor] == 0.0:
-            words.append((anchor,))
-        while stack:
-            n = len(word)
-            p = periods[-1]
-            ref = word[n - p]
-            for j in stack[-1]:
-                if j < ref:
-                    continue
-                nxt = accs[-1] + lengths[j]
-                word.append(j)
-                accs.append(nxt)
-                periods.append(p if j == ref else n + 1)
-                if back_of[j] == 0.0 and periods[-1] == n + 1:
-                    words.append(tuple(word))
-                ids, costs = succ[j]
-                stack.append(itertools.islice(ids, bisect_right(costs, limit - nxt)))
-                break
-            else:
-                stack.pop()
-                accs.pop()
-                periods.pop()
-                word.pop()
-    found = [ClosedGeodesic(w, length) for w, length
-             in zip(words, word_lengths(G.lengths, words).tolist())
-             if length <= T]
-    found.sort(key=lambda g: (g.length, g.word))
-    return GeodesicCensus(T, found, np.asarray(G.lengths, dtype=np.float64))
+        for i in np.flatnonzero((letters * k <= top)
+                                & (kf[key] * k <= limit)).tolist():
+            power = keys.ids.get(tuple(x * k for x in keys.vecs[key[i]]))
+            if power is None:
+                continue
+            want = (power * m + root[i]) * (top + 1) + letters[i] * k
+            j = int(np.searchsorted(code, want))
+            if j < len(code) and code[j] == want:
+                at.append(j)
+                add.append(mu * a[i])
+    p = a.copy()
+    np.add.at(p, np.array(at, dtype=np.int64), np.array(add, dtype=np.int64))
+    # Only the keys <= T, decided exactly where the floats cannot tell.
+    ids, at = np.unique(key, return_inverse=True)
+    inside = kf[ids] < t
+    for i in np.flatnonzero(kf[ids] == t).tolist():
+        inside[i] = keys.le(keys.vecs[ids[i]], T)
+    keep = inside[at]
+    p, letters, root, key = p[keep], letters[keep], root[keep], key[keep]
+    # Words per key: the primitive rooted walks of each (key, letters)
+    # summed over roots and divided by the letters, then summed over them.
+    kn, at = np.unique(key * (top + 1) + letters, return_inverse=True)
+    per = np.zeros(len(kn), dtype=np.int64)
+    np.add.at(per, at, p)
+    per //= kn % (top + 1)
+    ids, at = np.unique(kn // (top + 1), return_inverse=True)
+    counts = np.zeros(len(ids), dtype=np.int64)
+    np.add.at(counts, at, per)
+    # Occurrences of each saddle per key: its primitive rooted walks. The
+    # rows stay sorted by (key, root), so equal pairs are runs.
+    kr = key * m + root
+    first = _runs(kr)
+    occ = np.add.reduceat(p, first)
+    kr = kr[first]
+    used = occ > 0
+    live = counts > 0
+    ids = ids[live]
+    return GeodesicCensus(T, keys, ids, counts[live],
+                          np.searchsorted(ids, kr[used] // m), kr[used] % m,
+                          occ[used], np.asarray(G.lengths, dtype=np.float64))
 
 
 def pi_stats(census: GeodesicCensus, h: float, grid=None) -> dict:

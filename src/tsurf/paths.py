@@ -165,7 +165,10 @@ class PathCensus:
         self.ends = np.concatenate(([0], np.cumsum(self.counts)))
 
     def groups(self, R: float) -> int:
-        """Number of groups of length <= R."""
+        """Number of groups of length <= R; a census built up to Rmax does
+        not hold the paths longer than that."""
+        if float(R) > self.Rmax:
+            raise TruncationError(f"radius {R} exceeds the census bound {self.Rmax}")
         return int(np.searchsorted(self.group_lengths, R, side="right"))
 
     def count(self, R: float) -> int:
@@ -321,6 +324,8 @@ def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
     sum path by path would, and take time per group (`_run_sums`). The
     census is rebuilt when missing or shorter than the largest radius."""
     radii = np.asarray(radii, dtype=np.float64)
+    if not len(radii):
+        return np.zeros(0, dtype=np.int64), radii, radii, radii
     if census is None or census.Rmax < radii.max():
         census = path_length_census(G, x, float(radii.max()))
     g = np.searchsorted(census.group_lengths, radii, side="right")

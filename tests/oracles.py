@@ -34,16 +34,25 @@
   counter-based stream keyed by (seed, arc index).
 - `dijkstra_return_bounds`: one anchor's return bounds by Dijkstra on the
   reversed edges, which the one Floyd-Warshall pass for all anchors
-  replaced.
+  (`return_bounds`) replaced.
 - `fraction_saddle_cell_lengths`: each saddle connection's split across
   the grid cells, retraced with the `Fraction` ray tracer and clipped per
   chart segment, which the split along the integer development replaced.
+- `lyndon_census`: every primitive closed word listed once, as its Lyndon
+  rotation, by a depth-first search over prenecklaces pruned with the
+  per-anchor return bounds of `return_bounds` (successors ranked by
+  `_RankedRows`), with float word lengths from `word_lengths` (bit for bit
+  `word_length`) and a 1e-9 pruning slack; its `WordCensus` counts word by
+  word. The closed-walk counts over exact length keys replaced it.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -51,8 +60,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
-                   spectral_radius)
+                   TruncationError, spectral_radius)
 from tsurf.circles import MeasureHistogram, _circle_arcs
+from tsurf.geodesics import _follows
 from tsurf.geometry import (Wedge, add, cross, dot, neg, norm_dir, norm_sq,
                             same_dir, sub, wedge_intersect, wedge_split)
 from tsurf.paths import PathCensus, circle_length
@@ -683,3 +693,236 @@ def _split_segment(grid, seg, total_len: float, total_sq, shares):
         piece = float(t1 - t0) * frac_of_total * total_len
         if piece:
             shares[cid] = shares.get(cid, 0.0) + piece
+
+
+# ----------------------------------------------------------------------------
+# Closed geodesics as Lyndon words
+
+
+# Words per batch of `word_lengths`.
+_WORD_BLOCK = 4096
+
+
+def word_length(lengths: np.ndarray, word: tuple[int, ...]) -> float:
+    """Float length of a cyclic word, accumulated by ascending saddle id so
+    the value does not depend on which rotation was handed in."""
+    counts = np.bincount(word, minlength=len(lengths))
+    ids = np.flatnonzero(counts)
+    return float(np.dot(counts[ids].astype(np.float64), lengths[ids]))
+
+
+@dataclass(frozen=True)
+class ClosedGeodesic:
+    word: tuple[int, ...]
+    length: float
+
+
+@dataclass
+class WordCensus:
+    """All oriented primitive closed geodesics of length <= T, sorted by
+    (length, word). Counting functions accept any T' <= T and raise
+    TruncationError beyond it."""
+
+    T: float
+    geodesics: list[ClosedGeodesic]
+    saddle_lengths: np.ndarray
+    lengths: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.lengths = np.array([g.length for g in self.geodesics])
+        # The letters of all words, concatenated in census order, and the
+        # number of letters of each word.
+        self._sizes = np.fromiter((len(g.word) for g in self.geodesics),
+                                  dtype=np.int64, count=len(self.geodesics))
+        self._letters = np.fromiter(
+            itertools.chain.from_iterable(g.word for g in self.geodesics),
+            dtype=np.int32, count=int(self._sizes.sum()))
+
+    @property
+    def n_saddles(self) -> int:
+        return len(self.saddle_lengths)
+
+    def _bound(self, T: float | None) -> float:
+        if T is None:
+            return self.T
+        if T > self.T:
+            raise TruncationError(f"bound {T} exceeds the census bound {self.T}")
+        return T
+
+    def pi(self, T: float | None = None) -> int:
+        T = self._bound(T)
+        return int(np.searchsorted(self.lengths, T, side="right"))
+
+    def F(self, T: float | None = None) -> float:
+        """Sum over pairs (n, q) with n * l(q) <= T of the primitive length
+        l(q); each q contributes l(q) * floor(T / l(q))."""
+        T = self._bound(T)
+        lens = self.lengths[:self.pi(T)]
+        if not len(lens):
+            return 0.0
+        return float(np.dot(lens, np.floor(T / lens)))
+
+    def visits(self, T: float | None = None) -> np.ndarray:
+        """Per saddle s: the sum over census words q with l(q) <= T of
+        (occurrences of s in q) / l(q)."""
+        k = self.pi(T)
+        weights = np.repeat(1.0 / self.lengths[:k], self._sizes[:k])
+        return np.bincount(self._letters[:len(weights)], weights=weights,
+                           minlength=self.n_saddles)
+
+    def pi_saddle(self, T: float | None = None) -> np.ndarray:
+        """pi_s(T) = sum over census words of (occurrences of s) * l(s)/l(q)."""
+        return self.visits(T) * self.saddle_lengths
+
+
+def return_bounds(G: ConcatGraph, T: float) -> np.ndarray:
+    """Cheapest completion cost back to each anchor, for every anchor at once.
+
+    Row a, column s: the least sum of the lengths of the letters still to be
+    appended after s so that the word can close at anchor a, with every
+    letter >= a and of length <= T (zero when a may follow s). Rows cover the
+    anchors of length <= T; columns of saddles below the anchor or longer
+    than T are infinite.
+
+    One Floyd-Warshall over the m saddles of length <= T (the first m ids),
+    relaxing through k = m - 1 down to 0: after step k, D[s, u] is the
+    cheapest path s -> u with every intermediate letter >= k, weighted by
+    the lengths of the letters entered (the empty path of D[s, s] is free),
+    so row k reads off D at the letters k may follow. O(m^3) in dense
+    min-plus steps."""
+    m = int(np.searchsorted(G.lengths, T, side="right"))
+    follows = _follows(G, m)
+    D = np.where(follows, G.lengths[:m], math.inf)
+    np.fill_diagonal(D, 0.0)
+    bounds = np.full((m, G.n), math.inf)
+    for k in range(m - 1, -1, -1):
+        np.minimum(D, D[:, k, None] + D[k], out=D)
+        last = k + np.flatnonzero(follows[k:, k])
+        if len(last):
+            bounds[k, k:m] = D[k:, last].min(axis=1)
+    return bounds
+
+
+class _RankedRows(dict):
+    """For one anchor, the successors of each letter among the letters
+    >= anchor with a finite return bound, in ascending cost (length plus
+    return bound), with those costs: two Python lists per letter, built when
+    the search first reaches the letter."""
+
+    def __init__(self, follows: np.ndarray, lengths: np.ndarray,
+                 back: np.ndarray, anchor: int):
+        super().__init__()
+        live = anchor + np.flatnonzero(np.isfinite(back[anchor:len(follows)]))
+        cost = lengths[live] + back[live]
+        order = np.argsort(cost, kind="stable")
+        self.follows = follows
+        self.ranked = live[order]
+        self.cost = cost[order]
+
+    def __missing__(self, s: int):
+        take = self.follows[s, self.ranked]
+        row = self[s] = (self.ranked[take].tolist(), self.cost[take].tolist())
+        return row
+
+
+def word_lengths(lengths: np.ndarray, words: list[tuple[int, ...]]) -> np.ndarray:
+    """`word_length` of many words in one pass. Each word's (count, length)
+    pairs in ascending saddle id are gathered from one sort, and the words
+    with the same number of distinct letters share one stacked matmul. That
+    runs the dot kernel of `word_length` on the same vectors, so the values
+    agree bit for bit whatever the kernel's summation order."""
+    if len(words) > _WORD_BLOCK:
+        # Blocks of words keep the temporary arrays small.
+        return np.concatenate([word_lengths(lengths, words[i:i + _WORD_BLOCK])
+                               for i in range(0, len(words), _WORD_BLOCK)])
+    n = len(lengths)
+    sizes = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    letters = np.fromiter(itertools.chain.from_iterable(words),
+                          dtype=np.int64, count=int(sizes.sum()))
+    keys, counts = np.unique(np.repeat(np.arange(len(words)), sizes) * n + letters,
+                             return_counts=True)
+    owner = keys // n
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    distinct = np.diff(first, append=len(keys))
+    out = np.empty(len(words))
+    for k in np.flatnonzero(np.bincount(distinct)):
+        sel = np.flatnonzero(distinct == k)
+        at = first[sel, None] + np.arange(k)
+        c = counts[at].astype(np.float64)
+        out[sel] = np.matmul(c[:, None, :], lengths[keys[at] % n][:, :, None])[:, 0, 0]
+    return out
+
+
+def lyndon_census(G: ConcatGraph, T) -> WordCensus:
+    """Every Lyndon word of the graph that closes up within length T, once.
+
+    Depth-first over the prenecklaces that start at an anchor letter, with
+    exact-return-cost pruning. A prenecklace is a prefix of some Lyndon word
+    (Ruskey, Savage and Wang, Generating necklaces, J. Algorithms 13, 1992);
+    its period p is the length of its longest Lyndon prefix. Appending j to
+    a prenecklace w of length n gives a prenecklace iff j >= w[n - p], with
+    period p when j == w[n - p] and n + 1 when j is larger, and the result
+    is a Lyndon word iff its period is its length. A Lyndon word starts with
+    its minimal letter, so all its letters are >= the anchor.
+
+    The return bounds of all anchors come from one pass, `return_bounds`.
+    Each letter's successors are ranked by their length plus return bound,
+    so the search reads only those that can still close within T. It
+    collects the Lyndon words that close; their float lengths are computed
+    in one batch by `word_lengths` afterwards, and the bound T is applied to
+    those."""
+    if T <= 0:
+        raise InvalidParams("need a positive length bound")
+    G.check_radius(T)
+    T = float(T)
+    slack = 1e-9
+    limit = T + slack
+    lengths = G.lengths.tolist()
+    bounds = return_bounds(G, T)
+    follows = _follows(G, len(bounds))
+    words: list[tuple[int, ...]] = []
+    for anchor, back in enumerate(bounds):
+        back_of = back.tolist()
+        if lengths[anchor] + back_of[anchor] > limit:
+            continue
+        succ = _RankedRows(follows, G.lengths, back, anchor)
+        # Explicit-stack depth-first search: one iterator over the
+        # successors of each letter of the current word that can still
+        # close within T (a prefix of its ranked successors), with the
+        # prefix lengths and periods alongside; successors below ref are
+        # skipped. Lengths are positive, so a word can close at the anchor
+        # exactly when its last letter's bound is zero. A word is
+        # collected when it is first reached, before its extensions.
+        word = [anchor]
+        accs = [lengths[anchor]]
+        periods = [1]
+        ids, costs = succ[anchor]
+        stack = [itertools.islice(ids, bisect_right(costs, limit - accs[0]))]
+        if back_of[anchor] == 0.0:
+            words.append((anchor,))
+        while stack:
+            n = len(word)
+            p = periods[-1]
+            ref = word[n - p]
+            for j in stack[-1]:
+                if j < ref:
+                    continue
+                nxt = accs[-1] + lengths[j]
+                word.append(j)
+                accs.append(nxt)
+                periods.append(p if j == ref else n + 1)
+                if back_of[j] == 0.0 and periods[-1] == n + 1:
+                    words.append(tuple(word))
+                ids, costs = succ[j]
+                stack.append(itertools.islice(ids, bisect_right(costs, limit - nxt)))
+                break
+            else:
+                stack.pop()
+                accs.pop()
+                periods.pop()
+                word.pop()
+    found = [ClosedGeodesic(w, length) for w, length
+             in zip(words, word_lengths(G.lengths, words).tolist())
+             if length <= T]
+    found.sort(key=lambda g: (g.length, g.word))
+    return WordCensus(T, found, np.asarray(G.lengths, dtype=np.float64))

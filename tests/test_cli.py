@@ -291,3 +291,14 @@ def test_geodesics_grid_stays_within_tmax(capsys):
     ts = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert ts == sorted(ts)
     assert ts[-1] == 1.0
+
+
+@pytest.mark.parametrize("tmax, pi", [("8/3", 96), ("11/3", 640)])
+def test_geodesics_count_lengths_equal_to_tmax(capsys, tmax, pi):
+    # words of length exactly T are within T, though float sums of their
+    # saddle lengths can land above float(T)
+    code, out, err = run(capsys, "geodesics", "--builtin", "lshape",
+                         "--params", "7/3,5/2", "--tmax", tmax)
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[1] == str(pi)
+    assert f") = {pi} primitive closed geodesics" in err

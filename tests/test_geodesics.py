@@ -1,12 +1,16 @@
-"""Closed-geodesic enumeration and statistics.
+"""Closed-geodesic counts and statistics.
 
-The complete-graph fixture has an independent check: primitive cyclic words
-over m symbols are counted by necklace arithmetic, and a no-pruning DFS
-reproduces the census from scratch.
+The census counts words from closed walks on exact length keys and lists
+none. Its oracle is the Lyndon-word search `oracles.lyndon_census`, which
+lists every word; a no-pruning brute force checks that search in turn, and
+on the complete graphs necklace arithmetic counts the words directly.
 """
 
 import itertools
 import math
+import time
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -14,14 +18,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tsurf
-from tsurf import TruncationError, enumerate_closed, occupancy, pi_stats, word_length
-from tsurf.geodesics import (return_bounds, saddle_cell_lengths, stats_csv,
-                             word_lengths)
+from tsurf import InvalidParams, TruncationError, enumerate_closed, occupancy, pi_stats
+from tsurf.geodesics import _closing_costs, _follows, saddle_cell_lengths, stats_csv
 from tsurf.unfold import reversal_permutation
 
 from oracles import (brute_closed_words, dijkstra_return_bounds,
-                     fraction_saddle_cell_lengths, is_primitive,
-                     per_word_pi_saddle, slice_min_rotation)
+                     fraction_saddle_cell_lengths, is_primitive, lyndon_census,
+                     per_word_pi_saddle, return_bounds, slice_min_rotation,
+                     word_length, word_lengths)
 
 
 @pytest.fixture(scope="module")
@@ -80,21 +84,20 @@ def test_complete3_F_values(C3):
 
 
 def test_brute_force_agreement_complete3(C3):
-    census = enumerate_closed(C3, 4.0)
     brute = brute_closed_words(C3, 4.0)
-    assert {g.word for g in census.geodesics} == brute
+    assert {g.word for g in lyndon_census(C3, 4.0).geodesics} == brute
+    assert enumerate_closed(C3, 4.0).pi() == len(brute)
 
 
 def test_brute_force_agreement_lshape(G9):
     T = 2.9
-    census = enumerate_closed(G9, T)
     brute = brute_closed_words(G9, T)
-    assert {g.word for g in census.geodesics} == brute
-    assert census.pi() == len(brute)
+    assert {g.word for g in lyndon_census(G9, T).geodesics} == brute
+    assert enumerate_closed(G9, T).pi() == len(brute)
 
 
 def test_census_words_are_canonical_and_closed(G9):
-    census = enumerate_closed(G9, 3.0)
+    census = lyndon_census(G9, 3.0)
     for g in census.geodesics:
         assert g.word == slice_min_rotation(g.word)
         assert is_primitive(g.word)
@@ -106,7 +109,7 @@ def test_census_words_are_canonical_and_closed(G9):
 
 def test_census_closed_under_reversal(G9, lshape):
     perm = reversal_permutation(G9.saddles)
-    census = enumerate_closed(G9, 3.0)
+    census = lyndon_census(G9, 3.0)
     words = {g.word for g in census.geodesics}
     for g in census.geodesics:
         rev = slice_min_rotation(tuple(perm[s] for s in reversed(g.word)))
@@ -125,8 +128,11 @@ def test_census_prefix_consistency(G9):
     big = enumerate_closed(G9, 3.0)
     small = enumerate_closed(G9, 2.4)
     assert big.pi(2.4) == small.pi()
-    assert {g.word for g in small.geodesics} == {
-        g.word for g in big.geodesics if g.length <= 2.4}
+    assert np.array_equal(big.visits(2.4), small.visits())
+    assert big.F(2.4) == small.F()
+    words = lyndon_census(G9, 3.0)
+    assert {g.word for g in lyndon_census(G9, 2.4).geodesics} == {
+        g.word for g in words.geodesics if g.length <= 2.4}
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=6),
@@ -137,10 +143,13 @@ def test_powers_are_never_primitive(word, p):
 
 
 def test_long_words_need_no_recursion():
-    # words of ~1500 letters: the search keeps its own stack
-    census = enumerate_closed(tsurf.complete_graph(1, length=0.001), 1.5)
+    # walks of ~1500 letters: the census steps one letter at a time and the
+    # oracle search keeps its own stack
+    G = tsurf.complete_graph(1, length=0.001)
+    census = enumerate_closed(G, 1.5)
     assert census.pi() == 1
-    assert census.geodesics[0].word == (0,)
+    assert census.lengths.tolist() == [0.001]
+    assert lyndon_census(G, 1.5).geodesics[0].word == (0,)
 
 
 def test_single_letters_primitive():
@@ -168,7 +177,7 @@ def test_occupancy_histogram(G9, lshape):
     # support: only cells some census saddle actually crosses
     used = set()
     cl = saddle_cell_lengths(G9, grid)
-    for g in census.geodesics:
+    for g in lyndon_census(G9, 3.0).geodesics:
         for s in set(g.word):
             used |= set(cl[s])
     for cid in range(grid.num_cells):
@@ -194,24 +203,29 @@ def test_no_geodesics_below_systole(G2):
 @pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
 def test_lyndon_census_matches_brute_force_on_random_graphs(density):
     for G in random_graphs(density):
-        census = enumerate_closed(G, 6.0)
-        words = [g.word for g in census.geodesics]
+        words = [g.word for g in lyndon_census(G, 6.0).geodesics]
         assert len(words) == len(set(words))
         assert set(words) == brute_closed_words(G, 6.0)
+        assert enumerate_closed(G, 6.0).pi() == len(words)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_complete_census_is_the_lyndon_words(m):
-    census = enumerate_closed(tsurf.complete_graph(m), 7.0)
+    G = tsurf.complete_graph(m)
     lyndon = {w for n in range(1, 8) for w in itertools.product(range(m), repeat=n)
               if is_primitive(w) and w == slice_min_rotation(w)}
-    assert [g.word for g in census.geodesics] == sorted(lyndon, key=lambda w: (len(w), w))
+    words = [g.word for g in lyndon_census(G, 7.0).geodesics]
+    assert words == sorted(lyndon, key=lambda w: (len(w), w))
+    census = enumerate_closed(G, 7.0)
+    sizes = np.bincount([len(w) for w in lyndon], minlength=8)[1:]
+    assert census.lengths.tolist() == [float(n) for n in range(1, 8) if sizes[n - 1]]
+    assert census.counts.tolist() == [int(c) for c in sizes if c]
 
 
 @pytest.mark.parametrize("T", [None, 2.2, 2.6, 0.5])
 def test_visits_match_the_per_word_sum(G9, T):
     census = enumerate_closed(G9, 3.0)
-    want = per_word_pi_saddle(census, T)
+    want = per_word_pi_saddle(lyndon_census(G9, 3.0), T)
     assert np.allclose(census.pi_saddle(T), want, rtol=1e-12, atol=0)
     assert np.allclose(census.visits(T) * G9.lengths, want, rtol=1e-12, atol=0)
 
@@ -276,11 +290,29 @@ def test_return_bounds_match_dijkstra_on_random_graphs(density):
         _assert_bounds_match(G, 6.0)
 
 
+def _exact_length(G, word) -> float:
+    """The length of a word as the correctly rounded float of the sum of
+    the square roots of its letters' length_sq, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(Decimal(G.saddles[s].length_sq.numerator).sqrt()
+                    / Decimal(G.saddles[s].length_sq.denominator).sqrt()
+                    for s in word)
+        return float(total)
+
+
 def test_census_lengths_are_word_length_bit_for_bit(G36):
+    # the oracle's lengths are word_length's; the census holds the exact
+    # lengths of the same words, correctly rounded, with their word counts
+    words = lyndon_census(G36, 4.5)
     census = enumerate_closed(G36, 4.5)
     assert census.pi() > 0
-    for g in census.geodesics:
+    exact = Counter()
+    for g in words.geodesics:
         assert g.length == word_length(G36.lengths, g.word), g.word
+        exact[_exact_length(G36, g.word)] += 1
+    assert census.lengths.tolist() == sorted(exact)
+    assert census.counts.tolist() == [exact[x] for x in sorted(exact)]
 
 
 def test_word_lengths_match_word_length_on_random_words():
@@ -317,3 +349,133 @@ def test_saddle_cell_lengths_of_a_subset(G9, lshape):
     some = saddle_cell_lengths(G9, grid, [3, 0, 7])
     assert list(some) == [3, 0, 7]
     assert all(some[s] == every[s] for s in some)
+
+
+def _midpoints(words, T, most=25):
+    """Bounds midway between consecutive distinct values n * l(q) <= T
+    (word q, n >= 1), where F and pi step: at most `most`, spread evenly."""
+    lens = np.unique(words.lengths)
+    steps = np.unique(np.concatenate(
+        [lens * n for n in range(1, int(T / lens[0]) + 1)])) if len(lens) else lens
+    # float sums of one exact length differ in their last bits
+    steps = steps[(steps <= T) & np.concatenate(([True], np.diff(steps) > 1e-9))]
+    mids = (steps[1:] + steps[:-1]) / 2
+    pick = np.unique(np.linspace(0, len(mids) - 1, most).astype(int)) if len(mids) else []
+    return [float(mids[i]) for i in pick]
+
+
+def _assert_counts_match_the_oracle(G, T):
+    census = enumerate_closed(G, T)
+    words = lyndon_census(G, T)
+    mids = _midpoints(words, float(T))
+    assert mids
+    for t in mids:
+        assert census.pi(t) == words.pi(t), t
+        assert census.F(t) == pytest.approx(words.F(t), rel=1e-12, abs=0), t
+        assert np.allclose(census.visits(t), words.visits(t), rtol=1e-12, atol=0), t
+
+
+@pytest.mark.parametrize("graph, T", [("C3", 6.0), ("G9", 3.0),
+                                      ("G_wide", Fraction(11, 2))])
+def test_counts_match_the_lyndon_oracle(request, graph, T):
+    _assert_counts_match_the_oracle(request.getfixturevalue(graph), T)
+
+
+@pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
+def test_counts_match_the_lyndon_oracle_on_random_graphs(density):
+    for G in random_graphs(density):
+        if lyndon_census(G, 6.0).pi():
+            _assert_counts_match_the_oracle(G, 6.0)
+
+
+def _necklaces(m: int, n: int) -> int:
+    """Primitive necklaces of n letters over m symbols: (1/n) times the sum
+    over d | n of mu(d) m^(n/d)."""
+    def mobius(k):
+        out, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if k > 1 else out
+    return sum(mobius(d) * m ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_complete_graph_counts_are_the_necklace_numbers(m):
+    # far past the oracle's reach; each letter is 1/m of the letters
+    _assert_counts_match_the_oracle(tsurf.complete_graph(m), 7.0)
+    census = enumerate_closed(tsurf.complete_graph(m), 20)
+    necklaces = [_necklaces(m, n) for n in range(1, 21)]
+    assert census.lengths.tolist() == [float(n) for n in range(1, 21) if necklaces[n - 1]]
+    assert census.counts.tolist() == [c for c in necklaces if c]
+    assert census.pi() == sum(necklaces)
+    assert np.allclose(census.visits(), sum(necklaces) / m, rtol=1e-12, atol=0)
+
+
+def test_exact_inclusion_at_rational_lengths(G_wide):
+    # 96 words have length <= 8/3, 8 of them exactly 8/3, and a float
+    # sum puts those 8 above float(8/3); at 11/3 the count is 640
+    census = enumerate_closed(G_wide, Fraction(11, 3))
+    assert census.pi() == 640
+    assert census.pi(Fraction(8, 3)) == 96
+    assert enumerate_closed(G_wide, Fraction(8, 3)).pi() == 96
+    # float(8/3) is below 8/3, so the words of length 8/3 are not within it
+    exact = census.counts[census.lengths == float(Fraction(8, 3))].sum()
+    assert census.pi(float(Fraction(8, 3))) == 96 - exact
+    # the oracle agrees just above the two bounds, before the next length
+    words = lyndon_census(G_wide, 4.0)
+    for T, want in ((Fraction(8, 3), 96), (Fraction(11, 3), 640)):
+        nxt = words.lengths[words.lengths > float(T) + 1e-9][0]
+        assert words.pi((float(T) + nxt) / 2) == want
+
+
+def test_fraction_bounds_are_exact(C3):
+    census = enumerate_closed(C3, Fraction(7, 2))
+    assert census.pi(Fraction(3)) == census.pi(3.0) == 14
+    assert census.F(Fraction(3)) == 39.0
+    assert census.pi() == census.pi(3.5) == census.pi(census.T) == 14
+    with pytest.raises(TruncationError):
+        census.pi(Fraction(7, 2) + Fraction(1, 10 ** 30))
+
+
+def test_closed_walk_counts_past_int64_raise():
+    # 8^21 = 2^63 closed walks of 21 letters on the complete graph
+    census = enumerate_closed(tsurf.complete_graph(8), 20)
+    assert census.pi() == sum(_necklaces(8, n) for n in range(1, 21))
+    with pytest.raises(InvalidParams):
+        enumerate_closed(tsurf.complete_graph(8), 21)
+
+
+@pytest.mark.parametrize("graph, T", [("G9", 3.0), ("G_wide", 5.5), ("C3", 4.0)])
+def test_closing_costs_match_dijkstra(request, graph, T):
+    G = request.getfixturevalue(graph)
+    m = int(np.searchsorted(G.lengths, T, side="right"))
+    follows = _follows(G, m)
+    cost = _closing_costs(follows, G.lengths[:m])
+    rev = [[] for _ in range(G.n)]
+    for s, row in enumerate(G.out):
+        for j in row.tolist():
+            rev[j].append(s)
+    active = G.lengths <= T
+    for r in range(m):
+        closes = [bool(s < m and follows[s, r]) for s in range(G.n)]
+        want = dijkstra_return_bounds(G, closes, active, rev)[:m]
+        got = cost[r] - G.lengths[:m]
+        assert np.array_equal(np.isfinite(got), np.isfinite(want)), r
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12), r
+
+
+def test_lshape_64_to_length_8_runs_in_seconds(lshape):
+    # item 5 of the roadmap: the Lyndon search would list ~3e7 words here
+    G = tsurf.build_concat_graph(lshape, 64)
+    t0 = time.monotonic()
+    census = enumerate_closed(G, 8)
+    assert time.monotonic() - t0 < 10.0
+    # the oracle's count at B = 36, T = 11/2
+    assert census.pi(Fraction(11, 2)) == 98928
+    assert census.pi() == 31848008

@@ -355,3 +355,20 @@ def test_counts_past_int64_raise():
     census = tsurf.path_length_census(G, 0, 20.0)
     with pytest.raises(tsurf.InvalidParams):
         tsurf.circle_length(G, 0, 20.0, census)
+
+
+def test_census_counts_beyond_its_bound_raise():
+    # a census built up to R = 2 holds 3 + 9 paths; at R = 3 there are 39
+    census = paths.path_length_census(tsurf.complete_graph(3), 0, 2.0)
+    assert census.count(2.0) == 12
+    assert census.groups(Fraction(2)) == 6
+    for query in (census.count, census.groups):
+        with pytest.raises(tsurf.TruncationError):
+            query(3.0)
+
+
+def test_empty_radius_lists_give_empty_results():
+    G = tsurf.complete_graph(3)
+    assert paths.circle_length_grid(G, 0, []).shape == (0,)
+    assert paths.ball_volume_grid(G, 0, []).shape == (0,)
+    assert circle_csv(G, 0, []) == "R,N,circle_length,ball_volume\n"
