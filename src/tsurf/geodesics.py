@@ -286,11 +286,15 @@ def _runs(code: np.ndarray) -> np.ndarray:
 
 
 def _follows(G: ConcatGraph, m: int) -> np.ndarray:
-    """follows[s, j]: j may follow s, among the first m saddles."""
+    """follows[s, j]: j may follow s, among the first m saddles, read off
+    the successor runs of those rows one run at a time (no temporary as
+    large as the relation)."""
+    a = G.after
     follows = np.zeros((m, m), dtype=bool)
-    for s in range(m):
-        row = G.out[s]
-        follows[s, row[:np.searchsorted(row, m)]] = True
+    for s, r0, r1 in zip(range(m), a.ptr.tolist(), a.ptr[1:].tolist()):
+        for lo, hi in zip(a.lo[r0:r1], a.hi[r0:r1]):
+            ids = a.order[lo:hi]
+            follows[s, ids[ids < m]] = True
     return follows
 
 

@@ -10,6 +10,7 @@ R - l(p), plus the full 2*pi*(k(x)+1) arc of the center itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -27,16 +28,77 @@ from .unfold import enumerate_saddle_connections, opposite_sectors
 TWO_PI = 2 * math.pi
 
 
+def _spans(lo, hi) -> np.ndarray:
+    """Every position of the runs [lo[r], hi[r]), run after run."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+class Runs:
+    """A relation on saddle ids held as runs of a permutation: row i is the
+    union of order[lo[r]:hi[r]] over r in ptr[i]:ptr[i+1], each run
+    nonempty. Rows read off one cyclic angular range have at most two."""
+
+    def __init__(self, order, ptr, lo, hi):
+        self.order = np.asarray(order, dtype=np.int32)
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.lo = np.asarray(lo, dtype=np.int64)
+        self.hi = np.asarray(hi, dtype=np.int64)
+        self.pos = np.empty(len(self.order), dtype=np.int64)
+        self.pos[self.order] = np.arange(len(self.order))
+
+    @property
+    def size(self) -> int:
+        """Number of related pairs."""
+        return int((self.hi - self.lo).sum())
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, id) of every pair, row by row and run by run."""
+        rows = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+        return np.repeat(rows, self.hi - self.lo), self.order[_spans(self.lo, self.hi)]
+
+    def contains(self, i: int, j: int) -> bool:
+        p = self.pos[j]
+        return any(self.lo[r] <= p < self.hi[r]
+                   for r in range(self.ptr[i], self.ptr[i + 1]))
+
+    @classmethod
+    def from_pairs(cls, rows, ids, n: int) -> "Runs":
+        """The distinct pairs (rows[t], ids[t]) on the identity order: each
+        row's ids as runs of consecutive ids."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        by = np.lexsort((ids, rows))
+        rows, ids = rows[by], ids[by]
+        new = np.ones(len(ids) + 1, dtype=bool)
+        new[1:-1] = (rows[1:] != rows[:-1]) | (ids[1:] != ids[:-1] + 1)
+        first = np.flatnonzero(new[:-1])
+        last = np.flatnonzero(new[1:])
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(rows[first], minlength=n))))
+        return cls(np.arange(n), ptr, ids[first], ids[last] + 1)
+
+    def transpose(self) -> "Runs":
+        rows, ids = self.pairs()
+        return Runs.from_pairs(ids, rows, len(self.order))
+
+
 class ConcatGraph:
     """Saddle connections within a length budget plus the allowed-successor
-    relation, stored once as a CSR: the successors of saddle i are
-    succ[indptr[i]:indptr[i+1]], sorted by id. Ids are sorted by length, so
-    that is also (length, id) order. max_length_sq None means the graph is
-    complete for every radius (synthetic fixtures); otherwise queries beyond
-    the budget raise TruncationError."""
+    relation, held as runs of angular orders (`Runs`). `after.order` lists
+    the saddle ids by (start cone, out-sector, ccw out-direction), and the
+    successors of saddle i are at most two runs of it: one cyclic range at
+    its end cone. `before.order` lists them by (end cone, sector, ccw
+    back-direction), and the predecessors of saddle j are one cyclic range
+    of that; the constructor takes `before` as a function that makes them
+    (None: transpose `after`). The CSR view `indptr`/`succ`/`out`
+    (successors sorted by id, which is also (length, id) order) is
+    expanded on first use, for the path census and the tests.
+    max_length_sq None means the graph is complete for every radius
+    (synthetic fixtures); otherwise queries beyond the budget raise
+    TruncationError."""
 
-    def __init__(self, saddles, lengths, start, end, indptr, succ, cone_k,
-                 max_length_sq, surface=None):
+    def __init__(self, saddles, lengths, start, end, cone_k, after: Runs,
+                 before, max_length_sq, surface=None):
         self.saddles = saddles
         self.n = len(lengths)
         self.lengths = np.asarray(lengths, dtype=np.float64)
@@ -45,16 +107,62 @@ class ConcatGraph:
         self.cone_k = np.asarray(cone_k, dtype=np.int32)
         self.max_length_sq = max_length_sq
         self.surface = surface
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.succ = np.asarray(succ, dtype=np.int32)
-        # Row views into succ, one per saddle.
-        self.out = [self.succ[a:b]
-                    for a, b in zip(self.indptr[:-1], self.indptr[1:])]
+        self.after = after
+        self._before = after.transpose if before is None else before
+
+    @functools.cached_property
+    def before(self) -> Runs:
+        """The predecessor runs, made on first use: only the SCC reads
+        them."""
+        return self._before()
+
+    @classmethod
+    def from_rows(cls, rows, lengths, start, end, cone_k) -> "ConcatGraph":
+        """Synthetic graph, complete at every radius, in which rows[i] lists
+        the successors of saddle i, each row compressed into runs of
+        consecutive ids."""
+        n = len(lengths)
+        if len(rows) != n:
+            raise InvalidParams(f"{len(rows)} successor rows for {n} saddles")
+        rows = [np.asarray(r, dtype=np.int64) for r in rows]
+        src = np.repeat(np.arange(n), [len(r) for r in rows])
+        after = Runs.from_pairs(src, np.concatenate([src[:0], *rows]), n)
+        return cls(None, lengths, start, end, cone_k, after, None, None)
+
+    @functools.cached_property
+    def _csr(self):
+        """indptr, succ and the row views, expanded from the successor runs
+        one row at a time (no temporary as large as the relation), each row
+        sorted by id."""
+        a = self.after
+        rows = []
+        for r0, r1 in zip(a.ptr.tolist(), a.ptr[1:].tolist()):
+            runs = [a.order[lo:hi] for lo, hi in zip(a.lo[r0:r1], a.hi[r0:r1])]
+            rows.append(np.sort(runs[0] if len(runs) == 1
+                                else np.concatenate([a.order[:0], *runs])))
+        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
+        succ = np.concatenate([a.order[:0], *rows])
+        return indptr, succ, [succ[x:y] for x, y in zip(indptr[:-1], indptr[1:])]
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def succ(self) -> np.ndarray:
+        return self._csr[1]
+
+    @property
+    def out(self) -> list:
+        """Row views into succ, one per saddle."""
+        return self._csr[2]
+
+    @property
+    def edges(self) -> int:
+        return self.after.size
 
     def allowed(self, i: int, j: int) -> bool:
-        row = self.out[i]
-        k = int(np.searchsorted(row, j))
-        return k < len(row) and bool(row[k] == j)
+        return self.after.contains(i, j)
 
     def check_radius(self, R):
         """Queries at radius R are only complete if every saddle connection
@@ -67,7 +175,7 @@ class ConcatGraph:
             )
 
     def __repr__(self):
-        return f"ConcatGraph(n={self.n}, edges={len(self.succ)})"
+        return f"ConcatGraph(n={self.n}, edges={self.edges})"
 
 
 def _position(slot: int, vec):
@@ -76,49 +184,65 @@ def _position(slot: int, vec):
     return (slot, ccw_sort_key(vec))
 
 
+def _arc_runs(sectors, placed, query) -> Runs:
+    """Runs of the relation in which row i holds every saddle s whose
+    direction placed[s] = (cone, d) lies at the cone of query[i] = (cone, q)
+    at a ccw angle from q in [pi, 2*pi*(k+1) - pi]. The placed directions
+    are sorted exactly by (cone, angle), so each row is one cyclic range of
+    that order, found by two binary searches: one run, or two when it wraps
+    past the end of the cone's block. sectors(q) lists the sectors holding
+    the direction opposite to q (`unfold.opposite_sectors`)."""
+    keyed = sorted(((c, _position(d.slot, d.vec)), s)
+                   for s, (c, d) in enumerate(placed))
+    keys = [key for key, _ in keyed]
+    ptr, lo, hi = [0], [], []
+    for c, q in query:
+        slots = sectors(q)
+        opposite = (-q.vec[0], -q.vec[1])
+        first = (c, _position(slots[0], opposite))
+        last = (c, _position(slots[-1], opposite))
+        i = bisect_left(keys, first)
+        j = bisect_right(keys, last)
+        if first < last:
+            pieces = ((i, j),)
+        else:
+            pieces = ((i, bisect_left(keys, (c + 1,))), (bisect_left(keys, (c,)), j))
+        for a, b in pieces:
+            if a < b:
+                lo.append(a)
+                hi.append(b)
+        ptr.append(len(lo))
+    return Runs([s for _, s in keyed], ptr, lo, hi)
+
+
 def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
     """Enumerate saddle connections within the budget and read each
-    successor set off the exact angular order of the out-directions.
+    successor and predecessor set off the exact angular order of the
+    directions at a cone.
 
     By the two-sided half-turn test, s2 may follow s exactly when s2 leaves
-    the cone at a ccw angle from s.back_dir in [pi, 2*pi*(k+1) - pi]. With
-    the out-directions at each cone sorted exactly by angle, that arc is one
-    cyclic index range, found by two binary searches.
+    the cone at a ccw angle from s.back_dir in [pi, 2*pi*(k+1) - pi]. The
+    test reads the same from either end: the ccw angle from s2.out_dir to
+    s.back_dir is 2*pi*(k+1) minus that angle, in the same interval. So the
+    successors of s are one cyclic range of the out-directions at s.end,
+    and the predecessors of s2 one cyclic range of the back-directions at
+    s2.start.
     """
     saddles = enumerate_saddle_connections(S, max_length_sq)
-    leaving: dict[int, list] = {}
-    for s in saddles:
-        d = s.out_dir
-        leaving.setdefault(s.start, []).append((_position(d.slot, d.vec), s.id))
-    order, keys = {}, {}
-    for cone, group in leaving.items():
-        group.sort()
-        keys[cone] = [key for key, _ in group]
-        order[cone] = np.array([i for _, i in group], dtype=np.int32)
-    empty = np.zeros(0, dtype=np.int32)
-    rows = []
-    for s in saddles:
-        if s.end not in order:
-            rows.append(empty)
-            continue
-        slots = opposite_sectors(S, s.back_dir)
-        opposite = (-s.back_dir.vec[0], -s.back_dir.vec[1])
-        first = _position(slots[0], opposite)
-        last = _position(slots[-1], opposite)
-        i = bisect_left(keys[s.end], first)
-        j = bisect_right(keys[s.end], last)
-        ids = order[s.end]
-        rows.append(np.sort(ids[i:j] if first < last
-                            else np.concatenate((ids[i:], ids[:j]))))
-    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+    leaving = [(s.start, s.out_dir) for s in saddles]
+    arriving = [(s.end, s.back_dir) for s in saddles]
+    # The back-direction of each connection is the out-direction of its
+    # reverse, so the predecessor pass repeats the successor pass's sector
+    # lookups.
+    sectors = functools.cache(functools.partial(opposite_sectors, S))
     return ConcatGraph(
         saddles=tuple(saddles),
         lengths=[s.length for s in saddles],
         start=[s.start for s in saddles],
         end=[s.end for s in saddles],
-        indptr=indptr,
-        succ=np.concatenate([empty, *rows]),
         cone_k=[c.k for c in S.cone_points],
+        after=_arc_runs(sectors, leaving, arriving),
+        before=functools.partial(_arc_runs, sectors, arriving, leaving),
         max_length_sq=parse_rational(max_length_sq),
         surface=S,
     )
@@ -129,16 +253,8 @@ def complete_graph(m: int, length: float = 1.0, k: int = 1) -> ConcatGraph:
     every ordered pair (self included) allowed; complete at every radius."""
     if m < 1:
         raise InvalidParams("need at least one saddle")
-    return ConcatGraph(
-        saddles=None,
-        lengths=[length] * m,
-        start=[0] * m,
-        end=[0] * m,
-        indptr=np.arange(0, m * m + 1, m),
-        succ=np.tile(np.arange(m), m),
-        cone_k=[k],
-        max_length_sq=None,
-    )
+    return ConcatGraph.from_rows([range(m)] * m, lengths=[length] * m,
+                                 start=[0] * m, end=[0] * m, cone_k=[k])
 
 
 # ----------------------------------------------------------------------------

@@ -10,12 +10,12 @@ cutoff is a heuristic size for what the truncation dropped, not a bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BracketFailure, DerivativeMismatch, EmptySCC, InvalidParams
-from .paths import ConcatGraph
+from .paths import ConcatGraph, Runs, _spans
 
 
 def _prefix_count(G: ConcatGraph, cutoff: float | None) -> int:
@@ -26,73 +26,184 @@ def _prefix_count(G: ConcatGraph, cutoff: float | None) -> int:
     return int(np.searchsorted(G.lengths, cutoff, side="right"))
 
 
-def _truncated_scc(G: ConcatGraph, cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean adjacency of the subgraph on saddles with length <= cutoff,
-    and the ids of its largest strongly connected component that carries an
-    edge. Ids are sorted by length, so the subgraph is the leading k x k
-    block of the whole relation. Components come from the transitive
-    closure, squared until it stops growing: row i of `mutual` holds the j
-    that i reaches and that reach i, which is i's component when i lies on
-    a cycle and empty otherwise. On a tie the component holding the
-    smallest id wins."""
-    k = _prefix_count(G, cutoff)
-    if k == 0:
-        raise EmptySCC(f"no saddles within cutoff {cutoff}")
-    rows = np.repeat(np.arange(k), np.diff(G.indptr[:k + 1]))
-    cols = G.succ[:G.indptr[k]]
-    inside = cols < k
-    a = np.zeros((k, k), dtype=bool)
-    a[rows[inside], cols[inside]] = True
-    if not a.any():
-        raise EmptySCC(f"no concatenations within cutoff {cutoff}")
-    reach = a
-    while True:
-        f = reach.astype(np.float32)
-        grown = reach | ((f @ f) > 0)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    mutual = reach & reach.T
-    sizes = mutual.sum(axis=1)
-    if sizes.max() == 0:
-        raise EmptySCC(f"no cycles within cutoff {cutoff}")
-    return a, np.flatnonzero(mutual[int(sizes.argmax())]).astype(np.int32)
+def _find(nxt: list, p: int) -> int:
+    """The first unvisited position >= p (nxt[p] == p marks one), with path
+    compression."""
+    root = p
+    while nxt[root] != root:
+        root = nxt[root]
+    while nxt[p] != root:
+        nxt[p], p = root, nxt[p]
+    return root
+
+
+def _unvisited(order: list, k: int) -> list:
+    """Union-find over the positions of `order` plus a sentinel: the
+    saddles outside the prefix [0, k) start out visited."""
+    return [p if s < k else p + 1 for p, s in enumerate(order)] + [len(order)]
+
+
+def _postorder(runs: Runs, k: int) -> list:
+    """Saddles below k in the order an iterative depth-first search over the
+    successor runs finishes them. Each frame keeps the run it is scanning;
+    the union-find skips visited positions, so every position is visited
+    once and each run is scanned to its end once."""
+    order, lo, hi = runs.order.tolist(), runs.lo.tolist(), runs.hi.tolist()
+    ptr, pos = runs.ptr.tolist(), runs.pos.tolist()
+    nxt = _unvisited(order, k)
+    cur = ptr[:k]
+    post = []
+    for root in range(k):
+        p = pos[root]
+        if nxt[p] != p:
+            continue
+        nxt[p] = p + 1
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            r, end = cur[i], ptr[i + 1]
+            while r < end:
+                p = _find(nxt, lo[r])
+                if p < hi[r]:
+                    break
+                r += 1
+            cur[i] = r
+            if r == end:
+                post.append(stack.pop())
+            else:
+                nxt[p] = p + 1
+                stack.append(order[p])
+    return post
+
+
+def _components(runs: Runs, k: int, roots: list):
+    """The components of saddles below k reached over the predecessor runs
+    from each root in turn, skipping the saddles already reached."""
+    order, lo, hi = runs.order.tolist(), runs.lo.tolist(), runs.hi.tolist()
+    ptr, pos = runs.ptr.tolist(), runs.pos.tolist()
+    nxt = _unvisited(order, k)
+    for root in roots:
+        p = pos[root]
+        if nxt[p] != p:
+            continue
+        nxt[p] = p + 1
+        comp, stack = [root], [root]
+        while stack:
+            i = stack.pop()
+            for r in range(ptr[i], ptr[i + 1]):
+                p = _find(nxt, lo[r])
+                while p < hi[r]:
+                    nxt[p] = p + 1
+                    comp.append(order[p])
+                    stack.append(order[p])
+                    p = _find(nxt, p + 1)
+        yield comp
 
 
 def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
-    """Saddle ids of the largest strongly connected component of the subgraph
-    spanned by saddles with length <= cutoff. Components without a cycle
-    (no internal edge) are discarded; raises EmptySCC if nothing survives."""
-    return _truncated_scc(G, cutoff)[1]
+    """Sorted saddle ids of the largest strongly connected component that
+    carries a cycle, in the subgraph on saddles with length <= cutoff (all
+    when None). Ids are sorted by length, so the subgraph is the prefix [0,
+    k) of the ids. Kosaraju over the runs: a depth-first search over the
+    successor runs gives the finishing order, and searches over the
+    predecessor runs from the last finished saddle back give the
+    components. A union-find over each order's positions skips the visited
+    saddles and those outside the prefix, so a search costs O(n alpha(n))
+    plus one step per run. A component carries a cycle when it has two
+    saddles or a self-concatenation. On a tie the component holding the
+    smallest id wins; raises EmptySCC if nothing carries a cycle."""
+    k = _prefix_count(G, cutoff)
+    if k == 0:
+        raise EmptySCC(f"no saddles within cutoff {cutoff}")
+    best, key = None, None
+    for comp in _components(G.before, k, _postorder(G.after, k)[::-1]):
+        if len(comp) == 1 and not G.allowed(comp[0], comp[0]):
+            continue
+        if key is None or (len(comp), -min(comp)) > key:
+            best, key = comp, (len(comp), -min(comp))
+    if best is None:
+        a = G.after
+        inside = np.concatenate(([0], np.cumsum(a.order < k)))
+        r = a.ptr[k]
+        if not (inside[a.hi[:r]] - inside[a.lo[:r]]).any():
+            raise EmptySCC(f"no concatenations within cutoff {cutoff}")
+        raise EmptySCC(f"no cycles within cutoff {cutoff}")
+    return np.array(sorted(best), dtype=np.int32)
 
 
 @dataclass
 class WeightMatrix:
-    """Dense weight matrix on an SCC index set: the 0/1 pattern of allowed
-    pairs times exp(-sigma * l) of the column's saddle. The pattern is built
-    once and shared by every sigma."""
+    """Weight matrix on an SCC index set: W[a, b] = weights[b] when saddle
+    ids[b] may follow ids[a], with weights = exp(-sigma * lengths) (times
+    the tilt of v_weight's audit). The relation is the successor runs
+    restricted to the component: `cols` lists the SCC indices in successor
+    order, and run r of row rows[r] covers positions bounds[2r] to
+    bounds[2r+1] - 1 of it. Built once per cutoff; `at` and `scaled` only
+    change the weights."""
 
     ids: np.ndarray
     lengths: np.ndarray
-    pattern: np.ndarray
+    weights: np.ndarray
     sigma: float
+    rows: np.ndarray
+    bounds: np.ndarray
+    cols: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.ids)
 
-    def matrix(self) -> np.ndarray:
-        return self.pattern * np.exp(-self.sigma * self.lengths)
-
     def at(self, sigma: float) -> "WeightMatrix":
-        return WeightMatrix(self.ids, self.lengths, self.pattern, sigma)
+        return replace(self, weights=np.exp(-sigma * self.lengths), sigma=float(sigma))
+
+    def scaled(self, factors: np.ndarray) -> "WeightMatrix":
+        """Columns scaled by factors."""
+        return replace(self, weights=self.weights * factors)
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """W v: weights * v in successor order, summed over each run by
+        np.add.reduceat (slice by slice, so no prefix-sum cancellation),
+        then added per row."""
+        x = np.zeros(len(self.cols) + 1)
+        x[:-1] = (self.weights * v)[self.cols]
+        runs = np.add.reduceat(x, self.bounds)[::2]
+        return np.bincount(self.rows, weights=runs, minlength=self.size)
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        """W^T u: u of each row added at its runs' starts and taken off at
+        their ends, summed along the successor order and gathered per
+        column."""
+        m = len(self.cols)
+        ur = u[self.rows]
+        diff = (np.bincount(self.bounds[::2], weights=ur, minlength=m + 1)
+                - np.bincount(self.bounds[1::2], weights=ur, minlength=m + 1))
+        out = np.empty(self.size)
+        out[self.cols] = np.cumsum(diff[:m])
+        return out * self.weights
 
 
 def weight_matrix(G: ConcatGraph, sigma: float,
                   cutoff: float | None = None) -> WeightMatrix:
-    a, ids = _truncated_scc(G, cutoff)
-    return WeightMatrix(ids=ids, lengths=G.lengths[ids],
-                        pattern=a[np.ix_(ids, ids)], sigma=float(sigma))
+    """The weight matrix at sigma on the SCC at the cutoff: the successor
+    runs of its rows, renumbered to the positions of its members in the
+    successor order, empty runs dropped."""
+    ids = truncated_scc(G, cutoff)
+    a = G.after
+    index = np.full(G.n, -1, dtype=np.int64)
+    index[ids] = np.arange(len(ids))
+    at = index[a.order]
+    cum = np.concatenate(([0], np.cumsum(at >= 0)))
+    first, last = a.ptr[ids], a.ptr[ids + 1]
+    runs = _spans(first, last)
+    lo, hi = cum[a.lo[runs]], cum[a.hi[runs]]
+    keep = lo < hi
+    lengths = G.lengths[ids]
+    return WeightMatrix(
+        ids=ids, lengths=lengths, weights=np.exp(-float(sigma) * lengths),
+        sigma=float(sigma),
+        rows=np.repeat(np.arange(len(ids)), last - first)[keep],
+        bounds=np.column_stack((lo[keep], hi[keep])).ravel(),
+        cols=at[at >= 0])
 
 
 @dataclass
@@ -114,17 +225,24 @@ def spectral_radius(W, tol: float = 1e-12,
     """Perron data by shifted power iteration. The diagonal shift by the max
     row sum makes the iteration matrix primitive regardless of the cycle
     structure, so convergence needs no aperiodicity assumption. Accepts a
-    WeightMatrix or any square nonnegative array. `start` is an optional
-    positive (u, v) pair to iterate from, such as the Perron pair of a
-    nearby matrix; the default is the uniform vector."""
-    m = np.asarray(W.matrix() if hasattr(W, "matrix") else W, dtype=np.float64)
-    n = m.shape[0]
+    WeightMatrix, whose products are range sums over its runs, or any
+    square nonnegative array. `start` is an optional positive (u, v) pair
+    to iterate from, such as the Perron pair of a nearby matrix; the
+    default is the uniform vector."""
+    if isinstance(W, WeightMatrix):
+        n = W.size
+        dot, tdot = W.dot, W.tdot
+        rowsum = dot(np.ones(n))
+    else:
+        m = np.asarray(W, dtype=np.float64)
+        n = m.shape[0]
+        if n and m.min() < 0:
+            raise InvalidParams("weight matrix must be nonnegative")
+        dot, tdot = m.__matmul__, m.T.__matmul__
+        rowsum = m.sum(axis=1)
     if n == 0:
         raise EmptySCC("empty matrix")
-    if m.min() < 0:
-        raise InvalidParams("weight matrix must be nonnegative")
-    shift = max(float(m.sum(axis=1).max()), 1e-30)
-    mt = m.T
+    shift = max(float(rowsum.max()), 1e-30)
     if start is None:
         u = np.full(n, 1.0 / n)
         v = np.full(n, 1.0 / n)
@@ -135,10 +253,10 @@ def spectral_radius(W, tol: float = 1e-12,
     res = math.inf
     it = 0
     scale = max(shift, 1.0)
-    # m @ v and mt @ u of the current iterates serve both the residual and
+    # W v and W^T u of the current iterates serve both the residual and
     # the next step: two products per iteration.
-    mv = m @ v
-    mu = mt @ u
+    mv = dot(v)
+    mu = tdot(u)
     for it in range(1, _MAX_ITER + 1):
         nv = mv + shift * v
         nu = mu + shift * u
@@ -148,8 +266,8 @@ def spectral_radius(W, tol: float = 1e-12,
             break
         v = nv / sv
         u = nu / su
-        mv = m @ v
-        mu = mt @ u
+        mv = dot(v)
+        mu = tdot(u)
         lam = float(v @ mv) / float(v @ v)
         res = max(float(np.abs(mv - lam * v).max()),
                   float(np.abs(mu - lam * u).max()))
@@ -275,8 +393,11 @@ _LADDER_RUNGS = 5
 
 def default_cutoffs(G: ConcatGraph) -> list[float]:
     """A short increasing ladder of cutoffs ending at the full graph, spaced
-    over the distinct saddle lengths."""
-    uniq = np.unique(G.lengths)
+    over the distinct saddle lengths (ids are sorted by length, so those
+    are the run starts)."""
+    first = np.ones(G.n, dtype=bool)
+    first[1:] = G.lengths[1:] != G.lengths[:-1]
+    uniq = G.lengths[first]
     if len(uniq) <= _LADDER_RUNGS:
         return [float(x) for x in uniq]
     idx = np.linspace(0, len(uniq) - 1, _LADDER_RUNGS).round().astype(int)
@@ -361,11 +482,10 @@ def v_weight(G: ConcatGraph, s0: int, cutoff: float | None = None,
     dsig = -lam * luv
     val = -dt / dsig
     # Finite-difference audit of both partials.
-    m = pattern.matrix()
     tilt = np.zeros(pattern.size)
     tilt[p0] = l0
-    dt_fd = (spectral_radius(m * np.exp(_FD_STEP * tilt)).lam
-             - spectral_radius(m * np.exp(-_FD_STEP * tilt)).lam) / (2 * _FD_STEP)
+    dt_fd = (spectral_radius(pattern.scaled(np.exp(_FD_STEP * tilt))).lam
+             - spectral_radius(pattern.scaled(np.exp(-_FD_STEP * tilt))).lam) / (2 * _FD_STEP)
     dsig_fd = (spectral_radius(pattern.at(h + _FD_STEP)).lam
                - spectral_radius(pattern.at(h - _FD_STEP)).lam) / (2 * _FD_STEP)
     if abs(dt_fd - dt) > _FD_TOL or abs(dsig_fd - dsig) > _FD_TOL:

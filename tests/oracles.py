@@ -24,6 +24,12 @@
 - `scipy_truncated_scc`: the largest cycle-carrying strongly connected
   component from scipy's sparse graph routines, which the dense transitive
   closure replaced.
+- `dense_truncated_scc`: the same component from the k x k transitive
+  closure squared in float32 until it stops growing, and
+  `dense_weight_matrix` with `dense_spectral_radius`: the weight matrix as a
+  dense 0/1 pattern times the column weights, iterated with `m @ v` and
+  `m.T @ u`. Kosaraju over the successor and predecessor runs and the
+  products as range sums over those runs replaced them.
 - `fraction_saddle_connections`: saddle connections by the recursive
   corner unfolding on the `Fraction` vertices, which the explicit-stack
   walk on integer coordinates replaced.
@@ -60,7 +66,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
-                   TruncationError, spectral_radius)
+                   SpectralResult, TruncationError, spectral_radius)
 from tsurf.circles import MeasureHistogram, _circle_arcs
 from tsurf.geodesics import _follows
 from tsurf.geometry import (Wedge, add, cross, dot, neg, norm_dir, norm_sq,
@@ -142,7 +148,7 @@ def bisect_lambda_one(pattern, lam_tol: float = 1e-10) -> float:
         return spectral_radius(pattern.at(sig)).lam
 
     minlen = float(pattern.lengths.min())
-    deg = pattern.pattern.sum(axis=1).max()
+    deg = pattern.at(0.0).dot(np.ones(pattern.size)).max()
     lo = 1e-3
     hi = max(10.0 * math.log(max(2.0, float(deg))) / minlen, lo * 4)
     for _ in range(60):
@@ -221,6 +227,122 @@ def scipy_truncated_scc(G, cutoff=None) -> np.ndarray:
         raise EmptySCC(f"no cycles within cutoff {cutoff}")
     first = int(np.flatnonzero(sizes[labels] == sizes.max())[0])
     return np.flatnonzero(labels == labels[first]).astype(np.int32)
+
+
+def _dense_adjacency(G, k: int) -> np.ndarray:
+    """k x k boolean adjacency of the saddles below k, from the CSR view."""
+    rows = np.repeat(np.arange(k), np.diff(G.indptr[:k + 1]))
+    cols = G.succ[:G.indptr[k]]
+    inside = cols < k
+    a = np.zeros((k, k), dtype=bool)
+    a[rows[inside], cols[inside]] = True
+    return a
+
+
+def dense_truncated_scc(G, cutoff=None) -> np.ndarray:
+    """Ids of the largest strongly connected component that carries an
+    edge, in the subgraph on saddles with length <= cutoff, from the
+    transitive closure squared until it stops growing: row i of `mutual`
+    holds the j that i reaches and that reach i, which is i's component
+    when i lies on a cycle and empty otherwise. On a tie the component
+    holding the smallest id wins."""
+    k = G.n if cutoff is None else int(np.searchsorted(G.lengths, cutoff, side="right"))
+    if k == 0:
+        raise EmptySCC(f"no saddles within cutoff {cutoff}")
+    a = _dense_adjacency(G, k)
+    if not a.any():
+        raise EmptySCC(f"no concatenations within cutoff {cutoff}")
+    reach = a
+    while True:
+        f = reach.astype(np.float32)
+        grown = reach | ((f @ f) > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    mutual = reach & reach.T
+    sizes = mutual.sum(axis=1)
+    if sizes.max() == 0:
+        raise EmptySCC(f"no cycles within cutoff {cutoff}")
+    return np.flatnonzero(mutual[int(sizes.argmax())]).astype(np.int32)
+
+
+@dataclass
+class DenseWeightMatrix:
+    """The weight matrix as a dense 0/1 pattern on the SCC times the column
+    weights exp(-sigma * l)."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    pattern: np.ndarray
+    weights: np.ndarray
+    sigma: float
+
+    @property
+    def size(self) -> int:
+        return len(self.ids)
+
+    def matrix(self) -> np.ndarray:
+        return self.pattern * self.weights
+
+    def at(self, sigma: float) -> "DenseWeightMatrix":
+        return DenseWeightMatrix(self.ids, self.lengths, self.pattern,
+                                 np.exp(-sigma * self.lengths), float(sigma))
+
+    def scaled(self, factors) -> "DenseWeightMatrix":
+        return DenseWeightMatrix(self.ids, self.lengths, self.pattern,
+                                 self.weights * factors, self.sigma)
+
+
+def dense_weight_matrix(G, sigma: float, cutoff=None) -> DenseWeightMatrix:
+    ids = dense_truncated_scc(G, cutoff)
+    a = _dense_adjacency(G, int(ids.max()) + 1)
+    lengths = G.lengths[ids]
+    return DenseWeightMatrix(ids, lengths, a[np.ix_(ids, ids)],
+                             np.exp(-float(sigma) * lengths), float(sigma))
+
+
+def dense_spectral_radius(W, tol: float = 1e-12, start=None):
+    """The shifted power iteration on the dense matrix of W (or on a square
+    array), with m @ v and m.T @ u reused for eigenvalue, residual and next
+    step."""
+    m = np.asarray(W.matrix() if hasattr(W, "matrix") else W, dtype=np.float64)
+    n = m.shape[0]
+    if n == 0:
+        raise EmptySCC("empty matrix")
+    shift = max(float(m.sum(axis=1).max()), 1e-30)
+    mt = m.T
+    if start is None:
+        u = np.full(n, 1.0 / n)
+        v = np.full(n, 1.0 / n)
+    else:
+        u = start[0] / start[0].sum()
+        v = start[1] / start[1].sum()
+    lam, res, it = 0.0, math.inf, 0
+    scale = max(shift, 1.0)
+    mv = m @ v
+    mu = mt @ u
+    for it in range(1, 100001):
+        nv = mv + shift * v
+        nu = mu + shift * u
+        sv, su = nv.sum(), nu.sum()
+        if sv <= 0 or su <= 0:
+            break
+        v = nv / sv
+        u = nu / su
+        mv = m @ v
+        mu = mt @ u
+        lam = float(v @ mv) / float(v @ v)
+        res = max(float(np.abs(mv - lam * v).max()),
+                  float(np.abs(mu - lam * u).max()))
+        if res < tol * scale:
+            break
+    converged = res < tol * scale
+    v = v / v.sum()
+    uv = float(u @ v)
+    if uv > 0:
+        u = u / uv
+    return SpectralResult(lam=lam, u=u, v=v, residual=res, iterations=it,
+                          converged=converged, scc_size=n)
 
 
 def slice_min_rotation(word: tuple[int, ...]) -> tuple[int, ...]:

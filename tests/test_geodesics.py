@@ -47,11 +47,9 @@ def random_graphs(density):
     for _ in range(4):
         n = 10
         rows = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
-        yield tsurf.ConcatGraph(
-            saddles=None, lengths=np.sort(rng.uniform(1.0, 2.0, n)),
-            start=[0] * n, end=[0] * n,
-            indptr=np.concatenate(([0], np.cumsum([len(r) for r in rows]))),
-            succ=np.concatenate(rows), cone_k=[1], max_length_sq=None)
+        yield tsurf.ConcatGraph.from_rows(
+            rows, lengths=np.sort(rng.uniform(1.0, 2.0, n)),
+            start=[0] * n, end=[0] * n, cone_k=[1])
 
 
 def test_complete3_counts(C3):

@@ -72,6 +72,40 @@ def test_out_lists_sorted_by_length_then_id(oracle_graph):
         assert len(set(ids.tolist())) == len(ids)
 
 
+def test_predecessor_runs_are_the_successor_relation_reversed(oracle_graph):
+    # both sides are read off their own angular order by binary search
+    G = oracle_graph
+    rows, ids = G.after.pairs()
+    back_rows, back_ids = G.before.pairs()
+    assert (sorted(zip(rows.tolist(), ids.tolist()))
+            == sorted(zip(back_ids.tolist(), back_rows.tolist())))
+    # one cyclic range per saddle on either side
+    assert np.diff(G.after.ptr).max() <= 2
+    assert np.diff(G.before.ptr).max() <= 2
+
+
+def test_edges_count_the_runs_without_the_csr(lshape):
+    G = tsurf.build_concat_graph(lshape, 49)
+    assert repr(G) == "ConcatGraph(n=264, edges=46728)"
+    assert "_csr" not in vars(G)
+    assert G.edges == len(G.succ) == sum(len(o) for o in G.out)
+
+
+def test_rows_compress_into_runs_of_consecutive_ids():
+    rows = [[0, 1, 2, 5, 7, 8], [], [4], [3, 2, 1], [], [], [], [], [6]]
+    G = tsurf.ConcatGraph.from_rows(rows, lengths=[1.0] * 9, start=[0] * 9,
+                                    end=[0] * 9, cone_k=[1])
+    assert np.diff(G.after.ptr).tolist() == [3, 0, 1, 1, 0, 0, 0, 0, 1]
+    assert [o.tolist() for o in G.out] == [sorted(r) for r in rows]
+    assert all(G.allowed(i, j) == (j in row) for i, row in enumerate(rows)
+               for j in range(9))
+    back_rows, back_ids = G.before.pairs()
+    assert [back_ids[back_rows == j].tolist() for j in range(9)] == [
+        [0], [0, 3], [0, 3], [3], [2], [0], [8], [0], [0]]
+    # predecessors 0 and 3 of saddles 1 and 2: one run each
+    assert np.diff(G.before.ptr).tolist() == [1, 2, 2, 1, 1, 1, 1, 1, 1]
+
+
 def test_self_concatenation_recorded(G2):
     # going out the way you came in turns by the full cone angle minus 0,
     # which clears pi on both sides

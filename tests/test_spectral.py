@@ -1,13 +1,19 @@
+import contextlib
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tsurf
-from tsurf import solve_entropy, spectral_radius, truncated_scc, v_weights
+from tsurf import solve_entropy, spectral, spectral_radius, truncated_scc, v_weights
+from tsurf.paths import Runs
 from tsurf.spectral import default_cutoffs, weight_matrix
 
-from oracles import bisect_lambda_one, five_product_power_iteration, scipy_truncated_scc
+from oracles import (bisect_lambda_one, dense_spectral_radius,
+                     dense_truncated_scc, dense_weight_matrix,
+                     five_product_power_iteration, scipy_truncated_scc)
 
 
 def test_complete3_entropy_is_log3(C3):
@@ -44,7 +50,7 @@ def test_spectral_radius_against_dense_eig():
 
 def test_reused_products_keep_the_iterates(G9):
     # two products per iteration instead of five, with identical floats
-    W = weight_matrix(G9, 2.5)
+    W = dense_weight_matrix(G9, 2.5)
     for A in (np.random.default_rng(3).random((25, 25)), W.matrix()):
         res = spectral_radius(A)
         lam, u, v, r, it = five_product_power_iteration(A)
@@ -165,20 +171,17 @@ def test_dense_scc_matches_scipy_oracle_on_random_graphs(density):
     for _ in range(5):
         n = 40
         rows = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
-        G = tsurf.ConcatGraph(
-            saddles=None, lengths=np.sort(rng.integers(1, 9, n)).astype(float),
-            start=[0] * n, end=[0] * n,
-            indptr=np.concatenate(([0], np.cumsum([len(r) for r in rows]))),
-            succ=np.concatenate(rows), cone_k=[1], max_length_sq=None)
+        G = tsurf.ConcatGraph.from_rows(
+            rows, lengths=np.sort(rng.integers(1, 9, n)).astype(float),
+            start=[0] * n, end=[0] * n, cone_k=[1])
         for L in np.unique(G.lengths):
             assert _scc_or_error(truncated_scc, G, L) == _scc_or_error(scipy_truncated_scc, G, L), L
 
 
 def test_scc_tie_takes_the_smallest_id():
     # two disjoint 2-cycles {0, 3} and {1, 2} of the same size
-    G = tsurf.ConcatGraph(saddles=None, lengths=[1.0] * 4, start=[0] * 4,
-                          end=[0] * 4, indptr=[0, 1, 2, 3, 4], succ=[3, 2, 1, 0],
-                          cone_k=[1], max_length_sq=None)
+    G = tsurf.ConcatGraph.from_rows([[3], [2], [1], [0]], lengths=[1.0] * 4,
+                                    start=[0] * 4, end=[0] * 4, cone_k=[1])
     assert truncated_scc(G).tolist() == [0, 3]
 
 
@@ -219,3 +222,115 @@ def test_report_fields(G9):
     assert rep["cutoff"] == 3.0
     assert len(rep["per_cutoff"]) == 2
     assert rep["tail_estimate"] >= 0.0
+
+
+@contextlib.contextmanager
+def _dense_spectral_layer():
+    """solve_entropy and v_weights on the dense oracles: the closure
+    squaring for the component and m @ v, m.T @ u for the products."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "weight_matrix", dense_weight_matrix)
+        mp.setattr(spectral, "spectral_radius", dense_spectral_radius)
+        yield
+
+
+@st.composite
+def interval_relations(draw):
+    """A random relation as runs over one or two cones: the saddles are
+    ordered by start cone, and each saddle's successors are one cyclic
+    range of the block of its end cone (two runs when it wraps). Lengths
+    sorted, with repeats; the cutoff keeps a random prefix, possibly
+    empty."""
+    n = draw(st.integers(1, 14))
+    cones = draw(st.integers(1, 2))
+    start = draw(st.lists(st.integers(0, cones - 1), min_size=n, max_size=n))
+    end = draw(st.lists(st.integers(0, cones - 1), min_size=n, max_size=n))
+    lengths = sorted(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    order = sorted(draw(st.permutations(range(n))), key=lambda s: start[s])
+    starts = [start[s] for s in order]
+    ptr, lo, hi = [0], [], []
+    for s in range(n):
+        b0, b1 = bisect_left(starts, end[s]), bisect_right(starts, end[s])
+        if b1 > b0:
+            a = draw(st.integers(b0, b1 - 1))
+            size = draw(st.integers(0, b1 - b0))
+            for x, y in ((a, min(a + size, b1)), (b0, b0 + a + size - b1)):
+                if x < y:
+                    lo.append(x)
+                    hi.append(y)
+        ptr.append(len(lo))
+    G = tsurf.ConcatGraph(None, np.array(lengths, dtype=float), start, end,
+                          [1] * cones, Runs(order, ptr, lo, hi), None, None)
+    cutoff = draw(st.sampled_from([0.5, *sorted(set(lengths))]))
+    return G, float(cutoff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_relations(), st.floats(0.0, 3.0))
+def test_runs_spectral_layer_matches_dense_oracles(case, sigma):
+    G, cutoff = case
+    got = _scc_or_error(truncated_scc, G, cutoff)
+    assert got == _scc_or_error(scipy_truncated_scc, G, cutoff)
+    assert got == _scc_or_error(dense_truncated_scc, G, cutoff)
+    if isinstance(got, str):
+        return
+    W = weight_matrix(G, sigma, cutoff)
+    D = dense_weight_matrix(G, sigma, cutoff)
+    assert W.ids.tolist() == D.ids.tolist() == got
+    m = D.matrix()
+    x = np.random.default_rng(len(got)).random(W.size) + 0.5
+    # every row and column of a component with a cycle has an entry
+    assert np.allclose(W.dot(x), m @ x, rtol=1e-12, atol=0)
+    assert np.allclose(W.tdot(x), m.T @ x, rtol=1e-12, atol=0)
+    lam = spectral_radius(W).lam
+    assert abs(lam - dense_spectral_radius(D).lam) <= 1e-12 * max(1.0, lam)
+
+
+REAL_GRAPHS = [("lshape", 25), ("lshape", 49), ("lshape", 100), ("slit_tori", 25)]
+
+
+@pytest.fixture(scope="module", params=REAL_GRAPHS,
+                ids=[f"{name}-{budget}" for name, budget in REAL_GRAPHS])
+def real_graph(request):
+    name, budget = request.param
+    return tsurf.build_concat_graph(tsurf.builtin_surface(name), budget)
+
+
+def test_runs_scc_matches_both_oracles_on_surfaces(real_graph):
+    G = real_graph
+    for L in np.unique(G.lengths):
+        got = _scc_or_error(truncated_scc, G, L)
+        assert got == _scc_or_error(scipy_truncated_scc, G, L), L
+        assert got == _scc_or_error(dense_truncated_scc, G, L), L
+
+
+def test_runs_entropy_matches_dense_oracle_on_surfaces(real_graph):
+    G = real_graph
+    est = solve_entropy(G)
+    ids, w = v_weights(G)
+    lams = [spectral_radius(weight_matrix(G, p["h"], p["cutoff"])).lam
+            for p in est.per_cutoff]
+    with _dense_spectral_layer():
+        dense = solve_entropy(G)
+        dense_ids, dense_w = v_weights(G)
+    dense_lams = [dense_spectral_radius(dense_weight_matrix(G, p["h"], p["cutoff"])).lam
+                  for p in est.per_cutoff]
+    assert np.allclose(lams, dense_lams, rtol=0, atol=1e-12)
+    for p, q in zip(est.per_cutoff, dense.per_cutoff, strict=True):
+        assert p["scc_size"] == q["scc_size"]
+        assert abs(p["h"] - q["h"]) <= 1e-12
+    assert np.array_equal(ids, dense_ids)
+    assert np.allclose(w, dense_w, rtol=0, atol=1e-12)
+
+
+def test_entropy_path_builds_no_stored_relation(lshape):
+    # the successor relation stays as runs: no CSR, no k x k array
+    G = tsurf.build_concat_graph(lshape, 100)
+    solve_entropy(G)
+    v_weights(G)
+    W = weight_matrix(G, 2.5)
+    assert W.size == 576
+    assert all(np.ndim(a) == 1 for a in (W.rows, W.bounds, W.cols, W.weights))
+    assert "_csr" not in vars(G)
+    assert len(G.out) == G.n  # the census view expands on first use
+    assert "_csr" in vars(G)
