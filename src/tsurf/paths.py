@@ -132,8 +132,7 @@ class ConcatGraph:
     @functools.cached_property
     def _csr(self):
         """indptr, succ and the row views, expanded from the successor runs
-        one row at a time (no temporary as large as the relation), each row
-        sorted by id."""
+        one row at a time, each row sorted by id."""
         a = self.after
         rows = []
         for r0, r1 in zip(a.ptr.tolist(), a.ptr[1:].tolist()):
