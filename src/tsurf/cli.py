@@ -3,8 +3,9 @@
 Machine-readable output (CSV or JSON) goes to stdout and, with --out, into
 files under that directory; one-line human summaries go to stderr. Artifacts
 are deterministic: the same subcommand and flags produce the same bytes.
-Nothing is sampled; `--seed`, and `--samples` of `measure` and `volume`,
-are accepted for old command lines and not read.
+Nothing is sampled. `--seed`, and `--samples` of `measure` and `volume`,
+are hidden from the help; they still parse, so old command lines run, and
+nothing reads them.
 
 Radii, bounds and budgets are parsed as exact rationals and reach the
 budget check unrounded, so `--radius 11/10` needs `--max-length-sq 121/100`
@@ -47,8 +48,7 @@ def _common(p: argparse.ArgumentParser):
                    help="load a surface description from FILE")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="also write artifacts under DIR")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: no subcommand samples")
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--svg", action="store_true",
                    help="also emit an SVG figure where supported")
 
@@ -311,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=int, default=0)
     p.add_argument("--radius", required=True)
     p.add_argument("--grid", type=int, default=4, help="cells per polygon side")
-    p.add_argument("--samples", type=int, default=2,
-                   help="accepted and ignored: the measure is not sampled")
+    p.add_argument("--samples", type=int, help=argparse.SUPPRESS)
     p.add_argument("--max-length-sq", default=None)
 
     p = add("volume", cmd_volume, "ball volume inside a set of cells")
@@ -321,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4)
     p.add_argument("--cells", default="all",
                    help="'all' or comma-separated cell ids")
-    p.add_argument("--samples", type=int, default=32,
-                   help="accepted and ignored: the volume is not sampled")
+    p.add_argument("--samples", type=int, help=argparse.SUPPRESS)
     p.add_argument("--max-length-sq", default=None)
 
     p = add("geodesics", cmd_geodesics, "primitive closed geodesic counts")

@@ -29,13 +29,11 @@ import numpy as np
 
 from .errors import InvalidParams, TruncationError
 from .geometry import Wedge, neg
-from .paths import ConcatGraph, _dot
+from .paths import ConcatGraph, Runs, _extend
 from .rational import parse_rational
 from .unfold import integer_polygons, unfold_wedge
 
 
-# Cells per chunk of the (walks x saddles) extension masks.
-_MASK_CELLS = 1 << 16
 # Relative width of the band around a float comparison in which `F`
 # decides n * l(q) <= T exactly; float errors here are about 1e-16.
 _BAND = 1e-12
@@ -285,45 +283,36 @@ def _runs(code: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(code, prepend=-1))
 
 
-def _follows(G: ConcatGraph, m: int) -> np.ndarray:
-    """follows[s, j]: j may follow s, among the first m saddles, read off
-    the successor runs of those rows one run at a time (no temporary as
-    large as the relation)."""
-    a = G.after
-    follows = np.zeros((m, m), dtype=bool)
-    for s, r0, r1 in zip(range(m), a.ptr.tolist(), a.ptr[1:].tolist()):
-        for lo, hi in zip(a.lo[r0:r1], a.hi[r0:r1]):
-            ids = a.order[lo:hi]
-            follows[s, ids[ids < m]] = True
-    return follows
-
-
-def _closing_costs(follows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _closing_costs(G: ConcatGraph, m: int) -> np.ndarray:
     """cost[r, j]: l(j) plus the least sum of the lengths of the letters
     still to be appended after j so that r may follow the last one (zero
-    when r may follow j).
+    when r may follow j), among the first m saddles.
 
     One Floyd-Warshall with no zero diagonal gives D[j, u], the cheapest
     path of at least one step from j to u, weighted by the letters entered;
     the letters appended after j before closing at r cost D[j, r] - l(r)."""
-    D = np.where(follows, lengths, math.inf)
-    for k in range(len(lengths)):
+    lengths = G.lengths[:m]
+    s, j = G.after.pairs(np.arange(m))
+    inside = j < m
+    D = np.full((m, m), math.inf)
+    D[s[inside], j[inside]] = lengths[j[inside]]
+    for k in range(m):
         np.minimum(D, D[:, k, None] + D[k], out=D)
     return lengths + (D - lengths).T
 
 
-def _closed_walks(follows, cost, keys: _Keys, limit: float):
+def _closed_walks(after: Runs, cost, keys: _Keys, limit: float):
     """Rooted closed walks of float length <= limit, graded by letter count
     and key: arrays (letters, root, key, count), one row per distinct
     (letters, root, key).
 
     A state (root r, last letter c, key, count) stands for count walks that
-    start with r. Each step extends a state to the successors j of c with
-    l(j) plus the cost of closing at r within limit - l(key), and merges
-    equal (r, j, key) by summing counts. A state is a closed walk when r
-    may follow c. The running total of walks is kept in Python ints, so no
-    int64 count or sum of counts below it wraps."""
-    m = len(follows)
+    start with r. Each step extends a state to the successors j < m of c
+    with l(j) plus the cost of closing at r within limit - l(key)
+    (`paths._extend`), and merges equal (r, j, key) by summing counts. A
+    state is a closed walk when r may follow c."""
+    m = len(cost)
+    floor = cost.min(axis=1, initial=math.inf)
     kf = keys.floats()
     r = np.flatnonzero(np.diagonal(cost) <= limit)
     c = r
@@ -332,27 +321,24 @@ def _closed_walks(follows, cost, keys: _Keys, limit: float):
     total = len(r)
     rows, n = [], 1
     while len(r):
-        closed = follows[c, r]
+        closed = after.contains(c, r)
         rows.append((np.full(int(closed.sum()), n), r[closed], key[closed],
                      count[closed]))
         if len(kf) < len(keys.vecs):
             kf = keys.floats()
         budget = limit - kf[key]
-        step = max(1, _MASK_CELLS // m)
-        src, nxt = [], []
-        for a in range(0, len(r), step):
-            mask = follows[c[a:a + step]] & (cost[r[a:a + step]]
-                                              <= budget[a:a + step, None])
-            s, j = np.nonzero(mask)
-            src.append(s + a)
-            nxt.append(j)
-        src, j = np.concatenate(src), np.concatenate(nxt)
+        # only a state with some letter that closes at r in budget extends
+        live = floor[r] <= budget
+        r, c, key, count, budget = (a[live] for a in (r, c, key, count, budget))
+
+        def keep(src, j):
+            # a j >= m reads a clipped cell of cost; j < m drops it
+            return (j < m) & (cost.take(r[src] * m + j, mode="clip") <= budget[src])
+
+        src, j, total = _extend(after, c, count, keep, total,
+                                "closed walks within the bound")
         if not len(src):
             break
-        total += _dot(count, np.bincount(src, minlength=len(count)))
-        if total >= 1 << 63:
-            raise InvalidParams(f"{total} closed walks within the bound "
-                                "reach 2**63; the counts are int64")
         code = (keys.step(key[src], keys.cls[j]) * m + r[src]) * m + j
         order = np.argsort(code, kind="stable")
         code = code[order]
@@ -400,13 +386,12 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
     # Rounding is monotone, so every saddle of length <= T is in the first m.
     m = int(np.searchsorted(G.lengths, t, side="right"))
     keys = _length_keys(G, m)
-    follows = _follows(G, m)
-    cost = _closing_costs(follows, G.lengths[:m])
+    cost = _closing_costs(G, m)
     # Each float compared against the limit is a sum of at most m + 3
     # correctly rounded terms of size at most 2T, so this margin bounds its
     # rounding: no walk of exact length <= T is pruned.
     limit = t + 4 * (m + 4) * np.finfo(np.float64).eps * t
-    letters, root, key, a = _closed_walks(follows, cost, keys, limit)
+    letters, root, key, a = _closed_walks(G.after, cost, keys, limit)
     # Moebius inversion: add mu(k) times each walk's count at its k-th
     # power, for squarefree k >= 2 with the power within the limit. Every
     # count and every p is below 2**63 and p >= 0, so int64 array sums,

@@ -52,15 +52,29 @@ class Runs:
         """Number of related pairs."""
         return int((self.hi - self.lo).sum())
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, id) of every pair, row by row and run by run."""
-        rows = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
-        return np.repeat(rows, self.hi - self.lo), self.order[_spans(self.lo, self.hi)]
+    def _runs_of(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(t, run) of every run of row rows[t]."""
+        first, last = self.ptr[rows], self.ptr[rows + 1]
+        return np.repeat(np.arange(len(rows)), last - first), _spans(first, last)
 
-    def contains(self, i: int, j: int) -> bool:
-        p = self.pos[j]
-        return any(self.lo[r] <= p < self.hi[r]
-                   for r in range(self.ptr[i], self.ptr[i + 1]))
+    def pairs(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """(t, id) of every pair of row rows[t], t by t and run by run; rows
+        may repeat or be empty. With rows None, t is the row itself."""
+        rows = (np.arange(len(self.ptr) - 1) if rows is None
+                else np.asarray(rows, dtype=np.int64))
+        t, run = self._runs_of(rows)
+        lo, hi = self.lo[run], self.hi[run]
+        return np.repeat(t, hi - lo), self.order[_spans(lo, hi)]
+
+    def contains(self, i, j):
+        """Whether j is in row i, elementwise over arrays."""
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64),
+                                   np.asarray(j, dtype=np.int64))
+        t, run = self._runs_of(i.ravel())
+        p = self.pos[j.ravel()[t]]
+        hit = np.zeros(i.size, dtype=bool)
+        hit[t[(self.lo[run] <= p) & (p < self.hi[run])]] = True
+        return hit.reshape(i.shape)[()]
 
     @classmethod
     def from_pairs(cls, rows, ids, n: int) -> "Runs":
@@ -90,9 +104,9 @@ class ConcatGraph:
     its end cone. `before.order` lists them by (end cone, sector, ccw
     back-direction), and the predecessors of saddle j are one cyclic range
     of that; the constructor takes `before` as a function that makes them
-    (None: transpose `after`). The CSR view `indptr`/`succ`/`out`
-    (successors sorted by id, which is also (length, id) order) is
-    expanded on first use, for the path census and the tests.
+    (None: transpose `after`). Every pipeline reads `after` and `before`
+    as runs; `out`, each row sorted by id, is a view for the benchmark
+    tracer and the tests.
     max_length_sq None means the graph is complete for every radius
     (synthetic fixtures); otherwise queries beyond the budget raise
     TruncationError."""
@@ -130,38 +144,16 @@ class ConcatGraph:
         return cls(None, lengths, start, end, cone_k, after, None, None)
 
     @functools.cached_property
-    def _csr(self):
-        """indptr, succ and the row views, expanded from the successor runs
-        one row at a time, each row sorted by id."""
-        a = self.after
-        rows = []
-        for r0, r1 in zip(a.ptr.tolist(), a.ptr[1:].tolist()):
-            runs = [a.order[lo:hi] for lo, hi in zip(a.lo[r0:r1], a.hi[r0:r1])]
-            rows.append(np.sort(runs[0] if len(runs) == 1
-                                else np.concatenate([a.order[:0], *runs])))
-        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
-        succ = np.concatenate([a.order[:0], *rows])
-        return indptr, succ, [succ[x:y] for x, y in zip(indptr[:-1], indptr[1:])]
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._csr[0]
-
-    @property
-    def succ(self) -> np.ndarray:
-        return self._csr[1]
-
-    @property
     def out(self) -> list:
-        """Row views into succ, one per saddle."""
-        return self._csr[2]
+        """The successors of each saddle sorted by id, which is also
+        (length, id) order."""
+        rows, ids = self.after.pairs()
+        ids = ids[np.lexsort((ids, rows))]
+        return np.split(ids, np.cumsum(np.bincount(rows, minlength=self.n))[:-1])
 
     @property
     def edges(self) -> int:
         return self.after.size
-
-    def allowed(self, i: int, j: int) -> bool:
-        return self.after.contains(i, j)
 
     def check_radius(self, R):
         """Queries at radius R are only complete if every saddle connection
@@ -309,10 +301,43 @@ def _dot(a, b) -> int:
     return sum(map(operator.mul, a.tolist(), b.tolist()))
 
 
-def _check_int64(total: int, what: str, Rmax: float):
+def _check_int64(total: int, what: str):
     if total >= 1 << 63:
-        raise InvalidParams(f"{total} {what} up to R = {Rmax:g} reach 2**63; "
-                            "the census counts are int64")
+        raise InvalidParams(f"{total} {what} reach 2**63; the counts are int64")
+
+
+# Successor pairs expanded at a time by `_extend`.
+_BATCH = 1 << 14
+
+
+def _extend(after: Runs, last, count, keep, total: int, what: str):
+    """The kept successor pairs (src, j) of counted states, and the new
+    running total.
+
+    State s stands for count[s] walks that end with saddle last[s]. Its
+    successors j are read off the runs of `after`, at most _BATCH pairs at
+    a time (a longer row alone), and keep(src, j) says which pairs to keep,
+    so no temporary grows with the pairs dropped. total counts the walks so
+    far in Python ints; with the kept extensions added, it raises
+    InvalidParams at 2**63, below which no int64 count and no sum of counts
+    wraps."""
+    at = np.concatenate(([0], np.cumsum(after.hi - after.lo)))[after.ptr]
+    ends = np.cumsum(np.diff(at)[last])
+    src, nxt = [np.zeros(0, dtype=np.int64)], [after.order[:0]]
+    a = 0
+    while a < len(last):
+        done = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + _BATCH, side="right")))
+        t, j = after.pairs(last[a:b])
+        t += a
+        ok = keep(t, j)
+        src.append(t[ok])
+        nxt.append(j[ok])
+        a = b
+    src, j = np.concatenate(src), np.concatenate(nxt)
+    total += _dot(count, np.bincount(src, minlength=len(count)))
+    _check_int64(total, what)
+    return src, j, total
 
 
 def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
@@ -322,10 +347,11 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     ordered by terminal in chunk order: the first-level terminals by id,
     then each level's terminals by the first (chunk of the predecessor,
     successor id) pair that reaches them. A step extends every group along
-    the CSR row of its terminal saddle j when length <= Rmax - l_j, to
-    length + l_j, and merges equal (j, length) by summing counts. The float
-    lengths are those of the per-path sums in path order, and the final
-    stable sort by length puts equal lengths in (level, chunk) order."""
+    the successor runs of its terminal saddle j when length <= Rmax - l_j,
+    to length + l_j, and merges equal (j, length) by summing counts, so the
+    order of the successors inside a row does not matter. The float lengths
+    are those of the per-path sums in path order, and the final stable sort
+    by length puts equal lengths in (level, chunk) order."""
     G.check_radius(Rmax)
     Rmax = float(Rmax)
     if not (0 <= x < len(G.cone_k)):
@@ -336,25 +362,15 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     rank = np.arange(len(term))
     levels = [(term[:0], length[:0], count[:0])]
     total = len(term)
+    what = f"paths up to R = {Rmax:g}"
     while len(term):
         levels.append((term, length, count))
-        # Every (group, successor) pair, read off the CSR row of the group.
-        first = G.indptr[term]
-        deg = G.indptr[term + 1] - first
-        src = np.repeat(np.arange(len(term)), deg)
-        offset = np.arange(len(src)) - np.repeat(np.cumsum(deg) - deg, deg)
-        j = G.succ[first[src] + offset]
-        lj = G.lengths[j]
-        keep = length[src] <= Rmax - lj
-        if not keep.any():
+        src, j, total = _extend(
+            G.after, term, count,
+            lambda src, j: length[src] <= Rmax - G.lengths[j], total, what)
+        if not len(src):
             break
-        src, j = src[keep], j[keep]
-        # The next level's paths, in Python ints: while the running total
-        # stays below 2**63, no int64 count of the census and no prefix sum
-        # of them wraps.
-        total += _dot(count, np.bincount(src, minlength=len(count)))
-        _check_int64(total, "paths", Rmax)
-        ext = length[src] + lj[keep]
+        ext = length[src] + G.lengths[j]
         # Pairs run by group, groups by chunk: the first pair into each j
         # comes from its earliest predecessor chunk. Chunks follow those
         # ranks, ties by id.
@@ -446,7 +462,7 @@ def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
     g = np.searchsorted(census.group_lengths, radii, side="right")
     idx = census.ends[g]
     _check_int64(_dot(census.group_k, census.counts),
-                 "k-weighted paths", census.Rmax)
+                 f"k-weighted paths up to R = {census.Rmax:g}")
     k_ends = np.concatenate(([0], np.cumsum(census.group_k * census.counts)))
     s0 = k_ends[g].astype(np.float64)
     kt = census.group_k.astype(np.float64)

@@ -117,7 +117,7 @@ def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
         raise EmptySCC(f"no saddles within cutoff {cutoff}")
     best, key = None, None
     for comp in _components(G.before, k, _postorder(G.after, k)[::-1]):
-        if len(comp) == 1 and not G.allowed(comp[0], comp[0]):
+        if len(comp) == 1 and not G.after.contains(comp[0], comp[0]):
             continue
         if key is None or (len(comp), -min(comp)) > key:
             best, key = comp, (len(comp), -min(comp))

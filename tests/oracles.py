@@ -50,6 +50,9 @@
   `_RankedRows`), with float word lengths from `word_lengths` (bit for bit
   `word_length`) and a 1e-9 pruning slack; its `WordCensus` counts word by
   word. The closed-walk counts over exact length keys replaced it.
+- `dense_follows`: the k x k boolean mask of which saddle may follow which,
+  which the closed-walk census read before it stepped along the successor
+  runs; the dense closure, the return bounds and the Lyndon search use it.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from scipy.sparse.csgraph import connected_components
 from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
                    SpectralResult, TruncationError, spectral_radius)
 from tsurf.circles import MeasureHistogram, _circle_arcs
-from tsurf.geodesics import _follows
 from tsurf.geometry import (Wedge, add, cross, dot, neg, norm_dir, norm_sq,
                             same_dir, sub, wedge_intersect, wedge_split)
 from tsurf.paths import PathCensus, circle_length
@@ -212,7 +214,8 @@ def scipy_truncated_scc(G, cutoff=None) -> np.ndarray:
     k = G.n if cutoff is None else int(np.searchsorted(G.lengths, cutoff, side="right"))
     if k == 0:
         raise EmptySCC(f"no saddles within cutoff {cutoff}")
-    m = csr_matrix((np.ones(len(G.succ), dtype=np.int8), G.succ, G.indptr),
+    rows, ids = G.after.pairs()
+    m = csr_matrix((np.ones(len(ids), dtype=np.int8), (rows, ids)),
                    shape=(G.n, G.n))[:k, :k]
     if m.nnz == 0:
         raise EmptySCC(f"no concatenations within cutoff {cutoff}")
@@ -229,14 +232,14 @@ def scipy_truncated_scc(G, cutoff=None) -> np.ndarray:
     return np.flatnonzero(labels == labels[first]).astype(np.int32)
 
 
-def _dense_adjacency(G, k: int) -> np.ndarray:
-    """k x k boolean adjacency of the saddles below k, from the CSR view."""
-    rows = np.repeat(np.arange(k), np.diff(G.indptr[:k + 1]))
-    cols = G.succ[:G.indptr[k]]
-    inside = cols < k
-    a = np.zeros((k, k), dtype=bool)
-    a[rows[inside], cols[inside]] = True
-    return a
+def dense_follows(G, k: int) -> np.ndarray:
+    """follows[s, j]: j may follow s, among the first k saddles, as a k x k
+    boolean array."""
+    rows, ids = G.after.pairs(np.arange(k))
+    inside = ids < k
+    follows = np.zeros((k, k), dtype=bool)
+    follows[rows[inside], ids[inside]] = True
+    return follows
 
 
 def dense_truncated_scc(G, cutoff=None) -> np.ndarray:
@@ -249,7 +252,7 @@ def dense_truncated_scc(G, cutoff=None) -> np.ndarray:
     k = G.n if cutoff is None else int(np.searchsorted(G.lengths, cutoff, side="right"))
     if k == 0:
         raise EmptySCC(f"no saddles within cutoff {cutoff}")
-    a = _dense_adjacency(G, k)
+    a = dense_follows(G, k)
     if not a.any():
         raise EmptySCC(f"no concatenations within cutoff {cutoff}")
     reach = a
@@ -295,7 +298,7 @@ class DenseWeightMatrix:
 
 def dense_weight_matrix(G, sigma: float, cutoff=None) -> DenseWeightMatrix:
     ids = dense_truncated_scc(G, cutoff)
-    a = _dense_adjacency(G, int(ids.max()) + 1)
+    a = dense_follows(G, int(ids.max()) + 1)
     lengths = G.lengths[ids]
     return DenseWeightMatrix(ids, lengths, a[np.ix_(ids, ids)],
                              np.exp(-float(sigma) * lengths), float(sigma))
@@ -367,7 +370,7 @@ def brute_closed_words(G, T) -> set[tuple[int, ...]]:
 
     def extend(word, length):
         last = word[-1]
-        if G.allowed(last, word[0]) and is_primitive(tuple(word)):
+        if G.after.contains(last, word[0]) and is_primitive(tuple(word)):
             out.add(slice_min_rotation(tuple(word)))
         for j in G.out[last]:
             nl = length + float(G.lengths[j])
@@ -913,7 +916,7 @@ def return_bounds(G: ConcatGraph, T: float) -> np.ndarray:
     so row k reads off D at the letters k may follow. O(m^3) in dense
     min-plus steps."""
     m = int(np.searchsorted(G.lengths, T, side="right"))
-    follows = _follows(G, m)
+    follows = dense_follows(G, m)
     D = np.where(follows, G.lengths[:m], math.inf)
     np.fill_diagonal(D, 0.0)
     bounds = np.full((m, G.n), math.inf)
@@ -1001,7 +1004,7 @@ def lyndon_census(G: ConcatGraph, T) -> WordCensus:
     limit = T + slack
     lengths = G.lengths.tolist()
     bounds = return_bounds(G, T)
-    follows = _follows(G, len(bounds))
+    follows = dense_follows(G, len(bounds))
     words: list[tuple[int, ...]] = []
     for anchor, back in enumerate(bounds):
         back_of = back.tolist()

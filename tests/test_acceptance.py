@@ -83,7 +83,7 @@ def test_concatenation_two_of_three(G2):
     assert len(by_hol) == 8 and all(len(v) == 3 for v in by_hol.values())
     for s in G2.saddles:
         for hol, members in by_hol.items():
-            allowed = sum(G2.allowed(s.id, j) for j in members)
+            allowed = G2.after.contains(s.id, members).sum()
             if hol == s.holonomy:
                 assert allowed == 3, (s.id, hol)
             else:

@@ -160,6 +160,36 @@ def test_benchmark_tracer_patch_targets_exist():
         assert callable(getattr(owner, attr)), attr
 
 
+def test_benchmark_tracer_hooks_read_the_graph_and_census(lshape):
+    # perfbench/tracing.py counts edges off G.out and census paths off the
+    # per-path views; run its hooks on a small pipeline, read as in the
+    # test above
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    mod = types.ModuleType("perfbench_tracing")
+    mod.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    t = mod.Tracer()
+    t.begin(0)
+    G = tsurf.build_concat_graph(lshape, 9)
+    mod._graph_hook(t, G)
+    census = tsurf.path_length_census(G, 0, 3)
+    mod._census_hook(t, census)
+    mod._measure_hook(t, tsurf.circle_measure(G, 0, 3, tsurf.CellGrid(lshape, 2),
+                                              census))
+    assert t.counters[0]["paths.edges"] == G.edges
+    assert t.counters[0]["paths.census_paths"] == census.count(3)
+    assert t.problems[0] == []
+
+
+@pytest.mark.parametrize("command", ["validate", "measure", "volume"])
+def test_unread_flags_stay_out_of_the_help(capsys, command):
+    # --seed and --samples still parse (test_measure_same_bytes_for_any_seed)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "--seed" not in out and "--samples" not in out
+
+
 def test_volume_row(capsys):
     code, out, _ = run(capsys, "volume", "--builtin", "lshape",
                        "--radius", "1.2", "--grid", "2", "--samples", "8",
@@ -231,19 +261,26 @@ def test_cli_import_loads_no_scipy():
 
 def test_circle_census_peak_memory(tmp_path):
     # 24,872,412 paths up to R = 7 on the L; the census keeps counted
-    # groups, so the process stays far below one row per path
+    # groups, so the process stays far below one row per path. The child
+    # reports its own high-water mark: the rusage of a child started by
+    # fork and exec also holds the parent's peak from before the exec.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    argv = [sys.executable, "-m", "tsurf.cli", "circle", "--builtin", "lshape",
+    code = ("import sys, tsurf.cli\n"
+            "rc = tsurf.cli.main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as f:\n"
+            "    print(*[r for r in f if r.startswith('VmHWM:')], file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    argv = [sys.executable, "-c", code, "circle", "--builtin", "lshape",
             "--rmax", "7", "--step", "1/10", "--max-length-sq", "49",
             "--out", str(tmp_path)]
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here
-    assert proc.returncode == 0
-    assert usage.ru_maxrss / 1024 < 256  # KiB on Linux
+    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    name, kib, unit = proc.stderr.split()[-3:]
+    assert (name, unit) == ("VmHWM:", "kB")
+    assert int(kib) / 1024 < 256
     rows = (tmp_path / "circle.csv").read_text().splitlines()[1:]
     assert len(rows) == 70
     assert rows[-1].startswith("7,24872412,")

@@ -19,10 +19,10 @@ from hypothesis import given, strategies as st
 
 import tsurf
 from tsurf import InvalidParams, TruncationError, enumerate_closed, occupancy, pi_stats
-from tsurf.geodesics import _closing_costs, _follows, saddle_cell_lengths, stats_csv
+from tsurf.geodesics import _closing_costs, saddle_cell_lengths, stats_csv
 from tsurf.unfold import reversal_permutation
 
-from oracles import (brute_closed_words, dijkstra_return_bounds,
+from oracles import (brute_closed_words, dense_follows, dijkstra_return_bounds,
                      fraction_saddle_cell_lengths, is_primitive, lyndon_census,
                      per_word_pi_saddle, return_bounds, slice_min_rotation,
                      word_length, word_lengths)
@@ -100,7 +100,7 @@ def test_census_words_are_canonical_and_closed(G9):
         assert g.word == slice_min_rotation(g.word)
         assert is_primitive(g.word)
         for a, b in zip(g.word, g.word[1:] + g.word[:1]):
-            assert G9.allowed(a, b)
+            assert G9.after.contains(a, b)
         assert g.length == pytest.approx(
             word_length(G9.lengths, np.array(g.word)), rel=1e-12)
 
@@ -452,8 +452,8 @@ def test_closed_walk_counts_past_int64_raise():
 def test_closing_costs_match_dijkstra(request, graph, T):
     G = request.getfixturevalue(graph)
     m = int(np.searchsorted(G.lengths, T, side="right"))
-    follows = _follows(G, m)
-    cost = _closing_costs(follows, G.lengths[:m])
+    follows = dense_follows(G, m)
+    cost = _closing_costs(G, m)
     rev = [[] for _ in range(G.n)]
     for s, row in enumerate(G.out):
         for j in row.tolist():

@@ -59,9 +59,15 @@ def oracle_graph(request):
 def test_allowed_matches_pairwise_half_turn_test(oracle_graph):
     # every ordered pair, different cones included
     G = oracle_graph
-    for i in range(G.n):
-        got = [G.allowed(i, j) for j in range(G.n)]
-        assert got == [pairwise_allowed(G, i, j) for j in range(G.n)], i
+    want = np.array([[pairwise_allowed(G, i, j) for j in range(G.n)]
+                     for i in range(G.n)])
+    # every pair at once, and the rows of a list with repeats
+    i, j = np.meshgrid(np.arange(G.n), np.arange(G.n), indexing="ij")
+    assert np.array_equal(G.after.contains(i, j), want)
+    ask = np.array([0, G.n - 1, 0, 3, 3, 1])
+    t, ids = G.after.pairs(ask)
+    assert [sorted(ids[t == k].tolist()) for k in range(len(ask))] == [
+        np.flatnonzero(want[a]).tolist() for a in ask]
 
 
 def test_out_lists_sorted_by_length_then_id(oracle_graph):
@@ -87,8 +93,31 @@ def test_predecessor_runs_are_the_successor_relation_reversed(oracle_graph):
 def test_edges_count_the_runs_without_the_csr(lshape):
     G = tsurf.build_concat_graph(lshape, 49)
     assert repr(G) == "ConcatGraph(n=264, edges=46728)"
-    assert "_csr" not in vars(G)
-    assert G.edges == len(G.succ) == sum(len(o) for o in G.out)
+    assert "out" not in vars(G)
+    assert G.edges == sum(len(o) for o in G.out)
+
+
+def test_censuses_step_along_the_runs(lshape):
+    # the path census and the closed walks read the successor runs; neither
+    # expands a stored relation on the graph
+    G = tsurf.build_concat_graph(lshape, 9)
+    tsurf.path_length_census(G, 0, 3.0)
+    tsurf.enumerate_closed(G, 3)
+    assert not {"_csr", "out"} & set(vars(G))
+
+
+def test_censuses_do_not_depend_on_the_batch_size(G9, monkeypatch):
+    # at 5 pairs a batch every row of G9 is longer than a batch
+    census = tsurf.path_length_census(G9, 0, 3.0)
+    closed = tsurf.enumerate_closed(G9, 3)
+    monkeypatch.setattr(paths, "_BATCH", 5)
+    small = tsurf.path_length_census(G9, 0, 3.0)
+    for a in ("group_lengths", "group_saddle", "counts"):
+        assert np.array_equal(getattr(small, a), getattr(census, a)), a
+    small = tsurf.enumerate_closed(G9, 3)
+    assert np.array_equal(small.lengths, closed.lengths)
+    assert np.array_equal(small.counts, closed.counts)
+    assert np.array_equal(small.visits(), closed.visits())
 
 
 def test_rows_compress_into_runs_of_consecutive_ids():
@@ -97,7 +126,7 @@ def test_rows_compress_into_runs_of_consecutive_ids():
                                     end=[0] * 9, cone_k=[1])
     assert np.diff(G.after.ptr).tolist() == [3, 0, 1, 1, 0, 0, 0, 0, 1]
     assert [o.tolist() for o in G.out] == [sorted(r) for r in rows]
-    assert all(G.allowed(i, j) == (j in row) for i, row in enumerate(rows)
+    assert all(G.after.contains(i, j) == (j in row) for i, row in enumerate(rows)
                for j in range(9))
     back_rows, back_ids = G.before.pairs()
     assert [back_ids[back_rows == j].tolist() for j in range(9)] == [
@@ -106,11 +135,31 @@ def test_rows_compress_into_runs_of_consecutive_ids():
     assert np.diff(G.before.ptr).tolist() == [1, 2, 2, 1, 1, 1, 1, 1, 1]
 
 
+def test_runs_pairs_and_contains_on_arrays():
+    # row 0 is three runs of consecutive ids; rows 1 and 4 are empty
+    rows = [[0, 1, 2, 5, 7, 8], [], [4], [3, 2, 1], [], [], [], [], [6]]
+    G = tsurf.ConcatGraph.from_rows(rows, lengths=[1.0] * 9, start=[0] * 9,
+                                    end=[0] * 9, cone_k=[1])
+    ask = [0, 1, 0, 3, 4, 8, 0]
+    t, ids = G.after.pairs(ask)
+    assert np.all(np.diff(t) >= 0)
+    assert [sorted(ids[t == k].tolist()) for k in range(len(ask))] == [
+        sorted(rows[a]) for a in ask]
+    t, ids = G.after.pairs([])
+    assert len(t) == len(ids) == 0
+    i, j = np.meshgrid(np.arange(9), np.arange(9), indexing="ij")
+    assert np.array_equal(G.after.contains(i, j),
+                          [[j in row for j in range(9)] for row in rows])
+    assert G.after.contains([0, 0, 1, 3, 0], [8, 3, 0, 3, 5]).tolist() == [
+        True, False, False, True, True]
+    assert G.after.contains(0, 5) and not G.after.contains(1, 5)
+
+
 def test_self_concatenation_recorded(G2):
     # going out the way you came in turns by the full cone angle minus 0,
     # which clears pi on both sides
     for i in range(len(G2.saddles)):
-        assert G2.allowed(i, i)
+        assert G2.after.contains(i, i)
 
 
 def _brute_paths(G, x, R):

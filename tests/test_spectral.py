@@ -331,6 +331,6 @@ def test_entropy_path_builds_no_stored_relation(lshape):
     W = weight_matrix(G, 2.5)
     assert W.size == 576
     assert all(np.ndim(a) == 1 for a in (W.rows, W.bounds, W.cols, W.weights))
-    assert "_csr" not in vars(G)
-    assert len(G.out) == G.n  # the census view expands on first use
-    assert "_csr" in vars(G)
+    assert "out" not in vars(G)
+    assert len(G.out) == G.n  # the sorted view expands on first use
+    assert "out" in vars(G)
