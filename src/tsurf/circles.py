@@ -194,23 +194,23 @@ def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
     """Checks shared by the estimators, then the arcs of the radius-R circle
     around cone x as (window, radius, count): the full cone at the center
     once, then one entry per census group of length <= R in census order,
-    standing for its count paths. The budget check reads R before it is
-    rounded to a float. Returns (float R, census, arcs)."""
+    standing for its count paths. Only the arc radii round R to a float.
+    Returns (R, census, arcs)."""
     if R <= 0:
         raise DegenerateRadius(f"radius must be positive, got {R}")
     G.check_radius(R)
     if census is None or census.Rmax < float(R):
         census = path_length_census(G, x, R)
-    R = float(R)
-    arcs = [(direction_window(G, x), R, 1)]
-    windows: dict[int, DirectionWindow] = {}
     g = census.groups(R)
+    r = float(R)
+    arcs = [(direction_window(G, x), r, 1)]
+    windows: dict[int, DirectionWindow] = {}
     for length, term, count in zip(census.group_lengths[:g].tolist(),
                                    census.group_saddle[:g].tolist(),
                                    census.counts[:g].tolist()):
         if term not in windows:
             windows[term] = direction_window(G, x, term)
-        arcs.append((windows[term], R - length, count))
+        arcs.append((windows[term], r - length, count))
     return R, census, arcs
 
 
@@ -381,7 +381,7 @@ def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
     total = circle_length(G, x, R, census)
     # Nothing is sampled, so no sample is retried or dropped; the keys stay
     # because perfbench/tracing.py reads them.
-    meta = {"R": R, "arcs": sum(count for _, _, count in arcs),
+    meta = {"R": float(R), "arcs": sum(count for _, _, count in arcs),
             "retried": 0, "dropped": 0,
             "unnormalized_total": float(masses.sum()),
             "circle_length": total}

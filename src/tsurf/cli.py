@@ -187,11 +187,7 @@ def cmd_circle(args) -> int:
     if step > rmax:
         raise InvalidParams("--step exceeds --rmax: the radius grid is empty")
     G = _graph(S, args, need_sq=rmax * rmax)
-    radii = []
-    r = step
-    while r <= rmax:
-        radii.append(float(r))
-        r += step
+    radii = [step * i for i in range(1, int(rmax / step) + 1)]
     census = path_length_census(G, args.center, rmax)
     _emit(args, "circle.csv", circle_csv(G, args.center, radii, census))
     _note(f"{len(radii)} radii up to {float(rmax):g} around cone {args.center}")
@@ -226,7 +222,7 @@ def cmd_volume(args) -> int:
                              f"ids, got {args.cells!r}") from None
     census = path_length_census(G, args.center, R)
     est = region_volume(G, args.center, R, grid, cells, census=census)
-    closed = ball_volume_closed(G, args.center, float(R), census)
+    closed = ball_volume_closed(G, args.center, R, census)
     # volume.csv keeps its standard_error column; the estimate is exact.
     text = ("R,estimate,standard_error,ball_volume_closed\n"
             f"{float(R):.17g},{est:.17g},0,{closed:.17g}\n")

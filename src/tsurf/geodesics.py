@@ -11,46 +11,27 @@ The census never lists words. It counts rooted closed walks by letter count
 and exact length, and recovers the primitive words from those counts by
 Moebius inversion over the letter count, as in the prime-orbit counting of
 Parry and Pollicott (Zeta functions and the periodic orbit structure of
-hyperbolic dynamics, Asterisque 187-188, 1990). Lengths are exact: a
-saddle's length is q sqrt(r) with q rational and r squarefree, and a sum of
-such lengths is a vector of rational coefficients over the distinct r.
-Square roots of distinct squarefree integers are linearly independent over
-Q (Besicovitch, J. London Math. Soc. 15, 1940), so equal vectors are equal
-lengths and every inclusion decision is exact.
+hyperbolic dynamics, Asterisque 187-188, 1990). Lengths are exact keys
+(`lengths`), so every inclusion decision is exact.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParams, TruncationError
+from .errors import InvalidParams
 from .geometry import Wedge, neg
+from .lengths import _Keys, exact_bound, keyed, merge
 from .paths import ConcatGraph, Runs, _extend
-from .rational import parse_rational
 from .unfold import integer_polygons, unfold_wedge
 
 
 # Relative width of the band around a float comparison in which `F`
 # decides n * l(q) <= T exactly; float errors here are about 1e-16.
 _BAND = 1e-12
-
-
-def _square_part(n: int) -> tuple[int, int]:
-    """(c, r) with n = c * c * r and r squarefree, by trial division."""
-    c, r, p = 1, 1, 2
-    while p * p <= n:
-        while n % (p * p) == 0:
-            n //= p * p
-            c *= p
-        if n % p == 0:
-            n //= p
-            r *= p
-        p += 1
-    return c, r * n
 
 
 def _mobius(n: int) -> int:
@@ -66,131 +47,6 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-class _Keys:
-    """Exact lengths sum_i a_i sqrt(radicands[i]) / den, each a tuple of
-    nonnegative integer coefficients a_i, with integer ids in order of first
-    appearance and the correctly rounded float of each.
-
-    `step` adds a saddle's length class to many keys at once through a
-    (key id, class) -> key id table that is filled on demand."""
-
-    def __init__(self, saddles: list[tuple[Fraction, int]]):
-        # saddles: (q, r) with l = q sqrt(r) per saddle
-        self.radicands = sorted({r for _, r in saddles})
-        self.den = math.lcm(*(q.denominator for q, _ in saddles))
-        at = {r: i for i, r in enumerate(self.radicands)}
-        self.irrational = [i for i, r in enumerate(self.radicands) if r != 1]
-        self.one = at.get(1)
-        self.vecs: list[tuple[int, ...]] = []
-        self.ids: dict[tuple[int, ...], int] = {}
-        self._floats: list[float] = []
-        self._sqrt: dict[int, list[Decimal]] = {}
-        classes: dict[tuple[int, ...], int] = {}
-        cls = []
-        for q, r in saddles:
-            vec = [0] * len(self.radicands)
-            vec[at[r]] = int(q * self.den)
-            cls.append(classes.setdefault(tuple(vec), len(classes)))
-        self.classes = list(classes)
-        self.cls = np.array(cls, dtype=np.int64)
-        self.class_key = np.array([self.id(v) for v in self.classes], dtype=np.int64)
-        self.table = np.full((64, max(len(classes), 1)), -1, dtype=np.int64)
-
-    def id(self, vec: tuple[int, ...]) -> int:
-        k = self.ids.get(vec)
-        if k is None:
-            k = self.ids[vec] = len(self.vecs)
-            self.vecs.append(vec)
-            self._floats.append(self._float(vec))
-        return k
-
-    def floats(self) -> np.ndarray:
-        return np.array(self._floats)
-
-    def step(self, key: np.ndarray, cls: np.ndarray) -> np.ndarray:
-        """Ids of key[i] + the length of class cls[i]."""
-        if len(self.vecs) > len(self.table):
-            grown = np.full((2 * len(self.vecs), self.table.shape[1]), -1,
-                            dtype=np.int64)
-            grown[:len(self.table)] = self.table
-            self.table = grown
-        nxt = self.table[key, cls]
-        miss = nxt < 0
-        if miss.any():
-            width = self.table.shape[1]
-            for pair in np.unique(key[miss] * width + cls[miss]).tolist():
-                k, c = divmod(pair, width)
-                self.table[k, c] = self.id(tuple(
-                    a + b for a, b in zip(self.vecs[k], self.classes[c])))
-            return self.step(key, cls)
-        return nxt
-
-    def _rational(self, vec) -> Fraction | None:
-        if any(vec[i] for i in self.irrational):
-            return None
-        return Fraction(0 if self.one is None else vec[self.one], self.den)
-
-    def _bracket(self, vec, prec: int) -> tuple[Decimal, Decimal]:
-        """Decimals lo < l < hi around an irrational length l, about prec
-        digits apart: the sum at prec digits, widened by a bound on its
-        rounding (each square root, product, sum and the quotient round
-        once, relative 10**(1 - prec) / 2 each, and all terms are >= 0)."""
-        with localcontext() as ctx:
-            ctx.prec = prec
-            roots = self._sqrt.get(prec)
-            if roots is None:
-                roots = self._sqrt[prec] = [Decimal(r).sqrt() for r in self.radicands]
-            v = sum((a * s for a, s in zip(vec, roots) if a), Decimal(0)) / self.den
-            # the bracket's own rounding at prec + 10 digits is far inside
-            # the widening
-            ctx.prec = prec + 10
-            err = (v * (2 * len(vec) + 4)).scaleb(1 - prec)
-            return v - err, v + err
-
-    def _float(self, vec) -> float:
-        exact = self._rational(vec)
-        if exact is not None:
-            return float(exact)
-        prec = 40
-        while True:
-            lo, hi = self._bracket(vec, prec)
-            if float(lo) == float(hi):
-                return float(lo)
-            prec *= 2
-
-    def le(self, vec, T: Fraction) -> bool:
-        """Whether the length vec is <= T, exactly. A length with an
-        irrational part is never equal to T, so rising precision decides."""
-        exact = self._rational(vec)
-        if exact is not None:
-            return exact <= T
-        prec = 40
-        while True:
-            # Decimal compares with a Fraction exactly
-            lo, hi = self._bracket(vec, prec)
-            if hi <= T:
-                return True
-            if lo > T:
-                return False
-            prec *= 2
-
-
-def _length_keys(G: ConcatGraph, m: int) -> _Keys:
-    """The keys of the first m saddles. A surface saddle's length is the
-    square root of length_sq = num / den, that is c sqrt(r) / den with
-    num * den = c**2 r; a synthetic graph's float length is exact as it
-    stands."""
-    if G.saddles is None:
-        return _Keys([(Fraction(x), 1) for x in G.lengths[:m].tolist()])
-    split = {}
-    for s in G.saddles[:m]:
-        if s.length_sq not in split:
-            num, den = s.length_sq.numerator, s.length_sq.denominator
-            c, r = _square_part(num * den)
-            split[s.length_sq] = (Fraction(c, den), r)
-    return _Keys([split[s.length_sq] for s in G.saddles[:m]])
-
-
 class GeodesicCensus:
     """The oriented primitive closed geodesics of exact length <= T, counted
     by length: counts[i] words have length lengths[i], the correctly rounded
@@ -201,74 +57,60 @@ class GeodesicCensus:
 
     def __init__(self, T: Fraction, keys: _Keys, key_ids, counts,
                  visit_at, visit_saddle, visit_count, saddle_lengths):
-        self.bound = T
-        self.T = float(T)
-        lengths = keys.floats()[key_ids]
-        order = np.argsort(lengths, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
+        self.bound, self.T = T, float(T)
+        order = keys.order(key_ids, T)
+        rank = np.full(len(key_ids), -1)
         rank[order] = np.arange(len(order))
         self._keys = keys
-        self._vecs = [keys.vecs[k] for k in key_ids[order].tolist()]
-        self.lengths = lengths[order]
+        self._ids = key_ids[order]
+        self.lengths = keys.floats()[self._ids]
         self.counts = counts[order]
         self.saddle_lengths = saddle_lengths
         # visits: visit_count[v] occurrences of saddle visit_saddle[v] over
-        # the words of length lengths[visit_at[v]]
-        self._visit_at = rank[visit_at]
-        self._visit_saddle = visit_saddle
-        self._visit_weight = visit_count / self.lengths[self._visit_at]
+        # the words of length lengths[visit_at[v]], for the lengths <= T
+        at = rank[visit_at]
+        keep = at >= 0
+        self._visit_at, self._visit_saddle = at[keep], visit_saddle[keep]
+        self._visit_weight = visit_count[keep] / self.lengths[self._visit_at]
 
     @property
     def n_saddles(self) -> int:
         return len(self.saddle_lengths)
 
-    def _bound(self, T) -> Fraction:
-        if T is None or (isinstance(T, float) and T == self.T):
-            return self.bound
-        T = parse_rational(T)
-        if T > self.bound:
-            raise TruncationError(f"bound {T} exceeds the census bound {self.T}")
-        return T
-
-    def _included(self, T) -> tuple[np.ndarray, Fraction]:
-        """Which lengths are <= T. Rounding is monotone, so only a length
-        whose float equals the float of T needs the exact test."""
-        T = self._bound(T)
-        t = float(T)
-        inc = self.lengths < t
-        for i in range(int(inc.sum()), int(np.searchsorted(self.lengths, t, "right"))):
-            inc[i] = self._keys.le(self._vecs[i], T)
-        return inc, T
+    def _included(self, T) -> tuple[int, Fraction]:
+        """How many lengths are <= T, and T as an exact bound."""
+        T = exact_bound(T, self.bound)
+        return self._keys.upto(self._ids, self.lengths, T), T
 
     def pi(self, T=None) -> int:
-        inc, _ = self._included(T)
-        return int(self.counts[inc].sum())
+        n, _ = self._included(T)
+        return int(self.counts[:n].sum())
 
     def F(self, T=None) -> float:
         """Sum over pairs (n, q) with n * l(q) <= T of the primitive length
         l(q); each q contributes l(q) * floor(T / l(q))."""
         inc, T = self._included(T)
         t = float(T)
-        lens = self.lengths[inc]
+        lens = self.lengths[:inc]
         n = np.floor(t / lens)
         # n = floor(T / l) unless T / l is within rounding of an integer
         near = ((np.abs(n * lens - t) <= _BAND * t)
                 | (np.abs((n + 1) * lens - t) <= _BAND * t))
-        vecs = [v for v, keep in zip(self._vecs, inc) if keep]
         for i in np.flatnonzero(near).tolist():
+            vec = self._keys.vecs[self._ids[i]]
             k = int(n[i])
-            while k > 1 and not self._keys.le(tuple(a * k for a in vecs[i]), T):
+            while k > 1 and not self._keys.le(tuple(a * k for a in vec), T):
                 k -= 1
-            while self._keys.le(tuple(a * (k + 1) for a in vecs[i]), T):
+            while self._keys.le(tuple(a * (k + 1) for a in vec), T):
                 k += 1
             n[i] = k
-        return float(np.dot(self.counts[inc] * lens, n))
+        return float(np.dot(self.counts[:inc] * lens, n))
 
     def visits(self, T=None) -> np.ndarray:
         """Per saddle s: the sum over words q with l(q) <= T of
         (occurrences of s in q) / l(q)."""
-        inc, _ = self._included(T)
-        take = inc[self._visit_at]
+        n, _ = self._included(T)
+        take = self._visit_at < n
         return np.bincount(self._visit_saddle[take],
                            weights=self._visit_weight[take],
                            minlength=self.n_saddles)
@@ -276,11 +118,6 @@ class GeodesicCensus:
     def pi_saddle(self, T=None) -> np.ndarray:
         """pi_s(T) = sum over words of (occurrences of s) * l(s)/l(q)."""
         return self.visits(T) * self.saddle_lengths
-
-
-def _runs(code: np.ndarray) -> np.ndarray:
-    """Start of each run of equal values in a sorted array of ids >= 0."""
-    return np.flatnonzero(np.diff(code, prepend=-1))
 
 
 def _closing_costs(G: ConcatGraph, m: int) -> np.ndarray:
@@ -313,20 +150,17 @@ def _closed_walks(after: Runs, cost, keys: _Keys, limit: float):
     state is a closed walk when r may follow c."""
     m = len(cost)
     floor = cost.min(axis=1, initial=math.inf)
-    kf = keys.floats()
     r = np.flatnonzero(np.diagonal(cost) <= limit)
     c = r
     key = keys.class_key[keys.cls[r]]
     count = np.ones(len(r), dtype=np.int64)
     total = len(r)
-    rows, n = [], 1
+    rows, n, step = [], 1, keys.stepper()
     while len(r):
         closed = after.contains(c, r)
         rows.append((np.full(int(closed.sum()), n), r[closed], key[closed],
                      count[closed]))
-        if len(kf) < len(keys.vecs):
-            kf = keys.floats()
-        budget = limit - kf[key]
+        budget = limit - keys.floats()[key]
         # only a state with some letter that closes at r in budget extends
         live = floor[r] <= budget
         r, c, key, count, budget = (a[live] for a in (r, c, key, count, budget))
@@ -339,28 +173,17 @@ def _closed_walks(after: Runs, cost, keys: _Keys, limit: float):
                                 "closed walks within the bound")
         if not len(src):
             break
-        code = (keys.step(key[src], keys.cls[j]) * m + r[src]) * m + j
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        first = _runs(code)
-        count = np.add.reduceat(count[src[order]], first)
-        code = code[first]
-        c = code % m
-        r = code // m % m
-        key = code // (m * m)
+        code, count = merge((step(key[src], keys.cls[j]) * m + r[src]) * m + j,
+                            count[src])
+        c, r, key = code % m, code // m % m, code // (m * m)
         n += 1
     if not rows:
         return (np.zeros(0, dtype=np.int64),) * 4
     letters, root, key, count = (np.concatenate(a) for a in zip(*rows))
     # merge the closing last letters of each (letters, root, key), sorted
     # by key, root and letters
-    code = (key * m + root) * (n + 1) + letters
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    first = _runs(code)
-    code = code[first]
-    return (code % (n + 1), code // (n + 1) % m, code // ((n + 1) * m),
-            np.add.reduceat(count[order], first))
+    code, count = merge((key * m + root) * (n + 1) + letters, count)
+    return code % (n + 1), code // (n + 1) % m, code // ((n + 1) * m), count
 
 
 def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
@@ -377,35 +200,25 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
     occurs sum over n of p_s(n, K) times in them.
 
     The walks are pruned in floats with a margin that bounds their rounding,
-    and only the keys <= T, decided exactly, are kept."""
+    and the census keeps the keys <= T, decided exactly."""
     if T <= 0:
         raise InvalidParams("need a positive length bound")
-    G.check_radius(T)
-    T = parse_rational(T)
-    t = float(T)
-    # Rounding is monotone, so every saddle of length <= T is in the first m.
-    m = int(np.searchsorted(G.lengths, t, side="right"))
-    keys = _length_keys(G, m)
+    T, m, keys, limit = keyed(G, T)
     cost = _closing_costs(G, m)
-    # Each float compared against the limit is a sum of at most m + 3
-    # correctly rounded terms of size at most 2T, so this margin bounds its
-    # rounding: no walk of exact length <= T is pruned.
-    limit = t + 4 * (m + 4) * np.finfo(np.float64).eps * t
     letters, root, key, a = _closed_walks(G.after, cost, keys, limit)
     # Moebius inversion: add mu(k) times each walk's count at its k-th
     # power, for squarefree k >= 2 with the power within the limit. Every
-    # count and every p is below 2**63 and p >= 0, so int64 array sums,
-    # which wrap silently, give p exactly.
+    # count and every p is below 2**63 and p >= 0, so int64 sums, which
+    # wrap silently, give p exactly.
     top = int(letters.max()) if len(letters) else 0
     code = (key * m + root) * (top + 1) + letters
-    kf = keys.floats()
     at, add = [], []
     for k in range(2, top + 1):
         mu = _mobius(k)
         if mu == 0:
             continue
         for i in np.flatnonzero((letters * k <= top)
-                                & (kf[key] * k <= limit)).tolist():
+                                & (keys.floats()[key] * k <= limit)).tolist():
             power = keys.ids.get(tuple(x * k for x in keys.vecs[key[i]]))
             if power is None:
                 continue
@@ -414,30 +227,15 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
             if j < len(code) and code[j] == want:
                 at.append(j)
                 add.append(mu * a[i])
-    p = a.copy()
-    np.add.at(p, np.array(at, dtype=np.int64), np.array(add, dtype=np.int64))
-    # Only the keys <= T, decided exactly where the floats cannot tell.
-    ids, at = np.unique(key, return_inverse=True)
-    inside = kf[ids] < t
-    for i in np.flatnonzero(kf[ids] == t).tolist():
-        inside[i] = keys.le(keys.vecs[ids[i]], T)
-    keep = inside[at]
-    p, letters, root, key = p[keep], letters[keep], root[keep], key[keep]
+    # the codes are distinct, so merging adds each term to its code's count
+    _, p = merge(np.concatenate((code, code[at])),
+                 np.concatenate((a, np.array(add, dtype=np.int64))))
     # Words per key: the primitive rooted walks of each (key, letters)
     # summed over roots and divided by the letters, then summed over them.
-    kn, at = np.unique(key * (top + 1) + letters, return_inverse=True)
-    per = np.zeros(len(kn), dtype=np.int64)
-    np.add.at(per, at, p)
-    per //= kn % (top + 1)
-    ids, at = np.unique(kn // (top + 1), return_inverse=True)
-    counts = np.zeros(len(ids), dtype=np.int64)
-    np.add.at(counts, at, per)
-    # Occurrences of each saddle per key: its primitive rooted walks. The
-    # rows stay sorted by (key, root), so equal pairs are runs.
-    kr = key * m + root
-    first = _runs(kr)
-    occ = np.add.reduceat(p, first)
-    kr = kr[first]
+    kn, per = merge(key * (top + 1) + letters, p)
+    ids, counts = merge(kn // (top + 1), per // (kn % (top + 1)))
+    # Occurrences of each saddle per key: its primitive rooted walks.
+    kr, occ = merge(key * m + root, p)
     used = occ > 0
     live = counts > 0
     ids = ids[live]

@@ -14,13 +14,13 @@ import functools
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParams, TruncationError
 from .geometry import ccw_sort_key
+from .lengths import _Keys, exact_bound, keyed, merge
 from .rational import parse_rational
 from .surface import TranslationSurface
 from .unfold import enumerate_saddle_connections, opposite_sectors
@@ -252,33 +252,31 @@ def complete_graph(m: int, length: float = 1.0, k: int = 1) -> ConcatGraph:
 # Path census
 
 
-@dataclass
 class PathCensus:
-    """All admissible paths from x up to Rmax, as counted groups: group g
-    stands for counts[g] paths of float length group_lengths[g] that end
-    with saddle group_saddle[g], at a cone of excess group_k[g]. Groups are
-    sorted by length, and repeating each one counts[g] times gives the
-    census one row per path, in the order of a stable sort of the paths by
-    length. ends[g] is the number of paths in the groups before g."""
+    """All admissible paths from x of exact length <= bound, as counted
+    groups: group g stands for counts[g] paths of exact length key
+    group_key[g], correctly rounded to group_lengths[g], that end with
+    saddle group_saddle[g], at a cone of excess group_k[g]. Groups are
+    sorted by (exact length, terminal); repeating each one counts[g] times
+    gives the census one row per path. ends[g] is the number of paths in
+    the groups before g."""
 
-    Rmax: float
-    group_lengths: np.ndarray
-    group_saddle: np.ndarray
-    group_k: np.ndarray
-    counts: np.ndarray
-    ends: np.ndarray = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, bound: Fraction, keys: _Keys, key, saddle, k, counts):
+        # groups in any order; those longer than the bound are dropped
+        by = np.argsort(saddle, kind="stable")
+        by = by[keys.order(key[by], bound)]
+        self.bound, self.Rmax, self.keys = bound, float(bound), keys
+        self.group_key = key[by]
+        self.group_lengths = keys.floats()[self.group_key]
+        self.group_saddle, self.group_k, self.counts = saddle[by], k[by], counts[by]
         self.ends = np.concatenate(([0], np.cumsum(self.counts)))
 
-    def groups(self, R: float) -> int:
-        """Number of groups of length <= R; a census built up to Rmax does
-        not hold the paths longer than that."""
-        if float(R) > self.Rmax:
-            raise TruncationError(f"radius {R} exceeds the census bound {self.Rmax}")
-        return int(np.searchsorted(self.group_lengths, R, side="right"))
+    def groups(self, R) -> int:
+        """Number of groups of length <= R, exactly for any R <= bound."""
+        return self.keys.upto(self.group_key, self.group_lengths,
+                              exact_bound(R, self.bound))
 
-    def count(self, R: float) -> int:
+    def count(self, R) -> int:
         return int(self.ends[self.groups(R)])
 
     # One row per path, expanded on every access for the benchmark tracer
@@ -343,55 +341,37 @@ def _extend(after: Runs, last, count, keep, total: int, what: str):
 def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     """Level-synchronized sweep over word lengths on counted groups.
 
-    A level holds the groups (terminal saddle, length, count) of its paths,
-    ordered by terminal in chunk order: the first-level terminals by id,
-    then each level's terminals by the first (chunk of the predecessor,
-    successor id) pair that reaches them. A step extends every group along
-    the successor runs of its terminal saddle j when length <= Rmax - l_j,
-    to length + l_j, and merges equal (j, length) by summing counts, so the
-    order of the successors inside a row does not matter. The float lengths
-    are those of the per-path sums in path order, and the final stable sort
-    by length puts equal lengths in (level, chunk) order."""
-    G.check_radius(Rmax)
-    Rmax = float(Rmax)
+    A level holds the groups (terminal saddle, key, count) of its paths. A
+    step extends each group along its terminal's successor runs to the j
+    with l(j) <= min(limit - l(key), T) in floats (`lengths.keyed`), adds
+    l(j) to the key (`_Keys.stepper`) and merges equal (j, key) by summing
+    counts, as the levels do at the end; the census keeps the keys <= Rmax,
+    decided exactly."""
     if not (0 <= x < len(G.cone_k)):
         raise InvalidParams(f"no cone point {x}")
-    term = np.flatnonzero((G.start == x) & (G.lengths <= Rmax))
-    length = G.lengths[term]
+    T, m, keys, limit = keyed(G, Rmax)
+    term = np.flatnonzero(G.start[:m] == x)
+    key = keys.class_key[keys.cls[term]]
     count = np.ones(len(term), dtype=np.int64)
-    rank = np.arange(len(term))
-    levels = [(term[:0], length[:0], count[:0])]
+    levels = [(term[:0], count[:0])]
     total = len(term)
-    what = f"paths up to R = {Rmax:g}"
+    step = keys.stepper()
     while len(term):
-        levels.append((term, length, count))
-        src, j, total = _extend(
-            G.after, term, count,
-            lambda src, j: length[src] <= Rmax - G.lengths[j], total, what)
+        levels.append((key * m + term, count))
+        budget = limit - keys.floats()[key]
+        # no saddle longer than T extends a path, so every j kept is < m
+        budget[budget > float(T)] = float(T)
+        src, j, total = _extend(G.after, term, count,
+                                lambda src, j: G.lengths[j] <= budget[src],
+                                total, f"paths up to R = {float(T):g}")
         if not len(src):
             break
-        ext = length[src] + G.lengths[j]
-        # Pairs run by group, groups by chunk: the first pair into each j
-        # comes from its earliest predecessor chunk. Chunks follow those
-        # ranks, ties by id.
-        by = np.argsort(j, kind="stable")
-        at = by[np.concatenate(([True], np.diff(j[by]) != 0))]
-        order = j[at][np.argsort(rank[src[at]], kind="stable")]
-        chunk = np.empty(G.n, dtype=np.int64)
-        chunk[order] = np.arange(len(order))
-        by = np.lexsort((ext, chunk[j]))
-        j, ext = j[by], ext[by]
-        starts = np.ones(len(j), dtype=bool)
-        starts[1:] = (j[1:] != j[:-1]) | (ext[1:] != ext[:-1])
-        new = np.flatnonzero(starts)
-        count = np.add.reduceat(count[src[by]], new)
-        term, length = j[new], ext[new]
-        rank = chunk[term]
-    term, length, count = (np.concatenate(a) for a in zip(*levels))
-    order = np.argsort(length, kind="stable")
-    term = term[order].astype(np.int32)
-    return PathCensus(Rmax, length[order], term, G.cone_k[G.end[term]],
-                      count[order])
+        code, count = merge(step(key[src], keys.cls[j]) * m + j, count[src])
+        key, term = np.divmod(code, m)
+    code, count = merge(*(np.concatenate(a) for a in zip(*levels)))
+    key, term = np.divmod(code, m)
+    term = term.astype(np.int32)
+    return PathCensus(T, keys, key, term, G.cone_k[G.end[term]], count)
 
 
 # ----------------------------------------------------------------------------
@@ -452,14 +432,16 @@ def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
     2*pi*k(t(p)) and radius R - l(p); the sums of k(t(p)) * l(p)^j behind
     all three run in nondecreasing path length order. The sum of k(t(p))
     is an exact integer; the float sums of k * l and k * l^2 round as one
-    sum path by path would, and take time per group (`_run_sums`). The
-    census is rebuilt when missing or shorter than the largest radius."""
-    radii = np.asarray(radii, dtype=np.float64)
+    sum path by path would, and take time per group (`_run_sums`). Which
+    paths count is exact. The census is rebuilt when missing or shorter
+    than the largest radius."""
+    exact = radii.tolist() if isinstance(radii, np.ndarray) else list(radii)
+    radii = np.array([float(r) for r in exact], dtype=np.float64)
     if not len(radii):
         return np.zeros(0, dtype=np.int64), radii, radii, radii
     if census is None or census.Rmax < radii.max():
-        census = path_length_census(G, x, float(radii.max()))
-    g = np.searchsorted(census.group_lengths, radii, side="right")
+        census = path_length_census(G, x, max(exact))
+    g = np.array([census.groups(r) for r in exact], dtype=np.int64)
     idx = census.ends[g]
     _check_int64(_dot(census.group_k, census.counts),
                  f"k-weighted paths up to R = {census.Rmax:g}")
@@ -481,7 +463,7 @@ def circle_length_grid(G: ConcatGraph, x: int, radii, census: PathCensus | None 
 
 
 def circle_length(G: ConcatGraph, x: int, R, census: PathCensus | None = None) -> float:
-    return float(circle_length_grid(G, x, [float(R)], census)[0])
+    return float(circle_length_grid(G, x, [R], census)[0])
 
 
 def ball_volume_grid(G: ConcatGraph, x: int, radii, census: PathCensus | None = None):
@@ -492,20 +474,19 @@ def ball_volume_grid(G: ConcatGraph, x: int, radii, census: PathCensus | None = 
 
 
 def ball_volume_closed(G: ConcatGraph, x: int, R, census: PathCensus | None = None) -> float:
-    return float(ball_volume_grid(G, x, [float(R)], census)[0])
+    return float(ball_volume_grid(G, x, [R], census)[0])
 
 
 def circle_slope(G: ConcatGraph, x: int, R, census: PathCensus | None = None) -> float:
     """d/dR of the circle length away from breakpoints:
     2*pi*(k(x)+1) + sum over paths with l(p) <= R of 2*pi*k(t(p))."""
-    return float(_circle_formulas(G, x, [float(R)], census)[3][0])
+    return float(_circle_formulas(G, x, [R], census)[3][0])
 
 
 def circle_csv(G: ConcatGraph, x: int, radii, census: PathCensus | None = None) -> str:
     """CSV rows R,N,circle_length,ball_volume over the radius grid."""
-    radii = np.asarray(radii, dtype=np.float64)
     counts, lengths, volumes, _ = _circle_formulas(G, x, radii, census)
     lines = ["R,N,circle_length,ball_volume"]
-    for r, n, ln, vol in zip(radii, counts, lengths, volumes):
+    for r, n, ln, vol in zip(map(float, radii), counts, lengths, volumes):
         lines.append(f"{r:.17g},{n},{ln:.17g},{vol:.17g}")
     return "\n".join(lines) + "\n"

@@ -13,9 +13,12 @@
 - `per_word_pi_saddle`: pi_s(T) summed word by word, which the single visit
   vector replaced.
 - `enumerate_paths`: admissible paths streamed from a heap in length order,
-  which the level-synchronised census replaced.
+  which the level-synchronised census replaced; exact sums of the rational
+  saddle lengths and 60-digit sums of the irrational ones decide which
+  paths are <= R.
 - `expanded_path_census`: the level-synchronised census one row per path,
-  which the census on counted (terminal, length) groups replaced.
+  each with its exact length key, which the census on counted (terminal,
+  exact length) groups replaced.
 - `cumsum_circle_formulas`: the circle formulas from `np.cumsum` over that
   per-path census, which the block-streamed sums over groups replaced.
 - `streamed_prefix_sums`: the float sums of the circle formulas from
@@ -62,6 +65,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +77,7 @@ from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
 from tsurf.circles import MeasureHistogram, _circle_arcs
 from tsurf.geometry import (Wedge, add, cross, dot, neg, norm_dir, norm_sq,
                             same_dir, sub, wedge_intersect, wedge_split)
+from tsurf.lengths import _length_keys
 from tsurf.paths import PathCensus, circle_length
 from tsurf.rational import parse_rational
 from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
@@ -395,40 +400,45 @@ def per_word_pi_saddle(census, T=None) -> np.ndarray:
 
 def expanded_path_census(G, x: int, Rmax) -> PathCensus:
     """The path census one row per path: a level-synchronised sweep that
-    keeps, per terminal saddle, the array of all path lengths, extends it
-    along each successor, and sorts all paths stably by length at the end.
-    Returned as a PathCensus of one group per path."""
+    keeps, per terminal saddle, the exact length key of each of its paths,
+    extends them along each successor, and keeps the extensions of length
+    <= Rmax, each decided exactly. Returned as a PathCensus of one group
+    per path, which sorts the paths by (exact length, terminal)."""
     G.check_radius(Rmax)
-    Rmax = float(Rmax)
+    T = parse_rational(Rmax)
+    t = float(T)
     if not (0 <= x < len(G.cone_k)):
         raise InvalidParams(f"no cone point {x}")
-    kt = G.cone_k[G.end]
-    chunks = []
-    cur: dict[int, np.ndarray] = {}
-    for s in range(G.n):
-        if G.start[s] == x and G.lengths[s] <= Rmax:
-            cur[s] = np.array([G.lengths[s]])
+    m = int(np.searchsorted(G.lengths, t, side="right"))
+    keys = _length_keys(G, m)
+    cur = {s: keys.class_key[keys.cls[[s]]] for s in range(m) if G.start[s] == x}
+    chunks, step = [], keys.stepper()
     while cur:
-        for s, arr in cur.items():
-            chunks.append((s, arr))
+        chunks += cur.items()
+        kf = keys.floats()
         nxt: dict[int, list] = {}
-        for s, arr in cur.items():
-            for j in G.out[s]:
-                lj = G.lengths[j]
-                ext = arr[arr <= Rmax - lj] + lj
+        for s, key in cur.items():
+            # room for rounding; the exact test below decides
+            room = t * (1 + 1e-9) - kf[key]
+            for j in G.out[s][G.out[s] < m].tolist():
+                ext = key[G.lengths[j] <= room]
                 if len(ext):
-                    nxt.setdefault(int(j), []).append(ext)
-        cur = {s: (np.concatenate(v) if len(v) > 1 else v[0])
-               for s, v in nxt.items()}
-    lengths = np.concatenate([np.zeros(0)] + [arr for _, arr in chunks])
+                    nxt.setdefault(j, []).append(
+                        step(ext, np.full(len(ext), keys.cls[j])))
+        kf = keys.floats()
+        cur = {}
+        for j, parts in nxt.items():
+            key = np.concatenate(parts)
+            tied = set(key[kf[key] == t].tolist())
+            inside = (kf[key] < t) | np.isin(
+                key, [k for k in tied if keys.le(keys.vecs[k], T)])
+            if inside.any():
+                cur[j] = key[inside]
+    key = np.concatenate([np.zeros(0, dtype=np.int64)] + [k for _, k in chunks])
     term = np.concatenate([np.zeros(0, dtype=np.int32)]
-                          + [np.full(len(arr), s, dtype=np.int32)
-                             for s, arr in chunks])
-    order = np.argsort(lengths, kind="stable")
-    lengths = lengths[order]
-    term = term[order]
-    return PathCensus(Rmax, lengths, term, kt[term],
-                      np.ones(len(lengths), dtype=np.int64))
+                          + [np.full(len(k), s, dtype=np.int32) for s, k in chunks])
+    return PathCensus(T, keys, key, term, G.cone_k[G.end[term]],
+                      np.ones(len(key), dtype=np.int64))
 
 
 def cumsum_circle_formulas(G, x: int, radii, census):
@@ -476,21 +486,51 @@ def streamed_prefix_sums(census: PathCensus, terms, targets,
 
 
 def enumerate_paths(G, x: int, R):
-    """(length, saddle ids) of every admissible path from cone x with length
-    <= R, in nondecreasing length order (ties broken by id sequence); the
-    length is the float sum of the saddle lengths in path order."""
+    """(length, saddle ids) of every admissible path from cone x of exact
+    length <= R, in nondecreasing length order (ties broken by id
+    sequence). A path's length is carried as the exact sum of its rational
+    saddle lengths plus a 60-digit Decimal sum of its irrational ones, and
+    length is its float. An irrational sum within 10**-40 of a bound raises
+    instead of being decided by rounding."""
     G.check_radius(R)
-    R = float(R)
-    heap = [(float(G.lengths[s]), (s,)) for s in range(G.n)
-            if G.start[s] == x and G.lengths[s] <= R]
+    R = parse_rational(R)
+    ctx = Context(prec=60)
+    tol = Fraction(1, 10 ** 40)
+    parts = []
+    for i in range(G.n):
+        sq = (Fraction(float(G.lengths[i])) ** 2 if G.saddles is None
+              else G.saddles[i].length_sq)
+        root = math.isqrt(sq.numerator * sq.denominator)
+        if root * root == sq.numerator * sq.denominator:
+            parts.append((Fraction(root, sq.denominator), Decimal(0)))
+        else:
+            parts.append((Fraction(0), ctx.sqrt(ctx.divide(sq.numerator,
+                                                           sq.denominator))))
+
+    def item(ids, rat, irr):
+        if irr:
+            assert not R - rat - tol < irr < R - rat + tol, ids
+            if irr > R - rat:
+                return None
+        elif rat > R:
+            return None
+        approx = ctx.add(irr, ctx.divide(rat.numerator, rat.denominator))
+        return approx, ids, rat, irr
+
+    heap = [it for s in range(G.n) if G.start[s] == x
+            for it in [item((s,), *parts[s])] if it]
     heapq.heapify(heap)
     while heap:
-        length, ids = heapq.heappop(heap)
-        yield length, ids
-        for j in G.out[ids[-1]]:
-            ext = length + float(G.lengths[j])
-            if ext <= R:
-                heapq.heappush(heap, (ext, ids + (int(j),)))
+        approx, ids, rat, irr = heapq.heappop(heap)
+        yield float(approx), ids
+        # ids are in length order; room for rounding, item decides
+        room = float(R) * (1 + 1e-9) - float(approx)
+        for j in G.out[ids[-1]].tolist():
+            if G.lengths[j] > room:
+                break
+            it = item(ids + (j,), rat + parts[j][0], ctx.add(irr, parts[j][1]))
+            if it:
+                heapq.heappush(heap, it)
 
 
 # ----------------------------------------------------------------------------

@@ -5,12 +5,15 @@ import subprocess
 import sys
 import types
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tsurf
 from tsurf.cli import main
+
+from oracles import enumerate_paths
 
 
 def run(capsys, *argv):
@@ -51,6 +54,32 @@ def test_circle_accepts_rational_flags(capsys):
                        "--rmax", "1/2", "--step", "1/2")
     assert code == 0
     assert out.strip().splitlines()[1].startswith("0.5,0,")
+
+
+def _circle_rows(capsys, *argv):
+    code, out, err = run(capsys, "circle", *argv)
+    assert code == 0, err
+    return [line.split(",") for line in out.strip().splitlines()[1:]]
+
+
+def test_circle_counts_the_paths_of_length_exactly_R(capsys):
+    # 42 of the 226 paths have length exactly 8/3; float sums put 40 of
+    # them above float(8/3), and N read 186
+    rows = _circle_rows(capsys, "--builtin", "lshape", "--params", "7/3,5/2",
+                        "--rmax", "8/3", "--step", "1/3", "--max-length-sq", "9")
+    assert rows[-1][:2] == ["2.6666666666666665", "226"]
+
+
+def test_circle_counts_equal_the_exact_oracle_on_a_rational_grid(capsys):
+    rows = _circle_rows(capsys, "--builtin", "lshape", "--params", "7/3,5/2",
+                        "--rmax", "13/3", "--step", "1/3")
+    G = tsurf.build_concat_graph(
+        tsurf.builtin_surface("lshape", ["7/3", "5/2"]), Fraction(169, 9))
+    want = [sum(1 for _ in enumerate_paths(G, 0, Fraction(k, 3)))
+            for k in range(1, 14)]
+    assert [int(n) for _, n, _, _ in rows] == want
+    # the radii where float sums lost paths of length exactly R
+    assert [want[k - 1] for k in (8, 11, 13)] == [226, 2176, 9106]
 
 
 def test_entropy_ladder(capsys):

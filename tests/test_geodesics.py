@@ -234,6 +234,8 @@ def test_counts_beyond_the_census_bound_raise(C3):
         count(3.0)
         with pytest.raises(TruncationError):
             count(3.5)
+    with pytest.raises(InvalidParams):
+        enumerate_closed(C3, 0)
 
 
 def test_default_grid_stays_below_the_bound(slit):

@@ -450,6 +450,24 @@ def test_census_counts_beyond_its_bound_raise():
             query(3.0)
 
 
+def test_census_count_at_its_own_bound_holds_the_paths_of_length_exactly_R():
+    # the benchmark tracer reads census.count(census.Rmax); the float Rmax
+    # stands for the exact bound 8/3, and 42 paths have length exactly 8/3
+    S = tsurf.builtin_surface("lshape", ["7/3", "5/2"])
+    G = tsurf.build_concat_graph(S, 9)
+    census = tsurf.path_length_census(G, 0, Fraction(8, 3))
+    keys = census.keys
+    exact = [keys._rational(keys.vecs[k]) == Fraction(8, 3)
+             for k in census.group_key.tolist()]
+    assert census.counts[exact].sum() == 42
+    assert census.count(census.Rmax) == census.count(Fraction(8, 3)) == 226
+    assert sum(1 for _ in enumerate_paths(G, 0, Fraction(8, 3))) == 226
+    # the float of the bound stands for it; any other float is its own
+    # exact value
+    assert census.count(float(Fraction(8, 3))) == 226
+    assert census.count(math.nextafter(census.Rmax, 0)) == 226 - 42
+
+
 def test_empty_radius_lists_give_empty_results():
     G = tsurf.complete_graph(3)
     assert paths.circle_length_grid(G, 0, []).shape == (0,)
