@@ -61,6 +61,12 @@ def same_dir(u, v) -> bool:
     return cross(u, v) == 0 and dot(u, v) > 0
 
 
+def second_half(base, v) -> bool:
+    """The ccw angle from `base` to `v` lies in [pi, 2*pi)."""
+    c = cross(base, v)
+    return c < 0 or (c == 0 and dot(base, v) < 0)
+
+
 @dataclass(frozen=True)
 class Wedge:
     """Angular sector from ray `a` counterclockwise to ray `b`, angle in

@@ -10,6 +10,7 @@ least one cone point.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .errors import (
     NoSingularities,
     ParseError,
 )
-from .geometry import cross, dot, norm_dir, polygon_area, sub
+from .geometry import cross, dot, norm_dir, polygon_area, second_half, sub
 from .rational import format_rational, parse_rational
 
 TWO_PI = 2 * math.pi
@@ -204,6 +205,16 @@ class TranslationSurface:
         self.star_angles: tuple[tuple, ...] = tuple(
             tuple(self.corner_angle(p, v) for (p, v) in cone.star)
             for cone in self.cone_points
+        )
+        # Half-turns from slot 0's first ray to each slot's first ray, counted
+        # along the cone: (half-turn, ray) orders the sectors exactly. A
+        # sector spans at most pi, so the count steps whenever the first ray
+        # changes half-plane against slot 0's.
+        self.star_half_turns: tuple[tuple[int, ...], ...] = tuple(
+            tuple(itertools.accumulate(
+                (second_half(rays[0][0], r1) != second_half(rays[0][0], r0)
+                 for (r0, _), (r1, _) in zip(rays, rays[1:])), initial=0))
+            for rays in self.star_rays
         )
 
         V = len(self.cone_points) + len(self.regular_classes)

@@ -10,6 +10,7 @@ and saddle connections are found with exact holonomy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .geometry import (
     norm_sq,
     point_in_convex,
     same_dir,
+    second_half,
     segment_within,
     sub,
     wedge_intersect,
@@ -59,12 +61,27 @@ def opposite_sectors(S: TranslationSurface, d: ConeDirection) -> list[int]:
     """Sectors holding the direction opposite to d, in the ccw order met
     walking around the cone from d. A direction lies in exactly one half-open
     sector per full turn, so there is one per turn: the first at angle pi
-    from d, the last at angle 2*pi*(k+1) - pi."""
+    from d, the last at angle 2*pi*(k+1) - pi. Per turn, the sector is the
+    last one whose first ray is not past the direction in the exact
+    (half-turn, ray) order of `S.star_half_turns`, found by bisection."""
     rays = S.star_rays[d.cone_id]
+    half_turns = S.star_half_turns[d.cone_id]
     opposite = (-d.vec[0], -d.vec[1])
-    slots = [j for j, (r1, r2) in enumerate(rays)
-             if Wedge(r1, True, r2, False).contains(opposite)]
-    return sorted(slots, key=lambda j: (j - d.slot) % len(rays))
+    slots = []
+    for h in range(second_half(rays[0][0], opposite),
+                   2 * S.cone_points[d.cone_id].k + 2, 2):
+        # first rays in half-turn h share a half-plane with the direction,
+        # so a cross-product sign orders them against it
+        lo, hi = bisect_left(half_turns, h), bisect_right(half_turns, h)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cross(rays[mid][0], opposite) < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        slots.append(lo - 1)
+    i = bisect_left(slots, d.slot)
+    return slots[i:] + slots[:i]
 
 
 # ----------------------------------------------------------------------------

@@ -56,6 +56,9 @@
 - `dense_follows`: the k x k boolean mask of which saddle may follow which,
   which the closed-walk census read before it stepped along the successor
   runs; the dense closure, the return bounds and the Lyndon search use it.
+- `scan_opposite_sectors`: the sectors holding the opposite direction,
+  found by testing every sector of the cone, which the bisection over the
+  (half-turn, ray) order replaced.
 """
 
 from __future__ import annotations
@@ -135,6 +138,14 @@ def angle_ccw_at_least_pi(S, d1, d2) -> bool:
         slot = (slot + 1) % nslots
         c = rays[slot][0]
     raise AssertionError("cone star walk did not terminate")
+
+
+def scan_opposite_sectors(S, d: ConeDirection) -> list[int]:
+    rays = S.star_rays[d.cone_id]
+    opposite = (-d.vec[0], -d.vec[1])
+    slots = [j for j, (r1, r2) in enumerate(rays)
+             if Wedge(r1, True, r2, False).contains(opposite)]
+    return sorted(slots, key=lambda j: (j - d.slot) % len(rays))
 
 
 def pairwise_allowed(G, i: int, j: int) -> bool:

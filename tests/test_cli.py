@@ -16,6 +16,13 @@ from tsurf.cli import main
 from oracles import enumerate_paths
 
 
+def _child_env():
+    # a child interpreter imports tsurf from this checkout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
@@ -278,9 +285,7 @@ def test_entropy_budget_below_shortest_saddle(capsys, budget):
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     probe = ("import sys, tsurf.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -288,14 +293,96 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def _python(code: str) -> str:
+    # stdout of `code` run in a fresh interpreter
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=30).stdout
+
+
+def _loaded_after(code: str) -> set[str]:
+    # the modules a fresh interpreter holds after running `code`
+    out = _python(code + "\nimport sys\nprint(' '.join(sys.modules))\n")
+    return set(out.splitlines()[-1].split())
+
+
+def test_startup_path_loads_no_numpy():
+    loaded = _loaded_after(
+        # as `python -m tsurf.cli validate`, then through tsurf.cli.main
+        "import contextlib, io, runpy, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    sys.argv = ['tsurf', 'validate', '--builtin', 'lshape']\n"
+        "    with contextlib.suppress(SystemExit):\n"
+        "        runpy.run_module('tsurf.cli', run_name='__main__')\n"
+        "    import tsurf, tsurf.cli\n"
+        "    assert tsurf.cli.main(['validate', '--builtin', 'lshape']) == 0\n"
+        "    assert tsurf.cli.main(['info', '--builtin', 'slit_tori']) == 0\n"
+        "    with contextlib.suppress(SystemExit):\n"
+        "        tsurf.cli.main(['--version'])\n")
+    assert "tsurf.surface" in loaded
+    assert "numpy" not in loaded
+    assert not {"tsurf.paths", "tsurf.unfold"} & loaded
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ("entropy --builtin lshape --max-length-sq 9",
+     {"tsurf.circles", "tsurf.geodesics"}),
+    ("circle --builtin lshape --rmax 2 --step 1 --max-length-sq 4",
+     {"tsurf.spectral", "tsurf.circles", "tsurf.geodesics"}),
+])
+def test_subcommand_loads_only_its_layers(argv, absent):
+    loaded = _loaded_after(
+        "import contextlib, io, tsurf.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert tsurf.cli.main({argv.split()!r}) == 0\n")
+    assert "tsurf.paths" in loaded
+    assert not absent & loaded
+
+
+def test_patched_cli_names_win():
+    # a wrapper set on tsurf.cli before any subcommand ran is the function
+    # the subcommand calls
+    code = (
+        "import contextlib, io, tsurf.cli as cli\n"
+        "calls = []\n"
+        "def counting(name):\n"
+        "    fn = getattr(cli, name)\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls.append(name)\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "for name in ('build_concat_graph', 'path_length_census'):\n"
+        "    setattr(cli, name, counting(name))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['circle', '--builtin', 'lshape', '--rmax', '2',\n"
+        "                     '--step', '1', '--max-length-sq', '4']) == 0\n"
+        "print(sorted(calls))\n")
+    assert _python(code).strip() == \
+        "['build_concat_graph', 'path_length_census']"
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    for name in tsurf.__all__:
+        obj = getattr(tsurf, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    # dir() lists the names not yet loaded too: ask a fresh interpreter
+    out = _python("import tsurf\n"
+                  "print(sorted({'__all__', *tsurf.__all__} - set(dir(tsurf))))")
+    assert out.strip() == "[]"
+    with pytest.raises(AttributeError):
+        tsurf.no_such_name
+    namespace = {}
+    exec("from tsurf import *", namespace)
+    assert {name: namespace[name] for name in tsurf.__all__} == \
+        {name: getattr(tsurf, name) for name in tsurf.__all__}
+
+
 def test_circle_census_peak_memory(tmp_path):
     # 24,872,412 paths up to R = 7 on the L; the census keeps counted
     # groups, so the process stays far below one row per path. The child
     # reports its own high-water mark: the rusage of a child started by
     # fork and exec also holds the parent's peak from before the exec.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     code = ("import sys, tsurf.cli\n"
             "rc = tsurf.cli.main(sys.argv[1:])\n"
             "with open('/proc/self/status') as f:\n"
@@ -327,9 +414,7 @@ def test_circle_step_beyond_rmax(capsys, tmp_path):
 def test_circle_radius_nine_in_seconds(tmp_path):
     # 3,506,769,108 paths up to R = 9 on the L; the float sums take time per
     # census group, not per path
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env()
     argv = [sys.executable, "-m", "tsurf.cli", "circle", "--builtin", "lshape",
             "--rmax", "9", "--step", "1/10", "--max-length-sq", "81",
             "--out", str(tmp_path)]

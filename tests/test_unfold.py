@@ -8,9 +8,10 @@ import pytest
 
 import tsurf
 from tsurf import enumerate_saddle_connections, trace_ray
-from tsurf.unfold import TracePoint, cone_direction, reversal_permutation
+from tsurf.unfold import (TracePoint, cone_direction, opposite_sectors,
+                          reversal_permutation)
 
-from oracles import fraction_saddle_connections
+from oracles import fraction_saddle_connections, scan_opposite_sectors
 
 
 def test_trace_straight_across_square(lshape):
@@ -110,3 +111,15 @@ def test_saddles_match_fraction_oracle(name, params, scale, budget):
     S = tsurf.scale_surface(tsurf.builtin_surface(name, params), scale)
     assert enumerate_saddle_connections(S, budget) == \
         fraction_saddle_connections(S, budget)
+
+
+@pytest.mark.parametrize("name", ["lshape", "slit_tori"])
+def test_opposite_sectors_match_the_scan(name):
+    # every out- and back-direction, including those along a sector's ray
+    S = tsurf.builtin_surface(name)
+    sad = enumerate_saddle_connections(S, 49)
+    assert any(S.star_rays[s.start][s.out_dir.slot][0] == s.out_dir.vec
+               for s in sad)
+    for s in sad:
+        for d in (s.out_dir, s.back_dir):
+            assert opposite_sectors(S, d) == scan_opposite_sectors(S, d)
