@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateRadius, InvalidParams
 from .geometry import (Wedge, clip_half_plane, convex_clip, cross, dot, neg,
-                       polygon_area, segment_within)
+                       norm_dir, polygon_area, segment_within)
 from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
 from .surface import TranslationSurface
 from .unfold import (ConeDirection, TracePoint, cone_direction,
@@ -263,7 +263,8 @@ def _developed_copies(S, polys, window, rho):
     B = rho * rho * (1 + 1e-12)
     for slot, w in _window_wedges(S, window):
         p, v = S.cone_points[window.cone_id].star[slot]
-        yield from unfold_wedge(S, polys, B, p, neg(polys[p][v]), w)
+        yield from unfold_wedge(S, polys, B, p, neg(polys[p][v]),
+                                (w.a, w.ia, w.b, w.ib))
 
 
 class _ScaledCells:
@@ -307,8 +308,8 @@ def _arc_angles(copy, cells: _ScaledCells, rho):
     origin inside a copy from `unfold_wedge` and its wedge, split at the
     cell lines. The pieces come from float clip angles; each is credited to
     the cell that holds its midpoint."""
-    p, (tx, ty), verts, w = copy[:4]
-    a, b = w.a, w.b
+    p, (tx, ty), verts, (a, _, b, _) = copy[:4]
+    a, b = norm_dir(a), norm_dir(b)  # the float angles as on coprime rays
     width = math.atan2(cross(a, b), dot(a, b))
     if width <= 0:
         return []
@@ -459,14 +460,14 @@ def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
         rho = r * D
         vol = 0.0
         copies = _developed_copies(S, polys, window, rho)
-        for p, (tx, ty), _, w, _, _ in copies:
+        for p, (tx, ty), _, (a, _, b, _), _ in copies:
             for piece in pieces[p]:
                 part = [(px + tx, py + ty) for px, py in piece]
                 if not any(segment_within(P, Q, rho * rho)
                            for P, Q in zip(part, part[1:] + part[:1])):
                     continue  # beyond the disk; no copy holds the origin
-                part = clip_half_plane(part, (0, 0), w.a)
-                part = clip_half_plane(part, (0, 0), neg(w.b))
+                part = clip_half_plane(part, (0, 0), a)
+                part = clip_half_plane(part, (0, 0), neg(b))
                 if len(part) >= 3:
                     vol += _disk_area(part, rho)
         total += mult * vol

@@ -21,6 +21,7 @@ import argparse
 import gc
 import importlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -392,5 +393,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The `tsurf` command: `main` on sys.argv, then the process ends as
+    soon as stdout and stderr are flushed. Skipping the interpreter's
+    teardown skips freeing memory that the OS takes back anyway; every
+    artifact file is closed by then. A flush that fails exits with 120, as
+    the interpreter would, and prints no traceback."""
+    try:
+        code = main()
+    except SystemExit as e:  # argparse: --help, --version, usage errors
+        code = e.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        code = code or 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

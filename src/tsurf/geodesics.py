@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParams
-from .geometry import Wedge, neg
+from .geometry import neg
 from .lengths import _Keys, exact_bound, keyed, merge
 from .paths import ConcatGraph, Runs, _extend
 from .unfold import integer_polygons, unfold_wedge
@@ -310,7 +310,7 @@ def saddle_cell_lengths(G: ConcatGraph, grid, ids=None) -> dict[int, dict[int, f
         p, v = S.cone_points[s.start].star[s.out_dir.slot]
         d = s.out_dir.vec
         copies = unfold_wedge(S, polys, qx * qx + qy * qy, p, neg(polys[p][v]),
-                              Wedge(d, True, d, True))
+                              (d, True, d, True))
         shares: dict[int, float] = {}
         for poly, (tx, ty), verts, *_ in copies:
             span = _clip_ray(verts, qx, qy)

@@ -27,10 +27,6 @@ def sub(u, v):
     return (u[0] - v[0], u[1] - v[1])
 
 
-def add(u, v):
-    return (u[0] + v[0], u[1] + v[1])
-
-
 def neg(u):
     return (-u[0], -u[1])
 
@@ -118,25 +114,6 @@ def wedge_intersect(w1: Wedge, w2: Wedge) -> Wedge | None:
             return None
     out = Wedge(a, ia, b, ib)
     return None if out.is_empty() else out
-
-
-def wedge_split(w: Wedge, dirs) -> list[Wedge]:
-    """Split `w` at each direction in `dirs` (all contained in `w`), with the
-    split directions excluded from every resulting piece."""
-    uniq: list[tuple[int, int]] = []
-    for d in dirs:
-        if not any(same_dir(d, u) for u in uniq):
-            uniq.append(d)
-    if not uniq:
-        return [w]
-    uniq.sort(key=ccw_sort_key)
-    pieces = []
-    prev, iprev = w.a, w.ia
-    for d in uniq:
-        pieces.append(Wedge(prev, iprev, d, False))
-        prev, iprev = d, False
-    pieces.append(Wedge(prev, iprev, w.b, w.ib))
-    return [p for p in pieces if not p.is_empty()]
 
 
 def _ccw_cmp(d1, d2) -> int:

@@ -95,18 +95,30 @@ class Runs:
         rows, ids = self.pairs()
         return Runs.from_pairs(ids, rows, len(self.order))
 
+    def conjugate(self, perm) -> "Runs":
+        """The relation holding (perm[i], perm[j]) for each j in row i, perm
+        an involution: row perm[i] takes the runs of row i over the order
+        perm[order]."""
+        perm = np.asarray(perm, dtype=np.int64)
+        _, run = self._runs_of(perm)
+        size = self.ptr[perm + 1] - self.ptr[perm]
+        return Runs(perm[self.order], np.concatenate(([0], np.cumsum(size))),
+                    self.lo[run], self.hi[run])
+
 
 class ConcatGraph:
     """Saddle connections within a length budget plus the allowed-successor
     relation, held as runs of angular orders (`Runs`). `after.order` lists
     the saddle ids by (start cone, out-sector, ccw out-direction), and the
     successors of saddle i are at most two runs of it: one cyclic range at
-    its end cone. `before.order` lists them by (end cone, sector, ccw
-    back-direction), and the predecessors of saddle j are one cyclic range
-    of that; the constructor takes `before` as a function that makes them
-    (None: transpose `after`). Every pipeline reads `after` and `before`
-    as runs; `out`, each row sorted by id, is a view for the benchmark
-    tracer and the tests.
+    its end cone. The predecessors are `before`, which the constructor
+    takes as a function that makes them (None: transpose `after`). On a
+    surface it is `after` conjugated by the reversal rho: i precedes j
+    exactly when rho(i) follows rho(j), so row j of `before` is the runs of
+    row rho(j) over the order rho[after.order], which lists the ids by (end
+    cone, sector, ccw back-direction). Every pipeline reads `after` and
+    `before` as runs; `out`, each row sorted by id, is a view for the
+    benchmark tracer and the tests.
     max_length_sq None means the graph is complete for every radius
     (synthetic fixtures); otherwise queries beyond the budget raise
     TruncationError."""
@@ -208,32 +220,30 @@ def _arc_runs(sectors, placed, query) -> Runs:
 
 def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
     """Enumerate saddle connections within the budget and read each
-    successor and predecessor set off the exact angular order of the
-    directions at a cone.
+    successor set off the exact angular order of the directions at a cone.
 
     By the two-sided half-turn test, s2 may follow s exactly when s2 leaves
-    the cone at a ccw angle from s.back_dir in [pi, 2*pi*(k+1) - pi]. The
-    test reads the same from either end: the ccw angle from s2.out_dir to
-    s.back_dir is 2*pi*(k+1) minus that angle, in the same interval. So the
-    successors of s are one cyclic range of the out-directions at s.end,
-    and the predecessors of s2 one cyclic range of the back-directions at
-    s2.start.
+    the cone at a ccw angle from s.back_dir in [pi, 2*pi*(k+1) - pi]. So
+    the successors of s are one cyclic range of the out-directions at
+    s.end. The test reads the same from either end: the ccw angle from
+    s2.out_dir to s.back_dir is 2*pi*(k+1) minus that angle, in the same
+    interval. Reversing both connections swaps their out- and
+    back-directions, so s precedes s2 exactly when the reverse of s follows
+    the reverse of s2, and the predecessors are the successors conjugated
+    by the reversal.
     """
     saddles = enumerate_saddle_connections(S, max_length_sq)
     leaving = [(s.start, s.out_dir) for s in saddles]
     arriving = [(s.end, s.back_dir) for s in saddles]
-    # The back-direction of each connection is the out-direction of its
-    # reverse, so the predecessor pass repeats the successor pass's sector
-    # lookups.
-    sectors = functools.cache(functools.partial(opposite_sectors, S))
+    after = _arc_runs(functools.partial(opposite_sectors, S), leaving, arriving)
     return ConcatGraph(
         saddles=tuple(saddles),
         lengths=[s.length for s in saddles],
         start=[s.start for s in saddles],
         end=[s.end for s in saddles],
         cone_k=[c.k for c in S.cone_points],
-        after=_arc_runs(sectors, leaving, arriving),
-        before=functools.partial(_arc_runs, sectors, arriving, leaving),
+        after=after,
+        before=functools.partial(after.conjugate, saddles.reversal),
         max_length_sq=parse_rational(max_length_sq),
         surface=S,
     )

@@ -10,6 +10,7 @@ least one cone point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -196,14 +197,9 @@ class TranslationSurface:
             for slot, corner in enumerate(cyc):
                 self.corner_regular[corner] = (ci, slot)
 
-        # Per-slot sector rays and float angles, precomputed for the angle
-        # predicate and the direction samplers.
+        # Per-slot sector rays, precomputed for the angle predicates.
         self.star_rays: tuple[tuple, ...] = tuple(
             tuple(self.corner_rays(p, v) for (p, v) in cone.star)
-            for cone in self.cone_points
-        )
-        self.star_angles: tuple[tuple, ...] = tuple(
-            tuple(self.corner_angle(p, v) for (p, v) in cone.star)
             for cone in self.cone_points
         )
         # Half-turns from slot 0's first ray to each slot's first ray, counted
@@ -233,6 +229,18 @@ class TranslationSurface:
 
     def partner(self, edge: EdgeRef) -> EdgeRef:
         return self._partner[edge]
+
+    @functools.cached_property
+    def edge_partners(self) -> tuple[tuple[EdgeRef, ...], ...]:
+        """Per polygon and edge, the edge glued to it."""
+        return tuple(tuple(self._partner[(p, e)] for e in range(len(poly)))
+                     for p, poly in enumerate(self.polygons))
+
+    @functools.cached_property
+    def cone_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """Per polygon, the indices of its vertices at cone points."""
+        return tuple(tuple(v for v in range(len(poly)) if (p, v) in self.corner_cone)
+                     for p, poly in enumerate(self.polygons))
 
     def edge_vector(self, p: int, e: int):
         poly = self.polygons[p]

@@ -4,7 +4,14 @@ The unfolding develops a cone corner at the origin and pushes a direction
 wedge through edge gluings into translated polygon copies. Because all
 transition maps are translations, a direction vector means the same thing
 in every chart, so angular bookkeeping reduces to integer cross/dot signs
-and saddle connections are found with exact holonomy.
+and saddle connections are found with exact holonomy. The kernel carries
+wedges as integer ray tuples on polygons scaled to integer vertices.
+
+The set of saddle connections is closed under reversal: the connection
+with holonomy q, read from its end, is one with holonomy -q. So each
+sector is developed only where it meets the half-open upper half-plane,
+and every connection found there is listed with its reverse; the
+enumeration also returns that pairing.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from fractions import Fraction
 from .errors import InvalidParams
 from .geometry import (
     Wedge,
-    add,
+    ccw_sort_key,
     cross,
     dot,
     neg,
@@ -27,10 +34,8 @@ from .geometry import (
     point_in_convex,
     same_dir,
     second_half,
-    segment_within,
     sub,
     wedge_intersect,
-    wedge_split,
 )
 from .rational import parse_rational
 from .surface import TranslationSurface
@@ -285,6 +290,11 @@ def _sqrt_correctly_rounded(x: Fraction) -> float:
         return float((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
 
 
+# The half-open upper half-plane: of every direction and its reverse, it
+# holds exactly one.
+_UPPER = Wedge((1, 0), True, (-1, 0), False)
+
+
 def integer_polygons(S: TranslationSurface) -> tuple[int, tuple]:
     """The least common denominator D of the vertex coordinates, and every
     polygon scaled by D to integer vertex tuples. Developing on these keeps
@@ -297,56 +307,145 @@ def integer_polygons(S: TranslationSurface) -> tuple[int, tuple]:
                     for poly in S.polygons)
 
 
-def unfold_wedge(S: TranslationSurface, polys, B, p: int, t, w: Wedge):
+def _split(w, hits) -> list:
+    """The wedge w = (a, ia, b, ib) split at the hit directions, each split
+    direction excluded from every piece."""
+    uniq = []
+    for h in hits:
+        if h[0] not in uniq:  # hit directions are coprime
+            uniq.append(h[0])
+    if len(uniq) > 1:
+        uniq.sort(key=ccw_sort_key)
+    pieces = []
+    a, ia = w[0], w[1]
+    for d in uniq:
+        pieces.append((a, ia, d, False))
+        a, ia = d, False
+    pieces.append((a, ia, w[2], w[3]))
+    # a zero-angle piece is empty unless it holds both of its rays
+    return [(a, ia, b, ib) for a, ia, b, ib in pieces
+            if ia and ib or a[0] * b[1] != a[1] * b[0]
+            or a[0] * b[0] + a[1] * b[1] < 0]
+
+
+def _meet(piece, x1, y1, x2, y2):
+    """The wedge piece = (a, ia, b, ib) of angle <= pi intersected with the
+    span from (x1, y1) (included) ccw to (x2, y2) (excluded), an angle in
+    (0, pi); None when empty. As `geometry.wedge_intersect`, on unnormalized
+    rays."""
+    (ax, ay), ia, (bx, by), ib = piece
+    a_1 = ax * y1 - ay * x1  # cross(a, E1)
+    a_2 = ax * y2 - ay * x2  # cross(a, E2)
+    b_1 = x1 * by - y1 * bx  # cross(E1, b)
+    b_2 = x2 * by - y2 * bx  # cross(E2, b)
+    # first ray: the piece's when it runs along E1 or the span holds it,
+    # E1 when the piece holds E1
+    if a_1 == 0 and ax * x1 + ay * y1 > 0:
+        cx, cy, ic = ax, ay, ia
+    elif ib if b_1 == 0 and x1 * bx + y1 * by > 0 else a_1 > 0 and b_1 > 0:
+        cx, cy, ic = x1, y1, True
+    elif a_1 < 0 and a_2 > 0:
+        cx, cy, ic = ax, ay, ia
+    else:
+        return None
+    # last ray: likewise with E2, which the span leaves out
+    if b_2 == 0 and x2 * bx + y2 * by > 0:
+        ex, ey, ie = bx, by, False
+    elif ia if a_2 == 0 and ax * x2 + ay * y2 > 0 else a_2 > 0 and b_2 > 0:
+        ex, ey, ie = x2, y2, False
+    elif b_1 == 0 and x1 * bx + y1 * by > 0 or b_1 > 0 and b_2 < 0:
+        ex, ey, ie = bx, by, ib
+    else:
+        return None
+    c = cx * ey - cy * ex
+    if c < 0 or c == 0 and (cx * ex + cy * ey < 0 or not (ic and ie)):
+        return None
+    return (cx, cy), ic, (ex, ey), ie
+
+
+def unfold_wedge(S: TranslationSurface, polys, B, p: int, t, w):
     """Develop the rays of wedge w from the origin through the gluings and
     yield every polygon copy they reach within squared length B, starting
     from polygon p translated by t. A ray leaves a copy through an edge that
     faces away from the origin and enters the partner edge's polygon; a
     cone-point lift stops the rays in exactly its direction, regular lifts
-    stop nothing. All decisions are exact sign tests on the coordinates of
-    `polys` (integers from `integer_polygons`).
+    stop nothing. All decisions are exact sign tests on the integer
+    coordinates of `polys` (from `integer_polygons`).
 
-    Each copy is yielded as (polygon, translation, verts, wedge, hits,
-    pieces): verts are the polygon's vertices plus the translation, wedge
-    the directions that reach the copy, hits the cone-point lifts in the
-    wedge within B as (direction, length_sq, vertex, vertex index), and
-    pieces the wedge split at their directions, which develops on."""
+    Wedges are tuples (a, ia, b, ib): the sector from ray a ccw to ray b,
+    of angle <= pi, with a flag per ray saying whether it belongs. The rays
+    are integer vectors, not normalized. Each copy is yielded as (polygon,
+    translation, verts, wedge, hits): verts are the polygon's vertices plus
+    the translation, wedge the directions that reach the copy, and hits
+    the cone-point lifts in the wedge within B as (coprime direction,
+    length_sq, vertex, vertex index)."""
+    cone_vertices, partners = S.cone_vertices, S.edge_partners
     stack = [(p, t, w)]
     while stack:
         p, t, w = stack.pop()
-        verts = [add(vv, t) for vv in polys[p]]
+        tx, ty = t
+        verts = [(x + tx, y + ty) for x, y in polys[p]]
+        (ax, ay), ia, (bx, by), ib = w
         hits = []
-        for vi, q in enumerate(verts):
-            if (p, vi) not in S.corner_cone or q == (0, 0):
+        for vi in cone_vertices[p]:
+            q = qx, qy = verts[vi]
+            dsq = qx * qx + qy * qy
+            if dsq > B or dsq == 0:
                 continue
-            dsq = norm_sq(q)
-            if dsq > B:
-                continue
-            nd = norm_dir(q)
-            if w.contains(nd):
-                hits.append((nd, dsq, q, vi))
-        pieces = wedge_split(w, [nd for nd, _, _, _ in hits]) if hits else [w]
-        yield p, t, verts, w, hits, pieces
+            ca = ax * qy - ay * qx
+            if ca == 0 and ax * qx + ay * qy > 0:
+                inside = ia
+            else:
+                cb = qx * by - qy * bx
+                if cb == 0 and qx * bx + qy * by > 0:
+                    inside = ib
+                else:
+                    inside = ca > 0 and cb > 0
+            if inside:
+                g = math.gcd(qx, qy)
+                hits.append(((qx // g, qy // g), dsq, q, vi))
+        yield p, t, verts, w, hits
+        pieces = _split(w, hits) if hits else (w,)
 
-        n = len(verts)
-        for e in reversed(range(n)):
-            E1, E2 = verts[e], verts[(e + 1) % n]
-            if cross(E1, E2) <= 0:
-                continue  # front-facing or edge-on as seen from the origin
-            if not segment_within(E1, E2, B):
-                continue
-            span = Wedge(norm_dir(E1), True, norm_dir(E2), False)
-            p2, e2 = S.partner((p, e))
-            t2 = sub(E2, polys[p2][e2])
-            for piece in reversed(pieces):
-                iw = wedge_intersect(piece, span)
-                if iw is not None:
-                    stack.append((p2, t2, iw))
+        x2, y2 = verts[0]
+        edges = partners[p]
+        for e in range(len(verts) - 1, -1, -1):
+            x1, y1 = verts[e]
+            c = x1 * y2 - y1 * x2
+            # rays leave through the edges that face away from the origin
+            # and come within B of it
+            if c > 0:
+                dx, dy = x2 - x1, y2 - y1
+                s = -(x1 * dx + y1 * dy)
+                dd = dx * dx + dy * dy
+                if (x1 * x1 + y1 * y1 <= B if s <= 0 else
+                        x2 * x2 + y2 * y2 <= B if s >= dd else c * c <= B * dd):
+                    p2, e2 = edges[e]
+                    ox, oy = polys[p2][e2]
+                    t2 = (x2 - ox, y2 - oy)
+                    for piece in reversed(pieces):
+                        iw = _meet(piece, x1, y1, x2, y2)
+                        if iw is not None:
+                            stack.append((p2, t2, iw))
+            x2, y2 = x1, y1
 
 
-def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> list[SaddleConnection]:
+class Saddles(list):
+    """The saddle connections in canonical order, with `reversal[i]` the id
+    of the reverse of connection i (holonomy negated, ends swapped)."""
+
+    reversal: list[int]
+
+
+def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> Saddles:
     """All saddle connections with length_sq <= max_length_sq, in canonical
     order (length_sq, holonomy lexicographic, start cone, out sector).
+
+    The set is closed under reversal, so only the out-directions in the
+    half-open upper half-plane are developed; each connection found there
+    is listed with its reverse, which arrives along the same segment:
+    holonomy -q, from the cone and sector where the connection lands back
+    to its own start sector.
 
     Enumerating with a larger budget extends the list without renumbering:
     ids are stable under budget growth.
@@ -358,36 +457,54 @@ def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> list[S
     B = B * D * D
     if B.denominator == 1:
         B = B.numerator
+    # (length_sq, q, start, out slot, end, back slot, raw index): a
+    # connection at an even raw index, its reverse right after it
     raw: list[tuple] = []
     for cone in S.cone_points:
         for slot, (p, v) in enumerate(cone.star):
             r1, r2 = S.star_rays[cone.id][slot]
-            sector = Wedge(r1, True, r2, False)
-            copies = unfold_wedge(S, polys, B, p, neg(polys[p][v]), sector)
-            for poly, _, _, _, hits, _ in copies:
+            w = wedge_intersect(Wedge(r1, True, r2, False), _UPPER)
+            if w is None:
+                continue
+            copies = unfold_wedge(S, polys, B, p, neg(polys[p][v]),
+                                  (w.a, w.ia, w.b, w.ib))
+            for poly, _, _, _, hits in copies:
                 # A lift hides any farther lift in exactly its own direction.
                 nearest = {}
                 for nd, dsq, q, vi in hits:
                     if nd not in nearest or dsq < nearest[nd][0]:
                         nearest[nd] = (dsq, q, vi)
-                for dsq, q, vi in nearest.values():
-                    raw.append((cone.id, slot, q, dsq, (poly, vi)))
-
-    raw.sort(key=lambda r: (r[3], r[2][0], r[2][1], r[0], r[1]))
-    out = []
-    for i, (cone_id, slot, q, dsq, endcorner) in enumerate(raw):
-        end_cone, back = _landing_direction(S, endcorner, neg(q))
-        length_sq = Fraction(dsq, D * D)
+                for dsq, (qx, qy), vi in nearest.values():
+                    end, back = _landing_direction(S, (poly, vi), (-qx, -qy))
+                    i = len(raw)
+                    raw.append((dsq, qx, qy, cone.id, slot, end, back.slot, i))
+                    raw.append((dsq, -qx, -qy, end, back.slot, cone.id, slot,
+                                i + 1))
+    # the first five fields tell every two connections apart
+    raw.sort()
+    ids = [0] * len(raw)
+    for i, r in enumerate(raw):
+        ids[r[-1]] = i
+    out = Saddles()
+    out.reversal = [ids[r[-1] ^ 1] for r in raw]
+    lengths: dict = {}
+    for i, (dsq, qx, qy, start, slot, end, back, _) in enumerate(raw):
+        if dsq not in lengths:
+            length_sq = Fraction(dsq, D * D)
+            lengths[dsq] = length_sq, _sqrt_correctly_rounded(length_sq)
+        length_sq, length = lengths[dsq]
+        g = math.gcd(qx, qy)
+        nx, ny = qx // g, qy // g
         out.append(
             SaddleConnection(
                 id=i,
-                start=cone_id,
-                end=end_cone,
-                holonomy=(Fraction(q[0], D), Fraction(q[1], D)),
+                start=start,
+                end=end,
+                holonomy=(Fraction(qx, D), Fraction(qy, D)),
                 length_sq=length_sq,
-                length=_sqrt_correctly_rounded(length_sq),
-                out_dir=ConeDirection(cone_id, slot, norm_dir(q)),
-                back_dir=back,
+                length=length,
+                out_dir=ConeDirection(start, slot, (nx, ny)),
+                back_dir=ConeDirection(end, back, (-nx, -ny)),
             )
         )
     return out
@@ -403,20 +520,6 @@ def _landing_direction(S: TranslationSurface, corner, back_vec) -> tuple[int, Co
     if same_dir(bd, r2):
         slot = (slot + 1) % len(S.star_rays[cone_id])
     return cone_id, ConeDirection(cone_id, slot, bd)
-
-
-def reversal_permutation(saddles) -> list[int]:
-    """Index of each connection's reversal; enumeration is closed under it."""
-    index = {}
-    for s in saddles:
-        index[(s.start, s.out_dir.slot, s.holonomy)] = s.id
-    perm = []
-    for s in saddles:
-        key = (s.end, s.back_dir.slot, (-s.holonomy[0], -s.holonomy[1]))
-        if key not in index:
-            raise AssertionError(f"reversal of saddle {s.id} missing from the set")
-        perm.append(index[key])
-    return perm
 
 
 def saddles_to_csv(saddles) -> str:

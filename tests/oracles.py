@@ -59,10 +59,20 @@
 - `scan_opposite_sectors`: the sectors holding the opposite direction,
   found by testing every sector of the cone, which the bisection over the
   (half-turn, ray) order replaced.
+- `wedge_unfold_wedge`: the development on `Wedge` objects with normalized
+  rays and one helper call per predicate (`wedge_split` and `add` moved
+  here with it), which the kernel on integer ray tuples replaced.
+- `reversal_permutation`: each connection's reverse found by a dict over
+  its `Fraction` holonomy, and `arc_run_predecessors`: the predecessor runs
+  from a second pass over the sorted back-directions. The enumeration's
+  own pairing and `after` conjugated by it replaced them.
+- `star_angles`: the float angle of every sector of a cone, which every
+  surface computed when it was built and only `_direction_at` read.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -78,14 +88,15 @@ from scipy.sparse.csgraph import connected_components
 from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
                    SpectralResult, TruncationError, spectral_radius)
 from tsurf.circles import MeasureHistogram, _circle_arcs
-from tsurf.geometry import (Wedge, add, cross, dot, neg, norm_dir, norm_sq,
-                            same_dir, sub, wedge_intersect, wedge_split)
+from tsurf.geometry import (Wedge, ccw_sort_key, cross, dot, neg, norm_dir,
+                            norm_sq, same_dir, segment_within, sub,
+                            wedge_intersect)
 from tsurf.lengths import _length_keys
-from tsurf.paths import PathCensus, circle_length
+from tsurf.paths import PathCensus, Runs, _arc_runs, circle_length
 from tsurf.rational import parse_rational
 from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
                           _landing_direction, _sqrt_correctly_rounded,
-                          trace_ray)
+                          opposite_sectors, trace_ray)
 
 TWO_PI = 2 * math.pi
 
@@ -146,6 +157,94 @@ def scan_opposite_sectors(S, d: ConeDirection) -> list[int]:
     slots = [j for j, (r1, r2) in enumerate(rays)
              if Wedge(r1, True, r2, False).contains(opposite)]
     return sorted(slots, key=lambda j: (j - d.slot) % len(rays))
+
+
+def add(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def wedge_split(w: Wedge, dirs) -> list[Wedge]:
+    """Split `w` at each direction in `dirs` (all contained in `w`), with the
+    split directions excluded from every resulting piece."""
+    uniq: list[tuple[int, int]] = []
+    for d in dirs:
+        if not any(same_dir(d, u) for u in uniq):
+            uniq.append(d)
+    if not uniq:
+        return [w]
+    uniq.sort(key=ccw_sort_key)
+    pieces = []
+    prev, iprev = w.a, w.ia
+    for d in uniq:
+        pieces.append(Wedge(prev, iprev, d, False))
+        prev, iprev = d, False
+    pieces.append(Wedge(prev, iprev, w.b, w.ib))
+    return [p for p in pieces if not p.is_empty()]
+
+
+def wedge_unfold_wedge(S, polys, B, p: int, t, w: Wedge):
+    """The copies that `unfold.unfold_wedge` yields, developed on `Wedge`
+    objects: (polygon, translation, verts, wedge, hits, pieces), with the
+    wedge and its pieces split at the hit directions as `Wedge`s."""
+    stack = [(p, t, w)]
+    while stack:
+        p, t, w = stack.pop()
+        verts = [add(vv, t) for vv in polys[p]]
+        hits = []
+        for vi, q in enumerate(verts):
+            if (p, vi) not in S.corner_cone or q == (0, 0):
+                continue
+            dsq = norm_sq(q)
+            if dsq > B:
+                continue
+            nd = norm_dir(q)
+            if w.contains(nd):
+                hits.append((nd, dsq, q, vi))
+        pieces = wedge_split(w, [nd for nd, _, _, _ in hits]) if hits else [w]
+        yield p, t, verts, w, hits, pieces
+
+        n = len(verts)
+        for e in reversed(range(n)):
+            E1, E2 = verts[e], verts[(e + 1) % n]
+            if cross(E1, E2) <= 0:
+                continue  # front-facing or edge-on as seen from the origin
+            if not segment_within(E1, E2, B):
+                continue
+            span = Wedge(norm_dir(E1), True, norm_dir(E2), False)
+            p2, e2 = S.partner((p, e))
+            t2 = sub(E2, polys[p2][e2])
+            for piece in reversed(pieces):
+                iw = wedge_intersect(piece, span)
+                if iw is not None:
+                    stack.append((p2, t2, iw))
+
+
+def reversal_permutation(saddles) -> list[int]:
+    """Index of each connection's reversal; enumeration is closed under it."""
+    index = {}
+    for s in saddles:
+        index[(s.start, s.out_dir.slot, s.holonomy)] = s.id
+    perm = []
+    for s in saddles:
+        key = (s.end, s.back_dir.slot, (-s.holonomy[0], -s.holonomy[1]))
+        if key not in index:
+            raise AssertionError(f"reversal of saddle {s.id} missing from the set")
+        perm.append(index[key])
+    return perm
+
+
+def arc_run_predecessors(S, saddles) -> Runs:
+    """The predecessor runs read off the back-directions at each cone: row j
+    is one cyclic range of them, opposite the out-direction of saddle j."""
+    leaving = [(s.start, s.out_dir) for s in saddles]
+    arriving = [(s.end, s.back_dir) for s in saddles]
+    return _arc_runs(lambda d: opposite_sectors(S, d), arriving, leaving)
+
+
+@functools.cache
+def star_angles(S, cone_id: int) -> tuple[float, ...]:
+    """The float angle of each sector of the cone, slot by slot."""
+    return tuple(S.corner_angle(p, v) for (p, v) in S.cone_points[cone_id].star)
 
 
 def pairwise_allowed(G, i: int, j: int) -> bool:
@@ -662,7 +761,7 @@ def _direction_at(S, window: DirectionWindow, theta: float):
     angle by ~1e-12, well under a stratum."""
     cone = S.cone_points[window.cone_id]
     nslots = len(cone.star)
-    angles = S.star_angles[window.cone_id]
+    angles = star_angles(S, window.cone_id)
     slot = window.start.slot
     rem = _slot_angle_offset(S, window.start) + theta
     guard = 0

@@ -309,7 +309,11 @@ def _loaded_after(code: str) -> set[str]:
 def test_startup_path_loads_no_numpy():
     loaded = _loaded_after(
         # as `python -m tsurf.cli validate`, then through tsurf.cli.main
-        "import contextlib, io, runpy, sys\n"
+        "import contextlib, io, os, runpy, sys\n"
+        # `run` ends the process with os._exit; let the child go on instead
+        "def _exit(code):\n"
+        "    raise SystemExit(code)\n"
+        "os._exit = _exit\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    sys.argv = ['tsurf', 'validate', '--builtin', 'lshape']\n"
         "    with contextlib.suppress(SystemExit):\n"
@@ -322,6 +326,34 @@ def test_startup_path_loads_no_numpy():
     assert "tsurf.surface" in loaded
     assert "numpy" not in loaded
     assert not {"tsurf.paths", "tsurf.unfold"} & loaded
+
+
+def _cli_process(argv: str) -> subprocess.CompletedProcess:
+    # `python -m tsurf.cli` with stdout a pipe, so block-buffered
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "tsurf.cli", *argv.split()],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
+def test_process_prints_what_main_prints(capsys):
+    argv = "entropy --builtin lshape --max-length-sq 9"
+    proc = _cli_process(argv)
+    code, out, err = run(capsys, *argv.split())
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert proc.stderr == err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("circle --builtin lshape --rmax 8 --step 1 --max-length-sq 49", 3),
+    ("validate --builtin lshape --params 1,1", 2),
+])
+def test_process_keeps_the_exit_code(argv, code):
+    proc = _cli_process(argv)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, absent", [

@@ -20,12 +20,11 @@ from hypothesis import given, strategies as st
 import tsurf
 from tsurf import InvalidParams, TruncationError, enumerate_closed, occupancy, pi_stats
 from tsurf.geodesics import _closing_costs, saddle_cell_lengths, stats_csv
-from tsurf.unfold import reversal_permutation
 
 from oracles import (brute_closed_words, dense_follows, dijkstra_return_bounds,
                      fraction_saddle_cell_lengths, is_primitive, lyndon_census,
-                     per_word_pi_saddle, return_bounds, slice_min_rotation,
-                     word_length, word_lengths)
+                     per_word_pi_saddle, return_bounds, reversal_permutation,
+                     slice_min_rotation, word_length, word_lengths)
 
 
 @pytest.fixture(scope="module")

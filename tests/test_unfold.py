@@ -4,14 +4,18 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import tsurf
 from tsurf import enumerate_saddle_connections, trace_ray
-from tsurf.unfold import (TracePoint, cone_direction, opposite_sectors,
-                          reversal_permutation)
+from tsurf.geometry import Wedge, neg
+from tsurf.unfold import (TracePoint, cone_direction, integer_polygons,
+                          opposite_sectors, unfold_wedge)
 
-from oracles import fraction_saddle_connections, scan_opposite_sectors
+from oracles import (arc_run_predecessors, fraction_saddle_connections,
+                     reversal_permutation, scan_opposite_sectors,
+                     wedge_unfold_wedge)
 
 
 def test_trace_straight_across_square(lshape):
@@ -123,3 +127,51 @@ def test_opposite_sectors_match_the_scan(name):
     for s in sad:
         for d in (s.out_dir, s.back_dir):
             assert opposite_sectors(S, d) == scan_opposite_sectors(S, d)
+
+
+@pytest.mark.parametrize("name, params, scale", [
+    ("lshape", None, 1),
+    ("lshape", ("7/3", "5/2"), 1),
+    ("slit_tori", None, 1),
+    ("lshape", None, Fraction(2, 3)),
+])
+def test_kernel_develops_as_the_wedge_objects(name, params, scale):
+    # every sector whole at B = 49, copy by copy in the same order
+    S = tsurf.scale_surface(tsurf.builtin_surface(name, params), scale)
+    D, polys = integer_polygons(S)
+    B = 49 * D * D
+    for cone in S.cone_points:
+        for slot, (p, v) in enumerate(cone.star):
+            r1, r2 = S.star_rays[cone.id][slot]
+            w = Wedge(r1, True, r2, False)
+            t = neg(polys[p][v])
+            got = [(c[0], c[1], c[4]) for c in
+                   unfold_wedge(S, polys, B, p, t, (w.a, w.ia, w.b, w.ib))]
+            want = [(c[0], c[1], c[4]) for c in
+                    wedge_unfold_wedge(S, polys, B, p, t, w)]
+            assert got == want
+            assert any(hits for _, _, hits in got)
+
+
+@pytest.mark.parametrize("name, budget", [("lshape", 49), ("slit_tori", 49),
+                                          ("lshape", 100)])
+def test_reversal_matches_the_holonomy_dict(name, budget):
+    sad = enumerate_saddle_connections(tsurf.builtin_surface(name), budget)
+    assert sad.reversal == reversal_permutation(sad)
+
+
+@pytest.mark.parametrize("name, params, budget", [
+    ("lshape", None, 100),
+    ("slit_tori", None, 49),
+    ("lshape", ("7/3", "5/2"), Fraction(121, 4)),
+])
+def test_predecessors_are_the_conjugated_successors(name, params, budget):
+    S = tsurf.builtin_surface(name, params)
+    G = tsurf.build_concat_graph(S, budget)
+    want = arc_run_predecessors(S, G.saddles)
+    assert np.diff(G.before.ptr).max() <= 2
+    got_rows, got_ids = G.before.pairs()
+    want_rows, want_ids = want.pairs()
+    assert set(zip(got_rows.tolist(), got_ids.tolist())) == \
+        set(zip(want_rows.tolist(), want_ids.tolist()))
+    assert G.before.size == want.size == G.edges
