@@ -24,7 +24,7 @@ from .geometry import (Wedge, clip_half_plane, convex_clip, cross, dot, neg,
                        norm_dir, polygon_area, segment_within)
 from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
 from .surface import TranslationSurface
-from .unfold import (ConeDirection, TracePoint, cone_direction,
+from .unfold import (ConeDirection, cone_direction,
                      integer_polygons, opposite_sectors, unfold_wedge)
 # Not called here: the benchmark tracer (perfbench/tracing.py) wraps
 # circles.trace_ray by name to count rays.
@@ -110,9 +110,6 @@ class CellGrid:
     @property
     def num_cells(self) -> int:
         return len(self.areas)
-
-    def cell_of(self, pt: TracePoint) -> int:
-        return self.cell_of_point(pt.polygon, pt.position)
 
     def cell_of_point(self, polygon: int, position) -> int:
         x0, y0, x1, y1 = self.boxes[polygon]

@@ -26,7 +26,7 @@ from .errors import InvalidParams
 from .geometry import neg
 from .lengths import _Keys, exact_bound, keyed, merge
 from .paths import ConcatGraph, Runs, _extend
-from .unfold import integer_polygons, unfold_wedge
+from .unfold import _clip_ray, integer_polygons, unfold_wedge
 
 
 # Relative width of the band around a float comparison in which `F`
@@ -313,38 +313,12 @@ def saddle_cell_lengths(G: ConcatGraph, grid, ids=None) -> dict[int, dict[int, f
                               (d, True, d, True))
         shares: dict[int, float] = {}
         for poly, (tx, ty), verts, *_ in copies:
-            span = _clip_ray(verts, qx, qy)
+            span = _clip_ray(verts, qx, qy, 1)
             if span is not None:
                 _split_span(span, qx, qy, tx, ty, boxes[poly], n,
                             grid.offsets[poly], s.length, shares)
         out[sid] = shares
     return out
-
-
-def _clip_ray(verts, qx, qy):
-    """The parameters [lo, hi] (as numerator, denominator pairs) of the part
-    of the segment tau * (qx, qy), 0 <= tau <= 1, inside a convex ccw
-    polygon, or None when that part is at most a point. A point P is inside
-    when cross(E2 - E1, P - E1) >= 0 for every edge E1 E2."""
-    lo, hi = (0, 1), (1, 1)
-    m = len(verts)
-    for k in range(m):
-        (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % m]
-        ex, ey = x2 - x1, y2 - y1
-        c = ex * qy - ey * qx
-        h = ex * y1 - ey * x1
-        # Inside this edge's half-plane: tau * c >= h.
-        if c > 0:
-            if h * lo[1] > lo[0] * c:
-                lo = (h, c)
-        elif c < 0:
-            if -h * hi[1] < hi[0] * -c:
-                hi = (-h, -c)
-        elif h > 0:
-            return None
-    if lo[0] * hi[1] >= hi[0] * lo[1]:
-        return None
-    return lo, hi
 
 
 def _split_span(span, qx, qy, tx, ty, box, n, offset, total_len, shares):

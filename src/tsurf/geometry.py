@@ -147,38 +147,6 @@ def segment_within(p1, p2, B) -> bool:
     return c * c <= B * dd
 
 
-def point_in_convex(verts, p) -> int:
-    """Locate p relative to a convex ccw polygon.
-
-    Returns +1 strictly inside, 0 on the boundary, -1 outside.
-    """
-    on_edge = False
-    grazing = False
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        c = cross(sub(b, a), sub(p, a))
-        if c < 0:
-            return -1
-        if c == 0:
-            # On the supporting line; inside the edge span means boundary.
-            # Outside the span is still possible at a flat vertex, where a
-            # collinear neighbor edge holds the point instead.
-            if dot(sub(p, a), sub(p, b)) <= 0:
-                on_edge = True
-            else:
-                grazing = True
-    if on_edge:
-        return 0
-    if grazing:
-        # In every half-plane, on some edge line, but on no edge: the face
-        # of that line contains the point, so a sibling edge must have
-        # caught it; unreachable for a valid convex polygon.
-        return -1
-    return 1
-
-
 def clip_half_plane(verts, o, u):
     """Sutherland-Hodgman clip of a convex ccw polygon to the closed half-plane
     left of the line through `o` with direction `u`. Exact for rational

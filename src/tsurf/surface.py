@@ -192,10 +192,6 @@ class TranslationSurface:
         for cone in self.cone_points:
             for slot, corner in enumerate(cone.star):
                 self.corner_cone[corner] = (cone.id, slot)
-        self.corner_regular: dict[tuple[int, int], tuple[int, int]] = {}
-        for ci, cyc in enumerate(self.regular_classes):
-            for slot, corner in enumerate(cyc):
-                self.corner_regular[corner] = (ci, slot)
 
         # Per-slot sector rays, precomputed for the angle predicates.
         self.star_rays: tuple[tuple, ...] = tuple(

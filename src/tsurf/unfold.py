@@ -1,11 +1,13 @@
-"""Saddle connections by corner unfolding, exact ray tracing, cone angles.
+"""Saddle connections and ray traces by corner unfolding, cone angles.
 
 The unfolding develops a cone corner at the origin and pushes a direction
 wedge through edge gluings into translated polygon copies. Because all
 transition maps are translations, a direction vector means the same thing
 in every chart, so angular bookkeeping reduces to integer cross/dot signs
 and saddle connections are found with exact holonomy. The kernel carries
-wedges as integer ray tuples on polygons scaled to integer vertices.
+wedges as integer ray tuples on polygons scaled to integer vertices. A ray
+trace is the same development of one direction from its start point: the
+copies it yields are the charts the ray crosses.
 
 The set of saddle connections is closed under reversal: the connection
 with holonomy q, read from its end, is one with holonomy -q. So each
@@ -31,7 +33,6 @@ from .geometry import (
     neg,
     norm_dir,
     norm_sq,
-    point_in_convex,
     same_dir,
     second_half,
     sub,
@@ -122,9 +123,13 @@ class TraceResult:
 def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget) -> TraceResult:
     """Follow a straight geodesic from `start` with squared-length budget.
 
-    All crossing and stopping decisions are exact rational sign tests.
-    Regular marked vertices are passed straight through; hitting a cone
-    point stops the trace and reports it.
+    The ray is developed from the start point as the zero-angle wedge of
+    `unfold_wedge`: the copies it yields are the charts it crosses, and
+    every crossing and stopping decision is an exact sign test. Regular
+    vertices are passed straight through; hitting a cone point stops the
+    trace. A boundary start whose direction leaves polygon p continues
+    across: into the partner edge at the glued point, or into the first
+    corner ccw around the vertex whose half-open sector holds it.
     """
     d = (parse_rational(direction[0]), parse_rational(direction[1]))
     if d == (0, 0):
@@ -132,105 +137,75 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
     B = parse_rational(len_sq_budget)
     if B < 0:
         raise InvalidParams("negative budget")
-    pos = (parse_rational(start.position[0]), parse_rational(start.position[1]))
     p = start.polygon
-    if point_in_convex(S.polygons[p], pos) < 0:
+    if not 0 <= p < len(S.polygons):
+        raise InvalidParams(f"start polygon {p} does not exist")
+    pos = (parse_rational(start.position[0]), parse_rational(start.position[1]))
+    verts = S.polygons[p]
+    edges = [(a, sub(b, a)) for a, b in zip(verts, verts[1:] + verts[:1])]
+    sides = [cross(ev, sub(pos, a)) for a, ev in edges]
+    if min(sides) < 0:
         raise InvalidParams(f"start {pos} is outside polygon {p}")
-
-    dd = Fraction(norm_sq(d))
-    segments: list[tuple[int, tuple, tuple]] = []
-    tau = Fraction(0)  # accumulated ray parameter; length = tau * sqrt(dd)
     if B == 0:
         return TraceResult(TracePoint(p, pos), None, Fraction(0), ())
-
-    while True:
-        verts = S.polygons[p]
-        n = len(verts)
-        t_exit = None
-        for e in range(n):
-            a, b = verts[e], verts[(e + 1) % n]
-            evec = sub(b, a)
-            den = cross(d, evec)
-            if den == 0:
-                continue  # parallel; exits along this line happen at vertices
-            t = Fraction(cross(sub(a, pos), evec), den)
-            if t <= 0:
-                continue
-            # Crossing point must lie within the edge's span.
-            x = (pos[0] + t * d[0], pos[1] + t * d[1])
-            if dot(sub(x, a), sub(x, b)) > 0:
-                continue
-            if t_exit is None or t < t_exit:
-                t_exit = t
-        assert t_exit is not None, "ray failed to exit a convex polygon"
-
-        # A ray running along an edge line can reach a flat cone vertex with
-        # no transversal crossing; the nearest collinear cone vertex ahead
-        # of us wins over the edge exit.
-        t_cone = None
-        cone_vi = None
-        for vi, vv in enumerate(verts):
-            rel = sub(vv, pos)
-            if rel == (0, 0) or (p, vi) not in S.corner_cone:
-                continue
-            if cross(d, rel) == 0 and dot(d, rel) > 0:
-                t_v = rel[0] / d[0] if d[0] != 0 else rel[1] / d[1]
-                if t_v < t_exit and (t_cone is None or t_v < t_cone):
-                    t_cone, cone_vi = t_v, vi
-        if t_cone is not None:
-            t_exit = t_cone
-
-        tau_new = tau + t_exit
-        if tau_new * tau_new * dd > B:
-            # Budget runs out inside this polygon.
-            t_hat = _stop_param(B, dd, tau, tau_new)
-            endpos = (pos[0] + (t_hat - tau) * d[0], pos[1] + (t_hat - tau) * d[1])
-            segments.append((p, pos, endpos))
-            return TraceResult(TracePoint(p, endpos), None, t_hat * t_hat * dd,
-                               tuple(segments))
-
-        x = (pos[0] + t_exit * d[0], pos[1] + t_exit * d[1])
-        segments.append((p, pos, x))
-        vhit = None
-        for vi, vv in enumerate(verts):
-            if vv == x:
-                vhit = vi
-                break
-        if vhit is not None:
-            corner = (p, vhit)
-            if corner in S.corner_cone:
-                cone_id = S.corner_cone[corner][0]
-                return TraceResult(None, cone_id, tau_new * tau_new * dd,
-                                   tuple(segments))
-            # Regular marked point: continue straight through its star.
-            ci, _ = S.corner_regular[corner]
-            p, pos = _star_continue(S, ci, d)
-            tau = tau_new
-            continue
-        # Transversal edge crossing: find the edge containing x strictly.
-        exit_edge = None
-        for e in range(n):
-            a, b = verts[e], verts[(e + 1) % n]
-            if cross(sub(b, a), sub(x, a)) == 0 and dot(sub(x, a), sub(x, b)) < 0:
-                exit_edge = e
-                break
-        assert exit_edge is not None
-        p2, e2 = S.partner((p, exit_edge))
-        a = verts[exit_edge]
-        evec = S.edge_vector(p, exit_edge)
-        # Param of x along the edge, via the larger component.
-        if evec[0] != 0:
-            s = (x[0] - a[0]) / evec[0]
+    nd = norm_dir(d)
+    if any(s == 0 and cross(ev, d) < 0 for s, (_, ev) in zip(sides, edges)):
+        # The direction leaves polygon p from its boundary.
+        if pos in verts:
+            p, v = _star_turn(S, p, verts.index(pos), nd)
+            pos = S.polygons[p][v]
         else:
-            s = (x[1] - a[1]) / evec[1]
-        poly2 = S.polygons[p2]
-        a2 = poly2[e2]
-        b2 = poly2[(e2 + 1) % len(poly2)]
-        # Edge e maps onto the partner reversed: param s from a lands at
-        # param s from b2 toward a2.
-        pos = (b2[0] + s * (a2[0] - b2[0]), b2[1] + s * (a2[1] - b2[1]))
-        p = p2
-        tau = tau_new
+            e = next(e for e, (a, ev) in enumerate(edges)
+                     if sides[e] == 0 and 0 < dot(sub(pos, a), ev) < norm_sq(ev))
+            a = verts[e]
+            p, e = S.partner((p, e))
+            b = S.polygons[p][(e + 1) % len(S.polygons[p])]
+            pos = (pos[0] - a[0] + b[0], pos[1] - a[1] + b[1])
+
+    # Scale once more so that the start is an integer point.
+    D, polys = integer_polygons(S)
+    m = math.lcm(*((c * D).denominator for c in pos))
+    u = D * m
+    polys = tuple(tuple((x * m, y * m) for x, y in poly) for poly in polys)
+    q = qx, qy = nd
+    # the ray parameter along d per unit along q
+    lam = qx / (d[0] * u) if qx else qy / (d[1] * u)
+    dd = Fraction(norm_sq(d))
+    # The development runs on an integer budget at least B; every stop is
+    # decided again on the exact B.
+    Bs = -(-B.numerator * u * u // B.denominator)
+    reach = math.isqrt(Bs // norm_sq(q)) + 1
+    origin, tau0 = (int(pos[0] * u), int(pos[1] * u)), Fraction(0)
+    segments: list[tuple[int, tuple, tuple]] = []
+    while True:
+        copies = unfold_wedge(S, polys, Bs, p, neg(origin), (q, True, q, True))
+        for poly, (tx, ty), verts, _, hits in copies:
+            span = _clip_ray(verts, qx, qy, reach)
+            if span is None:
+                continue  # a copy met only at a regular vertex
+            lo, hi = (tau0 + Fraction(*t) * lam for t in span)
+            if hits:
+                _, (hx, hy), vi = min(h[1:] for h in hits)
+                hi = tau0 + math.gcd(hx, hy) * lam
+            # positions in polygon `poly`: tau * d - (ox, oy)
+            ox, oy = tau0 * d[0] + Fraction(tx, u), tau0 * d[1] + Fraction(ty, u)
+            entry = (lo * d[0] - ox, lo * d[1] - oy)
+            if hi * hi * dd > B:
+                t = _stop_param(B, dd, lo, hi)
+                end = (t * d[0] - ox, t * d[1] - oy)
+                segments.append((poly, entry, end))
+                return TraceResult(TracePoint(poly, end), None, t * t * dd,
+                                   tuple(segments))
+            segments.append((poly, entry, (hi * d[0] - ox, hi * d[1] - oy)))
+            if hits:
+                return TraceResult(None, S.corner_cone[(poly, vi)][0],
+                                   hi * hi * dd, tuple(segments))
+        # A development ends without a stop only where a ray starting on an
+        # edge line runs back along the edge into a regular vertex: go on
+        # from the corner of its star that holds the direction.
+        poly, _, end = segments[-1]
+        p, v = _star_turn(S, poly, S.polygons[poly].index(end), nd)
+        origin, tau0 = polys[p][v], hi
 
 
 def _stop_param(B: Fraction, dd: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -244,23 +219,43 @@ def _stop_param(B: Fraction, dd: Fraction, lo: Fraction, hi: Fraction) -> Fracti
     t = Fraction(math.sqrt(num / den))
     while t * t > target:
         t = Fraction(math.nextafter(float(t), 0.0))
-    if t < lo:
-        t = lo
-    if t > hi:
-        t = hi
-    return t
+    return min(max(t, lo), hi)
 
 
-def _star_continue(S: TranslationSurface, class_idx: int, d):
-    """Pick the corner of a regular vertex star whose sector contains d
-    (half-open convention: the outgoing-edge boundary belongs to the
-    sector), and return (polygon, vertex position) to continue from."""
-    nd = norm_dir(d)
-    for (p, v) in S.regular_classes[class_idx]:
+def _star_turn(S: TranslationSurface, p: int, v: int, nd) -> tuple[int, int]:
+    """The first corner after (p, v), turning ccw around their vertex, whose
+    half-open sector (outgoing edge included) holds the direction nd."""
+    while True:
+        p, v = S.partner((p, (v - 1) % len(S.polygons[p])))
         r1, r2 = S.corner_rays(p, v)
         if Wedge(r1, True, r2, False).contains(nd):
-            return p, S.polygons[p][v]
-    raise AssertionError("direction not contained in any star sector")
+            return p, v
+
+
+def _clip_ray(verts, qx, qy, reach):
+    """The parameters [lo, hi] (as numerator, denominator pairs) of the part
+    of the segment tau * (qx, qy), 0 <= tau <= reach, inside a convex ccw
+    polygon, or None when that part is at most a point. A point P is inside
+    when cross(E2 - E1, P - E1) >= 0 for every edge E1 E2."""
+    lo, hi = (0, 1), (reach, 1)
+    m = len(verts)
+    for k in range(m):
+        (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % m]
+        ex, ey = x2 - x1, y2 - y1
+        c = ex * qy - ey * qx
+        h = ex * y1 - ey * x1
+        # Inside this edge's half-plane: tau * c >= h.
+        if c > 0:
+            if h * lo[1] > lo[0] * c:
+                lo = (h, c)
+        elif c < 0:
+            if -h * hi[1] < hi[0] * -c:
+                hi = (-h, -c)
+        elif h > 0:
+            return None
+    if lo[0] * hi[1] >= hi[0] * lo[1]:
+        return None
+    return lo, hi
 
 
 # ----------------------------------------------------------------------------

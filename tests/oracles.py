@@ -68,6 +68,13 @@
   own pairing and `after` conjugated by it replaced them.
 - `star_angles`: the float angle of every sector of a cone, which every
   surface computed when it was built and only `_direction_at` read.
+- `fraction_trace_ray`: the ray walked polygon by polygon in `Fraction`
+  coordinates, exit edge by exit edge, through regular vertices by a scan
+  of their star (`point_in_convex` and `_star_continue` moved here with
+  it), which the reading of the ray's integer development replaced. It
+  raises on a boundary start whose direction leaves the polygon. The
+  Monte Carlo oracles and `fraction_saddle_cell_lengths` trace with it, so
+  they stay independent of `unfold_wedge`.
 """
 
 from __future__ import annotations
@@ -95,8 +102,9 @@ from tsurf.lengths import _length_keys
 from tsurf.paths import PathCensus, Runs, _arc_runs, circle_length
 from tsurf.rational import parse_rational
 from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
-                          _landing_direction, _sqrt_correctly_rounded,
-                          opposite_sectors, trace_ray)
+                          TraceResult, _landing_direction,
+                          _sqrt_correctly_rounded, _stop_param,
+                          opposite_sectors)
 
 TWO_PI = 2 * math.pi
 
@@ -746,6 +754,167 @@ def _explore(S, B, cone_id, slot0, p, t, w, out):
 
 
 # ----------------------------------------------------------------------------
+# Ray tracing on Fraction coordinates
+
+
+def point_in_convex(verts, p) -> int:
+    """Locate p relative to a convex ccw polygon.
+
+    Returns +1 strictly inside, 0 on the boundary, -1 outside.
+    """
+    on_edge = False
+    grazing = False
+    n = len(verts)
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        c = cross(sub(b, a), sub(p, a))
+        if c < 0:
+            return -1
+        if c == 0:
+            # On the supporting line; inside the edge span means boundary.
+            # Outside the span is still possible at a flat vertex, where a
+            # collinear neighbor edge holds the point instead.
+            if dot(sub(p, a), sub(p, b)) <= 0:
+                on_edge = True
+            else:
+                grazing = True
+    if on_edge:
+        return 0
+    if grazing:
+        # In every half-plane, on some edge line, but on no edge: the face
+        # of that line contains the point, so a sibling edge must have
+        # caught it; unreachable for a valid convex polygon.
+        return -1
+    return 1
+
+
+def fraction_trace_ray(S, start: TracePoint, direction, len_sq_budget) -> TraceResult:
+    """Follow a straight geodesic from `start` with squared-length budget.
+
+    All crossing and stopping decisions are exact rational sign tests.
+    Regular marked vertices are passed straight through; hitting a cone
+    point stops the trace and reports it.
+    """
+    d = (parse_rational(direction[0]), parse_rational(direction[1]))
+    if d == (0, 0):
+        raise InvalidParams("zero direction")
+    B = parse_rational(len_sq_budget)
+    if B < 0:
+        raise InvalidParams("negative budget")
+    pos = (parse_rational(start.position[0]), parse_rational(start.position[1]))
+    p = start.polygon
+    if point_in_convex(S.polygons[p], pos) < 0:
+        raise InvalidParams(f"start {pos} is outside polygon {p}")
+
+    dd = Fraction(norm_sq(d))
+    segments: list[tuple[int, tuple, tuple]] = []
+    tau = Fraction(0)  # accumulated ray parameter; length = tau * sqrt(dd)
+    if B == 0:
+        return TraceResult(TracePoint(p, pos), None, Fraction(0), ())
+
+    while True:
+        verts = S.polygons[p]
+        n = len(verts)
+        t_exit = None
+        for e in range(n):
+            a, b = verts[e], verts[(e + 1) % n]
+            evec = sub(b, a)
+            den = cross(d, evec)
+            if den == 0:
+                continue  # parallel; exits along this line happen at vertices
+            t = Fraction(cross(sub(a, pos), evec), den)
+            if t <= 0:
+                continue
+            # Crossing point must lie within the edge's span.
+            x = (pos[0] + t * d[0], pos[1] + t * d[1])
+            if dot(sub(x, a), sub(x, b)) > 0:
+                continue
+            if t_exit is None or t < t_exit:
+                t_exit = t
+        assert t_exit is not None, "ray failed to exit a convex polygon"
+
+        # A ray running along an edge line can reach a flat cone vertex with
+        # no transversal crossing; the nearest collinear cone vertex ahead
+        # of us wins over the edge exit.
+        t_cone = None
+        for vi, vv in enumerate(verts):
+            rel = sub(vv, pos)
+            if rel == (0, 0) or (p, vi) not in S.corner_cone:
+                continue
+            if cross(d, rel) == 0 and dot(d, rel) > 0:
+                t_v = rel[0] / d[0] if d[0] != 0 else rel[1] / d[1]
+                if t_v < t_exit and (t_cone is None or t_v < t_cone):
+                    t_cone = t_v
+        if t_cone is not None:
+            t_exit = t_cone
+
+        tau_new = tau + t_exit
+        if tau_new * tau_new * dd > B:
+            # Budget runs out inside this polygon.
+            t_hat = _stop_param(B, dd, tau, tau_new)
+            endpos = (pos[0] + (t_hat - tau) * d[0], pos[1] + (t_hat - tau) * d[1])
+            segments.append((p, pos, endpos))
+            return TraceResult(TracePoint(p, endpos), None, t_hat * t_hat * dd,
+                               tuple(segments))
+
+        x = (pos[0] + t_exit * d[0], pos[1] + t_exit * d[1])
+        segments.append((p, pos, x))
+        vhit = None
+        for vi, vv in enumerate(verts):
+            if vv == x:
+                vhit = vi
+                break
+        if vhit is not None:
+            corner = (p, vhit)
+            if corner in S.corner_cone:
+                cone_id = S.corner_cone[corner][0]
+                return TraceResult(None, cone_id, tau_new * tau_new * dd,
+                                   tuple(segments))
+            # Regular marked point: continue straight through its star.
+            p, pos = _star_continue(S, corner, d)
+            tau = tau_new
+            continue
+        # Transversal edge crossing: find the edge containing x strictly.
+        exit_edge = None
+        for e in range(n):
+            a, b = verts[e], verts[(e + 1) % n]
+            if cross(sub(b, a), sub(x, a)) == 0 and dot(sub(x, a), sub(x, b)) < 0:
+                exit_edge = e
+                break
+        assert exit_edge is not None
+        p2, e2 = S.partner((p, exit_edge))
+        a = verts[exit_edge]
+        evec = S.edge_vector(p, exit_edge)
+        # Param of x along the edge, via the larger component.
+        if evec[0] != 0:
+            s = (x[0] - a[0]) / evec[0]
+        else:
+            s = (x[1] - a[1]) / evec[1]
+        poly2 = S.polygons[p2]
+        a2 = poly2[e2]
+        b2 = poly2[(e2 + 1) % len(poly2)]
+        # Edge e maps onto the partner reversed: param s from a lands at
+        # param s from b2 toward a2.
+        pos = (b2[0] + s * (a2[0] - b2[0]), b2[1] + s * (a2[1] - b2[1]))
+        p = p2
+        tau = tau_new
+
+
+def _star_continue(S, corner, d):
+    """Pick the corner of a regular vertex star whose sector contains d
+    (half-open convention: the outgoing-edge boundary belongs to the
+    sector), and return (polygon, vertex position) to continue from."""
+    nd = norm_dir(d)
+    star = next(cyc for cyc in S.regular_classes if corner in cyc)
+    for (p, v) in star:
+        r1, r2 = S.corner_rays(p, v)
+        if Wedge(r1, True, r2, False).contains(nd):
+            return p, S.polygons[p][v]
+    raise AssertionError("direction not contained in any star sector")
+
+
+# ----------------------------------------------------------------------------
 # Monte Carlo circle measure and region volume
 
 
@@ -792,12 +961,12 @@ def _trace_to_cell(S, grid, start, dvec, r: float):
     """Trace a straight segment of length r; returns the cell id or None on a
     mid-flight singular hit."""
     if r <= 0:
-        return grid.cell_of(start)
+        return grid.cell_of_point(start.polygon, start.position)
     budget = Fraction(r) ** 2
-    res = trace_ray(S, start, dvec, budget)
+    res = fraction_trace_ray(S, start, dvec, budget)
     if res.hit_cone is not None and res.consumed_length_sq < budget:
         return None
-    return grid.cell_of(res.end)
+    return grid.cell_of_point(res.end.polygon, res.end.position)
 
 
 def _expanded_arcs(G, x: int, R, census):
@@ -931,7 +1100,7 @@ def fraction_saddle_cell_lengths(G, grid) -> dict[int, dict[int, float]]:
         cone = S.cone_points[s.start]
         poly, v = cone.star[s.out_dir.slot]
         startpt = TracePoint(poly, S.polygons[poly][v])
-        res = trace_ray(S, startpt, s.out_dir.vec, s.length_sq)
+        res = fraction_trace_ray(S, startpt, s.out_dir.vec, s.length_sq)
         shares: dict[int, float] = {}
         for seg in res.segments:
             _split_segment(grid, seg, s.length, s.length_sq, shares)

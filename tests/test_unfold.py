@@ -1,6 +1,7 @@
 """Ray tracing and saddle-connection enumeration."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,12 +11,13 @@ import pytest
 import tsurf
 from tsurf import enumerate_saddle_connections, trace_ray
 from tsurf.geometry import Wedge, neg
+from tsurf.surface import TranslationSurface
 from tsurf.unfold import (TracePoint, cone_direction, integer_polygons,
                           opposite_sectors, unfold_wedge)
 
 from oracles import (arc_run_predecessors, fraction_saddle_connections,
-                     reversal_permutation, scan_opposite_sectors,
-                     wedge_unfold_wedge)
+                     fraction_trace_ray, reversal_permutation,
+                     scan_opposite_sectors, wedge_unfold_wedge)
 
 
 def test_trace_straight_across_square(lshape):
@@ -50,6 +52,108 @@ def test_zero_direction_rejected(lshape):
     with pytest.raises(tsurf.InvalidParams):
         trace_ray(lshape, TracePoint(0, (Fraction(1, 2), Fraction(1, 2))),
                   (0, 0), Fraction(1))
+
+
+def _lshape_with_regular_vertices():
+    """lshape with the arm [1,2]x[0,1] cut at x = 3/2 into two squares and
+    with the point (1/2, 0) ~ (1/2, 2) made a vertex of both polygons it
+    lies on. Both new vertex classes are regular (angle 2*pi), the second
+    one flat in each of its polygons."""
+    h, t = Fraction(1, 2), Fraction(3, 2)
+    polygons = [
+        [(0, 0), (h, 0), (1, 0), (1, 1), (0, 1)],
+        [(1, 0), (t, 0), (t, 1), (1, 1)],
+        [(t, 0), (2, 0), (2, 1), (t, 1)],
+        [(0, 1), (1, 1), (1, 2), (h, 2), (0, 2)],
+    ]
+    gluings = [((0, 0), (3, 3)), ((0, 1), (3, 2)), ((0, 2), (1, 3)),
+               ((0, 3), (3, 0)), ((0, 4), (2, 1)), ((1, 0), (1, 2)),
+               ((1, 1), (2, 3)), ((2, 0), (2, 2)), ((3, 1), (3, 4))]
+    return TranslationSurface(
+        [[(Fraction(x), Fraction(y)) for x, y in poly] for poly in polygons],
+        gluings)
+
+
+def _seeded_rays(S, seed):
+    """Endless rays (start, direction, budget): starts inside a polygon, on
+    an edge or at a vertex; small rational directions or unit directions
+    rounded to denominators of at most 10**12; budgets up to 60."""
+    rng = random.Random(seed)
+    while True:
+        p = rng.randrange(len(S.polygons))
+        verts = S.polygons[p]
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = [rng.randint(1, 6) for _ in verts]
+            pos = tuple(sum(wi * v[c] for wi, v in zip(w, verts)) / sum(w)
+                        for c in (0, 1))
+        elif kind == 1:
+            e = rng.randrange(len(verts))
+            a, b = verts[e], verts[(e + 1) % len(verts)]
+            s = Fraction(rng.randint(1, 11), 12)
+            pos = (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+        else:
+            pos = verts[rng.randrange(len(verts))]
+        if rng.random() < 0.5:
+            d = (0, 0)
+            while d == (0, 0):
+                d = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(2))
+        else:
+            a = rng.uniform(0, 2 * math.pi)
+            d = (Fraction(math.cos(a)).limit_denominator(10 ** 12),
+                 Fraction(math.sin(a)).limit_denominator(10 ** 12))
+        yield TracePoint(p, pos), d, Fraction(rng.randint(0, 240), 4)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("lshape", None),
+    ("lshape", ("7/3", "5/2")),
+    ("slit_tori", None),
+    ("slit_tori", ("1/3",)),
+    ("regular_vertices", None),
+])
+def test_trace_ray_matches_the_fraction_tracer(name, params):
+    # 260 rays per surface on which the oracle runs; it raises on a
+    # boundary start whose direction leaves the polygon (see the test below)
+    S = (_lshape_with_regular_vertices() if name == "regular_vertices"
+         else tsurf.builtin_surface(name, params))
+    seen = Counter()
+    for start, d, B in _seeded_rays(S, 19):
+        try:
+            want = fraction_trace_ray(S, start, d, B)
+        except AssertionError:
+            continue
+        assert trace_ray(S, start, d, B) == want, (start, d, B)
+        seen[want.hit_singularity] += 1
+        if seen.total() == 260:
+            break
+    assert min(seen.values()) > 15  # cone hits and budget ends alike
+
+
+@pytest.mark.parametrize("start, direction, glued", [
+    # edge starts pointing out: A bottom ~ C top, A right ~ B left
+    (TracePoint(0, (Fraction(1, 2), 0)), (0, -1),
+     TracePoint(2, (Fraction(1, 2), 2))),
+    (TracePoint(0, (1, Fraction(1, 2))), (1, 0),
+     TracePoint(1, (1, Fraction(1, 2)))),
+    # a vertex start pointing out of A's corner at (1, 0): two corners ccw
+    # around the cone, C's corner at (0, 2) holds the direction
+    (TracePoint(0, (1, 0)), (2, -1), TracePoint(2, (0, 2))),
+])
+def test_boundary_start_continues_across(lshape, start, direction, glued):
+    with pytest.raises(AssertionError):
+        fraction_trace_ray(lshape, start, direction, 4)
+    want = fraction_trace_ray(lshape, glued, direction, 4)
+    assert trace_ray(lshape, start, direction, 4) == want
+    assert trace_ray(lshape, glued, direction, 4) == want
+
+
+@pytest.mark.parametrize("polygon", [3, -1])
+def test_start_polygon_outside_the_surface_rejected(lshape, polygon):
+    with pytest.raises(tsurf.InvalidParams):
+        trace_ray(lshape, TracePoint(polygon, (Fraction(1, 2), Fraction(1, 2))),
+                  (1, 0), 1)
 
 
 def test_saddle_count_small_budgets(lshape):
