@@ -11,7 +11,7 @@ import importlib
 _HOME = {
     **dict.fromkeys(
         ("CellGrid", "DirectionWindow", "MeasureHistogram", "antipodal_direction",
-         "circle_measure", "direction_window", "region_volume"), "circles"),
+         "circle_measure", "direction_window"), "circles"),
     **dict.fromkeys(
         ("BracketFailure", "DegenerateRadius", "DerivativeMismatch",
          "Disconnected", "EdgeMismatch", "EmptySCC", "InvalidParams",
@@ -34,10 +34,11 @@ _HOME = {
     **dict.fromkeys(
         ("SaddleConnection", "enumerate_saddle_connections", "trace_ray"),
         "unfold"),
+    "region_volume": "volume",
 }
 
 _SUBMODULES = ("circles", "cli", "errors", "geodesics", "geometry", "lengths",
-               "paths", "rational", "spectral", "surface", "unfold")
+               "paths", "rational", "spectral", "surface", "unfold", "volume")
 
 __all__ = sorted(_HOME)
 

@@ -2,13 +2,13 @@
 
 A circle of radius R around a cone point is a union of arcs, one per
 admissible path p (radius R - l(p), angular width 2*pi*k at the terminal
-cone) plus the full arc around the center. Each distinct (window, radius)
-is developed once through the gluings: the arc is the circle of that
-radius about the origin, cut by the polygon copies the window's rays
-reach. The histogram credits each piece's length to its cell, and the
-region volume adds each copy-cell-wedge polygon's area inside the disk.
-Cell areas and the development are exact; only the clip angles and the
-disk areas are float.
+cone) plus the full arc around the center. One development serves every
+arc: each cone sector is developed once, to the largest arc radius at its
+cone, and a direction window is its whole sectors plus at most two partial
+ones clipped to its rays. Radius by radius, the circle in each polygon copy
+is cut once against the copy's edges and the cell lines, and each window
+copy credits the pieces inside its wedge to their cells. Cell areas and the
+development are exact; only the clip angles are float.
 """
 
 from __future__ import annotations
@@ -20,17 +20,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateRadius, InvalidParams
-from .geometry import (Wedge, clip_half_plane, convex_clip, cross, dot, neg,
-                       norm_dir, polygon_area, segment_within)
+from .geometry import cross, dot, neg
 from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
 from .surface import TranslationSurface
-from .unfold import (ConeDirection, cone_direction,
+from .unfold import (ConeDirection, _meet, cone_direction,
                      integer_polygons, opposite_sectors, unfold_wedge)
 # Not called here: the benchmark tracer (perfbench/tracing.py) wraps
 # circles.trace_ray by name to count rays.
 from .unfold import trace_ray  # noqa: F401
 
 TWO_PI = 2 * math.pi
+HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,56 @@ def direction_window(G: ConcatGraph, x: int,
 # Cell grids with exact areas
 
 
+def _clip_axis(pts, axis: int, c: int, sign: int) -> list:
+    """Sutherland-Hodgman clip of a convex ccw polygon to the closed
+    half-plane sign * (coordinate `axis` - c) >= 0, on integer points. Exact
+    when every point where the line meets an edge is an integer point."""
+    out = []
+    n = len(pts)
+    for i in range(n):
+        P, Q = pts[i], pts[(i + 1) % n]
+        sp, sq = sign * (P[axis] - c), sign * (Q[axis] - c)
+        if sp >= 0:
+            out.append(P)
+        if (sp >= 0) != (sq >= 0):
+            o = 1 - axis
+            v = P[o] + (c - P[axis]) * (Q[o] - P[o]) // (Q[axis] - P[axis])
+            out.append((c, v) if axis == 0 else (v, c))
+    return out
+
+
+def _cell_areas(S: TranslationSurface, n: int) -> list[Fraction]:
+    """The exact area of each cell-intersect-polygon of the n x n grids, in
+    cell-id order, computed on integers. The polygons of `integer_polygons`
+    scaled by n * L put every vertex and cell line on integers, where L is a
+    multiple of every edge's |dx| and |dy|: a cell line then meets each edge
+    line at an integer point, and so does every clip below."""
+    D, polys = integer_polygons(S)
+    L = 1
+    for poly in polys:
+        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+            L = math.lcm(L, abs(x2 - x1) or 1, abs(y2 - y1) or 1)
+    m = n * L
+    unit = 2 * (D * m) ** 2  # twice the area of a unit square, scaled
+    areas = []
+    for poly in polys:
+        pts = [(x * m, y * m) for x, y in poly]
+        x0 = min(x for x, _ in pts)
+        y0 = min(y for _, y in pts)
+        cw = (max(x for x, _ in pts) - x0) // n
+        ch = (max(y for _, y in pts) - y0) // n
+        for j in range(n):
+            row = _clip_axis(_clip_axis(pts, 1, y0 + j * ch, 1),
+                             1, y0 + (j + 1) * ch, -1)
+            for i in range(n):
+                piece = _clip_axis(_clip_axis(row, 0, x0 + i * cw, 1),
+                                   0, x0 + (i + 1) * cw, -1)
+                areas.append(Fraction(sum(
+                    px * qy - py * qx for (px, py), (qx, qy)
+                    in zip(piece, piece[1:] + piece[:1])), unit))
+    return areas
+
+
 @dataclass
 class CellGrid:
     """Per-polygon n x n congruent axis-aligned cells over each polygon's
@@ -88,23 +138,13 @@ class CellGrid:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParams("grid resolution must be >= 1")
-        areas = []
         for poly in self.surface.polygons:
             xs = [p[0] for p in poly]
             ys = [p[1] for p in poly]
-            x0, x1 = min(xs), max(xs)
-            y0, y1 = min(ys), max(ys)
-            self.boxes.append((x0, y0, x1, y1))
-            self.offsets.append(len(areas))
-            cw = Fraction(x1 - x0, self.n)
-            ch = Fraction(y1 - y0, self.n)
-            for j in range(self.n):
-                for i in range(self.n):
-                    piece = convex_clip(poly, x0 + i * cw, x0 + (i + 1) * cw,
-                                        y0 + j * ch, y0 + (j + 1) * ch)
-                    areas.append(polygon_area(piece) if len(piece) >= 3 else Fraction(0))
-        total = sum(areas)
-        assert total == self.surface.area, "grid cells must partition the area"
+            self.offsets.append(len(self.boxes) * self.n * self.n)
+            self.boxes.append((min(xs), min(ys), max(xs), max(ys)))
+        areas = _cell_areas(self.surface, self.n)
+        assert sum(areas) == self.surface.area, "grid cells must partition the area"
         self.areas = np.array([float(a) for a in areas])
 
     @property
@@ -189,10 +229,11 @@ class MeasureHistogram:
 
 def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
     """Checks shared by the estimators, then the arcs of the radius-R circle
-    around cone x as (window, radius, count): the full cone at the center
-    once, then one entry per census group of length <= R in census order,
-    standing for its count paths. Only the arc radii round R to a float.
-    Returns (R, census, arcs)."""
+    around cone x: the full cone at the center, then one per census group
+    of length <= R. Returns (R, census, arcs, narcs): arcs maps each
+    distinct (window, radius > 0) to its number of paths, in order of first
+    appearance; narcs counts every arc. Only the arc radii round R to a
+    float. The census is read in blocks, not as per-group lists."""
     if R <= 0:
         raise DegenerateRadius(f"radius must be positive, got {R}")
     G.check_radius(R)
@@ -200,75 +241,156 @@ def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
         census = path_length_census(G, x, R)
     g = census.groups(R)
     r = float(R)
-    arcs = [(direction_window(G, x), r, 1)]
+    arcs = {(direction_window(G, x), r): 1}
+    narcs = 1
     windows: dict[int, DirectionWindow] = {}
-    for length, term, count in zip(census.group_lengths[:g].tolist(),
-                                   census.group_saddle[:g].tolist(),
-                                   census.counts[:g].tolist()):
-        if term not in windows:
-            windows[term] = direction_window(G, x, term)
-        arcs.append((windows[term], r - length, count))
-    return R, census, arcs
+    for lo in range(0, g, 256):
+        hi = min(g, lo + 256)
+        for length, term, count in zip(census.group_lengths[lo:hi].tolist(),
+                                       census.group_saddle[lo:hi].tolist(),
+                                       census.counts[lo:hi].tolist()):
+            narcs += count
+            if r - length <= 0:
+                continue
+            if term not in windows:
+                windows[term] = direction_window(G, x, term)
+            key = windows[term], r - length
+            arcs[key] = arcs.get(key, 0) + count
+    return R, census, arcs, narcs
 
 
 def _window_wedges(S: TranslationSurface, window: DirectionWindow) -> list:
-    """The window as exact per-sector wedges (slot, wedge). A window of m
-    full turns runs from its start vector to the same vector m turns later;
-    the full cone is every sector whole."""
+    """The window as exact per-sector wedges (slot, (a, ia, b, ib)). A
+    window of m full turns runs from its start vector to the same vector m
+    turns later; the full cone is every sector whole, and a window of
+    width 0 holds no wedge."""
     rays = S.star_rays[window.cone_id]
-    n = len(rays)
-    sectors = [Wedge(r1, True, r2, False) for r1, r2 in rays]
-    vec, first = window.start.vec, window.start.slot
-    holding = sorted((j for j in range(n) if sectors[j].contains(vec)),
-                     key=lambda j: (j - first) % n)
     turns = round(window.width / TWO_PI)
-    if turns >= len(holding):
-        return list(enumerate(sectors))
-    last = holding[turns]
-    out = [(first, Wedge(vec, True, rays[first][1], False))]
-    slot = (first + 1) % n
-    while slot != last:
-        out.append((slot, sectors[slot]))
-        slot = (slot + 1) % n
-    tail = Wedge(rays[last][0], True, vec, False)
-    if not tail.is_empty():
-        out.append((last, tail))
+    if turns == 0:
+        return []
+    if turns > S.cone_points[window.cone_id].k:  # k + 1 sectors hold vec
+        return [(slot, (r1, True, r2, False)) for slot, (r1, r2) in enumerate(rays)]
+    vec, slot = window.start.vec, window.start.slot
+    vx, vy = vec
+    out = [(slot, (vec, True, rays[slot][1], False))]
+    while True:
+        slot = (slot + 1) % len(rays)
+        r1, r2 = (ax, ay), (bx, by) = rays[slot]
+        # whether the half-open sector [r1, r2) holds vec; rays are coprime
+        if vec == r1 or (vec != r2 and ax * vy - ay * vx > 0
+                         and vx * by - vy * bx > 0):
+            turns -= 1
+            if turns == 0:
+                break
+        out.append((slot, (r1, True, r2, False)))
+    if vec != r1:
+        out.append((slot, (r1, True, vec, False)))
     return out
 
 
-def _distinct_arcs(arcs) -> dict:
-    """Multiplicity of each distinct (window, radius > 0), in order of first
-    appearance."""
-    groups: dict[tuple, list] = {}
-    for window, r, count in arcs:
-        if r <= 0:
-            continue
-        key = (window.cone_id, window.start.slot, window.start.vec,
-               window.width, r)
-        if key in groups:
-            groups[key][2] += count
+def _distance_bounds(verts) -> tuple[float, float]:
+    """Squared distances from the origin to the nearest and the farthest
+    point of a convex polygon not holding the origin, as floats."""
+    far = max(x * x + y * y for x, y in verts)
+    near = far
+    x1, y1 = verts[-1]
+    for x2, y2 in verts:
+        dx, dy = x2 - x1, y2 - y1
+        s = -(x1 * dx + y1 * dy)
+        dd = dx * dx + dy * dy
+        if 0 < s < dd:
+            c = x1 * dy - y1 * dx
+            near = min(near, c * c / dd)
         else:
-            groups[key] = [window, r, count]
-    return groups
+            near = min(near, x1 * x1 + y1 * y1)
+        x1, y1 = x2, y2
+    return float(near), float(far)
 
 
-def _developed_copies(S, polys, window, rho):
-    """Every polygon copy that the rays of the window reach within length
-    rho (in the scaled coordinates of `polys`). The budget is widened by a
-    relative 1e-12 so that no copy the float circle enters is pruned by a
-    rounded comparison; an extra copy only contributes nothing."""
-    B = rho * rho * (1 + 1e-12)
-    for slot, w in _window_wedges(S, window):
-        p, v = S.cone_points[window.cone_id].star[slot]
-        yield from unfold_wedge(S, polys, B, p, neg(polys[p][v]),
-                                (w.a, w.ia, w.b, w.ib))
+class _Development:
+    """One development per cone sector, read window by window.
+
+    Each sector a window holds is developed once by `unfold_wedge`, to the
+    largest arc radius at its cone (in the coordinates of `polys`), with
+    the budget widened by a relative 1e-12 so that no copy the float
+    circle enters is pruned by a rounded comparison. A sector keeps its
+    copies of nonzero angle in order of near, as (polygon, tx, ty, base,
+    width, near, far, ax, ay, ia, bx, by, ib): the translation, the float
+    angles of the wedge's first ray and of the wedge, the bounds of
+    `_distance_bounds` and the wedge (a, ia, b, ib)."""
+
+    def __init__(self, S: TranslationSurface, polys, arcs):
+        # arcs: the (window, rho) pairs that the development serves
+        self.S, self.polys = S, polys
+        self.reach: dict[int, float] = {}
+        for window, rho in arcs:
+            cone = window.cone_id
+            self.reach[cone] = max(self.reach.get(cone, 0.0), rho)
+        self.sectors: dict[tuple, list] = {}
+        self.rays: dict[tuple, tuple] = {}  # ray -> (coprime ray, angle)
+
+    def angles(self, w) -> tuple[float, float]:
+        # from the coprime rays, so that equal directions give equal floats
+        rays = self.rays
+        for d in w[0], w[2]:
+            if d not in rays:
+                g = math.gcd(*d)
+                rays[d] = (d[0] // g, d[1] // g), math.atan2(d[1], d[0])
+        (a, base), (b, _) = rays[w[0]], rays[w[2]]
+        return base, math.atan2(cross(a, b), dot(a, b))
+
+    def sector(self, cone: int, slot: int) -> list:
+        if (cone, slot) not in self.sectors:
+            S, polys = self.S, self.polys
+            p, v = S.cone_points[cone].star[slot]
+            r1, r2 = S.star_rays[cone][slot]
+            B = self.reach[cone] * self.reach[cone] * (1 + 1e-12)
+            copies = []
+            for q, (tx, ty), verts, w, _ in unfold_wedge(
+                    S, polys, B, p, neg(polys[p][v]), (r1, True, r2, False)):
+                base, width = self.angles(w)
+                if width > 0:
+                    (ax, ay), ia, (bx, by), ib = w
+                    copies.append((q, tx, ty, base, width)
+                                  + _distance_bounds(verts)
+                                  + (ax, ay, ia, bx, by, ib))
+            copies.sort(key=lambda c: c[5])
+            self.sectors[cone, slot] = copies
+        return self.sectors[cone, slot]
+
+    def copies(self, window: DirectionWindow, lo: float, hi: float):
+        """The copies the window's rays reach with near <= hi and far
+        >= lo. A window is whole sectors plus at most two partial ones,
+        whose copies keep the part of their wedge between the window's
+        rays (`unfold._meet`): what developing them would give."""
+        rays = self.S.star_rays[window.cone_id]
+        for slot, ((ex, ey), _, (fx, fy), _) in _window_wedges(self.S, window):
+            whole = rays[slot] == ((ex, ey), (fx, fy))
+            for c in self.sector(window.cone_id, slot):
+                if c[5] > hi:
+                    break
+                if c[6] < lo:
+                    continue
+                if not whole:
+                    w = ((c[7], c[8]), c[9], (c[10], c[11]), c[12])
+                    cw = _meet(w, ex, ey, fx, fy)
+                    if cw is None:
+                        continue
+                    if cw != w:
+                        base, width = self.angles(cw)
+                        if width <= 0:
+                            continue
+                        (ax, ay), ia, (bx, by), ib = cw
+                        c = c[:3] + (base, width) + c[5:7] + (ax, ay, ia, bx, by, ib)
+                yield c
 
 
 class _ScaledCells:
     """The grid in the integer coordinates of `integer_polygons`: per
-    polygon the scaled bounding box and cell lines."""
+    polygon the scaled box and cell lines, and per edge (nx, ny, h, angle,
+    length) of its inner normal n, with h = n.p on the edge."""
 
-    def __init__(self, grid: CellGrid, D: int):
+    def __init__(self, grid: CellGrid, D: int, polys):
         self.grid = grid
         self.boxes = [tuple(float(c * D) for c in box) for box in grid.boxes]
         n = grid.n
@@ -276,6 +398,14 @@ class _ScaledCells:
                        for x0, _, x1, _ in self.boxes]
         self.ylines = [[y0 + (y1 - y0) * i / n for i in range(1, n)]
                        for _, y0, _, y1 in self.boxes]
+        self.normals = []
+        for poly in polys:
+            mine = []
+            for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+                nx, ny = y1 - y2, x2 - x1
+                mine.append((nx, ny, nx * x1 + ny * y1, math.atan2(ny, nx),
+                             math.hypot(nx, ny)))
+            self.normals.append(mine)
 
     def cell_of(self, p: int, x: float, y: float) -> int:
         x0, y0, x1, y1 = self.boxes[p]
@@ -284,188 +414,121 @@ class _ScaledCells:
         j = min(max(int((y - y0) * n // (y1 - y0)), 0), n - 1)
         return self.grid.offsets[p] + j * n + i
 
-
-def _half_circle_cut(nx, ny, h, rho):
-    """The part of the circle of radius rho about the origin in the
-    half-plane n.p >= h, as (angle of n, half-width): the angles within the
-    half-width of n's angle. Half-width -1 when the part is at most a point,
-    4 (> pi) when it is the whole circle. A half-plane and its complement
-    get complementary arcs from the same float quotient, so an arc split
-    between two copies along their shared edge is counted once."""
-    q = h / (rho * math.hypot(nx, ny))
-    if q >= 1:
-        return math.atan2(ny, nx), -1.0
-    if q <= -1:
-        return math.atan2(ny, nx), 4.0
-    return math.atan2(ny, nx), math.acos(q)
-
-
-def _arc_angles(copy, cells: _ScaledCells, rho):
-    """(cell id, angle) of each piece of the circle of radius rho about the
-    origin inside a copy from `unfold_wedge` and its wedge, split at the
-    cell lines. The pieces come from float clip angles; each is credited to
-    the cell that holds its midpoint."""
-    p, (tx, ty), verts, (a, _, b, _) = copy[:4]
-    a, b = norm_dir(a), norm_dir(b)  # the float angles as on coprime rays
-    width = math.atan2(cross(a, b), dot(a, b))
-    if width <= 0:
-        return []
-    base = math.atan2(a[1], a[0])
-    n = len(verts)
-    edges = []
-    for k in range(n):
-        (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % n]
-        nx, ny = y1 - y2, x2 - x1
-        th, half = _half_circle_cut(nx, ny, nx * x1 + ny * y1, rho)
-        if half < 0:
+    def cut(self, p: int, tx, ty, rho) -> list:
+        """The circle of radius rho about the origin inside polygon p
+        translated by (tx, ty), as pieces (start angle, angle, cell id). A
+        line n.p = h cuts the circle at the angle of n plus or minus
+        acos(h / (rho |n|)). An arc between edge cuts lies in the copy when
+        its midpoint is within every edge's arc; the cell lines split it,
+        and each piece goes to the cell holding its midpoint."""
+        cell_of = self.cell_of
+        edges = []
+        marks = []
+        for nx, ny, h, th, norm in self.normals[p]:
+            q = (h + nx * tx + ny * ty) / (rho * norm)
+            if q >= 1:
+                return []  # the circle lies beyond this edge
+            if q > -1:
+                half = math.acos(q)
+                edges.append((th, half))
+                marks.append((th - half) % TWO_PI)
+                marks.append((th + half) % TWO_PI)
+        if not marks:
+            marks.append(0.0)
+        marks.sort()
+        marks.append(marks[0] + TWO_PI)
+        arcs = []
+        for lo, hi in zip(marks, marks[1:]):
+            if hi <= lo:
+                continue
+            mid = 0.5 * (lo + hi)
+            for th, half in edges:
+                off = (mid - th) % TWO_PI
+                if off >= half and TWO_PI - off >= half:
+                    break
+            else:
+                arcs.append((lo, hi))
+        if not arcs:
             return []
-        if half <= math.pi:
-            edges.append((th, half))
-    cuts = list(edges)
-    for X in cells.xlines[p]:
-        cuts.append(_half_circle_cut(1, 0, X + tx, rho))
-    for Y in cells.ylines[p]:
-        cuts.append(_half_circle_cut(0, 1, Y + ty, rho))
-    marks = [0.0, width]
-    for th, half in cuts:
-        if 0 <= half <= math.pi:
-            for ang in (th - half, th + half):
-                phi = (ang - base) % TWO_PI
-                if 0 < phi < width:
-                    marks.append(phi)
-    marks.sort()
-    out = []
-    for lo, hi in zip(marks, marks[1:]):
-        if hi <= lo:
-            continue
-        mid = base + 0.5 * (lo + hi)
-        inside = True
-        for th, half in edges:
-            off = (mid - th) % TWO_PI
-            if min(off, TWO_PI - off) >= half:
-                inside = False
-                break
-        if inside:
-            cid = cells.cell_of(p, rho * math.cos(mid) - tx,
-                                rho * math.sin(mid) - ty)
-            out.append((cid, hi - lo))
-    return out
+        lines = []
+        for X in self.xlines[p]:
+            q = (X + tx) / rho
+            if -1 < q < 1:
+                half = math.acos(q)
+                lines.append(-half % TWO_PI)
+                lines.append(half)
+        for Y in self.ylines[p]:
+            q = (Y + ty) / rho
+            if -1 < q < 1:
+                half = math.acos(q)
+                lines.append((HALF_PI - half) % TWO_PI)
+                lines.append(HALF_PI + half)
+        out = []
+        for lo, hi in arcs:
+            cuts = [lo]
+            for m in lines:
+                if m <= lo:
+                    m += TWO_PI  # the arc may run past 2*pi
+                if m < hi:
+                    cuts.append(m)
+            cuts.sort()
+            cuts.append(hi)
+            for a, b in zip(cuts, cuts[1:]):
+                if b > a:
+                    mid = 0.5 * (a + b)
+                    out.append((a, b - a, cell_of(
+                        p, rho * math.cos(mid) - tx, rho * math.sin(mid) - ty)))
+        return out
 
 
 def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
                    census: PathCensus | None = None) -> MeasureHistogram:
     """Histogram of the radius-R circle around cone x over the grid cells,
-    normalized to total mass 1, by developing each distinct arc.
+    normalized to total mass 1.
 
     The arc of radius r in a window is the circle of radius r about the
-    origin in the development of that window: in every polygon copy the
-    window's rays reach within r, the circle is clipped to the copy, to the
-    copy's wedge and to the cell lines, and each piece credits r times its
-    angle to its cell. Which copy and wedge a piece belongs to is exact; the
-    clip angles are float. Nothing is sampled."""
-    R, census, arcs = _circle_arcs(G, x, R, census)
+    origin in the window's development (`_Development`). Radius by radius,
+    the circle in each polygon copy is cut once (`_ScaledCells.cut`), and
+    each window copy credits r times the angle of the pieces inside its
+    wedge to their cells. Which copy and wedge a piece lies in is exact;
+    the clip angles are float. Nothing is sampled."""
+    R, census, arcs, narcs = _circle_arcs(G, x, R, census)
+    by_radius: dict[float, list] = {}
+    for (window, r), mult in arcs.items():
+        by_radius.setdefault(r, []).append((window, mult))
+    del arcs
     S = G.surface
     D, polys = integer_polygons(S)
-    cells = _ScaledCells(grid, D)
-    masses = np.zeros(grid.num_cells)
-    for window, r, mult in _distinct_arcs(arcs).values():
+    cells = _ScaledCells(grid, D, polys)
+    dev = _Development(S, polys, [(w, r * D) for r, group in by_radius.items()
+                                  for w, _ in group])
+    masses = [0.0] * grid.num_cells
+    for r, group in by_radius.items():
         rho = r * D
-        arc = np.zeros(grid.num_cells)
-        for copy in _developed_copies(S, polys, window, rho):
-            for cid, ang in _arc_angles(copy, cells, rho):
-                arc[cid] += ang
-        masses += (mult * r) * arc
+        # copies the circle misses by more than rounding are skipped; the
+        # rest are cut, and a miss gives no piece
+        lo, hi = rho * rho * (1 - 1e-9), rho * rho * (1 + 1e-9)
+        circles: dict[tuple, list] = {}  # (polygon, tx, ty) -> pieces
+        for window, mult in group:
+            for copy in dev.copies(window, lo, hi):
+                p, tx, ty, base, width = copy[:5]
+                pieces = circles.get(copy[:3])
+                if pieces is None:
+                    pieces = circles[p, tx, ty] = cells.cut(p, tx, ty, rho)
+                for start, ang, cid in pieces:
+                    # the piece runs from s to s + ang past base, the wedge
+                    # from 0 to width
+                    s = (start - base) % TWO_PI
+                    part = min(ang, width - s) if s < width else 0.0
+                    if s + ang > TWO_PI:
+                        part += min(s + ang - TWO_PI, width)
+                    masses[cid] += r * mult * part
+    masses = np.array(masses)
 
     total = circle_length(G, x, R, census)
     # Nothing is sampled, so no sample is retried or dropped; the keys stay
     # because perfbench/tracing.py reads them.
-    meta = {"R": float(R), "arcs": sum(count for _, _, count in arcs),
-            "retried": 0, "dropped": 0,
+    meta = {"R": float(R), "arcs": narcs, "retried": 0, "dropped": 0,
             "unnormalized_total": float(masses.sum()),
             "circle_length": total}
     return MeasureHistogram(grid, masses / total, meta)
-
-
-def _disk_triangle(A, B, rho):
-    """Signed area of the triangle (origin, A, B) inside the disk of radius
-    rho about the origin, in closed form."""
-    dx, dy = B[0] - A[0], B[1] - A[1]
-    a = dx * dx + dy * dy
-
-    def sector(P, Q):
-        return 0.5 * rho * rho * math.atan2(cross(P, Q), dot(P, Q))
-
-    if a == 0:
-        return 0.0
-    b = A[0] * dx + A[1] * dy
-    disc = b * b - a * (A[0] * A[0] + A[1] * A[1] - rho * rho)
-    if disc <= 0:
-        return sector(A, B)
-    root = math.sqrt(disc)
-    s1, s2 = (-b - root) / a, (-b + root) / a
-    if s1 >= 1 or s2 <= 0:
-        return sector(A, B)
-    s1, s2 = max(s1, 0.0), min(s2, 1.0)
-    P = (A[0] + s1 * dx, A[1] + s1 * dy)
-    Q = (A[0] + s2 * dx, A[1] + s2 * dy)
-    return sector(A, P) + 0.5 * cross(P, Q) + sector(Q, B)
-
-
-def _disk_area(poly, rho) -> float:
-    """Area of a convex ccw polygon inside the disk of radius rho about the
-    origin, summed edge by edge over the fan from the origin."""
-    pts = [(float(px), float(py)) for px, py in poly]
-    return math.fsum(_disk_triangle(A, B, rho)
-                     for A, B in zip(pts, pts[1:] + pts[:1]))
-
-
-def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
-                  census: PathCensus | None = None) -> float:
-    """Area of the radius-R ball around cone x inside the given cell set.
-
-    Each distinct arc's window is developed as in `circle_measure`; in every
-    copy, copy-cell-wedge is clipped exactly and its area inside the disk
-    of radius r is added in closed form."""
-    cells = frozenset(int(c) for c in cells)
-    outside = sorted(c for c in cells if not 0 <= c < grid.num_cells)
-    if outside:
-        raise InvalidParams(f"cell ids {outside} are outside the "
-                            f"{grid.num_cells}-cell grid")
-    R, census, arcs = _circle_arcs(G, x, R, census)
-    if not cells:
-        return 0.0
-    S = G.surface
-    D, polys = integer_polygons(S)
-    pieces = [[] for _ in polys]  # per polygon: its cells in the set
-    for cid in sorted(cells):
-        p, i, j = grid.cell_meta(cid)
-        x0, y0, x1, y1 = (c * D for c in grid.boxes[p])
-        cw, ch = (x1 - x0) / grid.n, (y1 - y0) / grid.n
-        piece = convex_clip(polys[p], x0 + i * cw, x0 + (i + 1) * cw,
-                            y0 + j * ch, y0 + (j + 1) * ch)
-        if len(piece) >= 3:
-            pieces[p].append(piece)
-    # Scale once more so that the piece vertices are integers as well.
-    m = math.lcm(*(Fraction(c).denominator for mine in pieces
-                   for piece in mine for pt in piece for c in pt))
-    D *= m
-    polys = tuple(tuple((px * m, py * m) for px, py in poly) for poly in polys)
-    pieces = [[[(int(px * m), int(py * m)) for px, py in piece]
-               for piece in mine] for mine in pieces]
-    total = 0.0
-    for window, r, mult in _distinct_arcs(arcs).values():
-        rho = r * D
-        vol = 0.0
-        copies = _developed_copies(S, polys, window, rho)
-        for p, (tx, ty), _, (a, _, b, _), _ in copies:
-            for piece in pieces[p]:
-                part = [(px + tx, py + ty) for px, py in piece]
-                if not any(segment_within(P, Q, rho * rho)
-                           for P, Q in zip(part, part[1:] + part[:1])):
-                    continue  # beyond the disk; no copy holds the origin
-                part = clip_half_plane(part, (0, 0), a)
-                part = clip_half_plane(part, (0, 0), neg(b))
-                if len(part) >= 3:
-                    vol += _disk_area(part, rho)
-        total += mult * vol
-    return total / (D * D)

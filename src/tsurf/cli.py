@@ -36,13 +36,14 @@ from .surface import TranslationSurface, builtin_surface, load_surface_file
 # numpy. Binding never replaces a name that is already set, so a wrapper put
 # on `tsurf.cli.<name>` from outside is the one the subcommand calls.
 _LAYER_NAMES = {
-    "circles": ("CellGrid", "circle_measure", "region_volume"),
+    "circles": ("CellGrid", "circle_measure"),
     "geodesics": ("enumerate_closed", "occupancy", "pi_stats", "saddle_csv",
                   "stats_csv"),
     "paths": ("ball_volume_closed", "build_concat_graph", "circle_csv",
               "path_length_census"),
     "spectral": ("single_rung_entropy", "solve_entropy", "v_weights"),
     "unfold": ("enumerate_saddle_connections", "saddles_to_csv"),
+    "volume": ("region_volume",),
 }
 
 
@@ -239,7 +240,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    _layers("paths", "circles")
+    _layers("paths", "circles", "volume")
     S = _load(args)
     R = _rat(args.radius)
     G = _graph(S, args, need_sq=R * R)
@@ -371,8 +372,11 @@ def main(argv=None) -> int:
     # The parser is cyclic garbage now, partly promoted to the oldest
     # generation while it was built. Collected here, before a subcommand
     # loads its layers, its memory holds them instead of lingering beside
-    # them: `weights` peaked about 0.16 MiB lower.
+    # them: `weights` peaked about 0.16 MiB lower. What `run` froze before
+    # the parser was built is not walked, and goes back to the collector
+    # afterwards.
     gc.collect()
+    gc.unfreeze()
     try:
         return args.fn(args)
     except TruncationError as e:
@@ -398,7 +402,10 @@ def run():
     soon as stdout and stderr are flushed. Skipping the interpreter's
     teardown skips freeing memory that the OS takes back anyway; every
     artifact file is closed by then. A flush that fails exits with 120, as
-    the interpreter would, and prints no traceback."""
+    the interpreter would, and prints no traceback. The start-up objects
+    are frozen first, so that the collection in `main` walks only what the
+    parser made."""
+    gc.freeze()
     try:
         code = main()
     except SystemExit as e:  # argparse: --help, --version, usage errors

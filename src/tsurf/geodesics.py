@@ -133,8 +133,12 @@ def _closing_costs(G: ConcatGraph, m: int) -> np.ndarray:
     inside = j < m
     D = np.full((m, m), math.inf)
     D[s[inside], j[inside]] = lengths[j[inside]]
+    # one buffer for every relaxation: a fresh m x m temporary per k grew
+    # the heap by several times the table
+    via = np.empty_like(D)
     for k in range(m):
-        np.minimum(D, D[:, k, None] + D[k], out=D)
+        np.add(D[:, k, None], D[k], out=via)
+        np.minimum(D, via, out=D)
     return lengths + (D - lengths).T
 
 

@@ -193,7 +193,8 @@ def _arc_runs(sectors, placed, query) -> Runs:
     at a ccw angle from q in [pi, 2*pi*(k+1) - pi]. The placed directions
     are sorted exactly by (cone, angle), so each row is one cyclic range of
     that order, found by two binary searches: one run, or two when it wraps
-    past the end of the cone's block. sectors(q) lists the sectors holding
+    past the end of the cone's block. At k = 0 the range is the one
+    direction opposite to q. sectors(q) lists the sectors holding
     the direction opposite to q (`unfold.opposite_sectors`)."""
     keyed = sorted(((c, _position(d.slot, d.vec)), s)
                    for s, (c, d) in enumerate(placed))
@@ -206,7 +207,7 @@ def _arc_runs(sectors, placed, query) -> Runs:
         last = (c, _position(slots[-1], opposite))
         i = bisect_left(keys, first)
         j = bisect_right(keys, last)
-        if first < last:
+        if first <= last:
             pieces = ((i, j),)
         else:
             pieces = ((i, bisect_left(keys, (c + 1,))), (bisect_left(keys, (c,)), j))

@@ -41,6 +41,18 @@
   traced to its landing cell by the exact ray tracer, which the developed
   arcs replaced. Deterministic per seed: each arc draws from its own
   counter-based stream keyed by (seed, arc index).
+- `per_arc_circle_measure` and `per_arc_region_volume`: the circle
+  histogram and the region volume with every distinct (window, radius)
+  developed on its own (`_developed_copies`), each copy's circle cut again
+  for every arc that reaches it (`_arc_angles`, `_half_circle_cut`) and
+  copy-cell-wedge clipped again for every arc, which one development per
+  cone sector and one cut per (copy, radius) replaced. `listed_circle_arcs`
+  and `distinct_arcs` list the arcs one per census group and then merge
+  them, which reading the census in blocks into distinct arcs replaced;
+  `wedge_window_wedges` splits a window by testing every sector with
+  `Wedge.contains`, which the walk from the start sector replaced.
+- `fraction_cell_areas`: each cell-intersect-polygon clipped and summed in
+  `Fraction` coordinates, which the clip on integer coordinates replaced.
 - `dijkstra_return_bounds`: one anchor's return bounds by Dijkstra on the
   reversed edges, which the one Floyd-Warshall pass for all anchors
   (`return_bounds`) replaced.
@@ -92,19 +104,23 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from tsurf import (BracketFailure, EmptySCC, InvalidParams, MismatchedCone,
-                   SpectralResult, TruncationError, spectral_radius)
-from tsurf.circles import MeasureHistogram, _circle_arcs
-from tsurf.geometry import (Wedge, ccw_sort_key, cross, dot, neg, norm_dir,
-                            norm_sq, same_dir, segment_within, sub,
-                            wedge_intersect)
+from tsurf import (BracketFailure, DegenerateRadius, EmptySCC, InvalidParams,
+                   MismatchedCone, SpectralResult, TruncationError,
+                   spectral_radius)
+from tsurf.circles import (DirectionWindow, MeasureHistogram, _ScaledCells,
+                           direction_window)
+from tsurf.geometry import (Wedge, ccw_sort_key, clip_half_plane, convex_clip,
+                            cross, dot, neg, norm_dir, norm_sq, polygon_area,
+                            same_dir, segment_within, sub, wedge_intersect)
 from tsurf.lengths import _length_keys
-from tsurf.paths import PathCensus, Runs, _arc_runs, circle_length
+from tsurf.paths import (PathCensus, Runs, _arc_runs, circle_length,
+                         path_length_census)
 from tsurf.rational import parse_rational
 from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
                           TraceResult, _landing_direction,
                           _sqrt_correctly_rounded, _stop_param,
-                          opposite_sectors)
+                          integer_polygons, opposite_sectors, unfold_wedge)
+from tsurf.volume import _disk_area
 
 TWO_PI = 2 * math.pi
 
@@ -918,6 +934,44 @@ def _star_continue(S, corner, d):
 # Monte Carlo circle measure and region volume
 
 
+def listed_circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
+    """The checks of `circles._circle_arcs`, then the arcs of the radius-R
+    circle around cone x as a list of (window, radius, count): the full
+    cone at the center once, then one entry per census group of length
+    <= R in census order, standing for its count paths. Only the arc radii
+    round R to a float. Returns (R, census, arcs)."""
+    if R <= 0:
+        raise DegenerateRadius(f"radius must be positive, got {R}")
+    G.check_radius(R)
+    if census is None or census.Rmax < float(R):
+        census = path_length_census(G, x, R)
+    g = census.groups(R)
+    r = float(R)
+    arcs = [(direction_window(G, x), r, 1)]
+    windows: dict[int, DirectionWindow] = {}
+    for length, term, count in zip(census.group_lengths[:g].tolist(),
+                                   census.group_saddle[:g].tolist(),
+                                   census.counts[:g].tolist()):
+        if term not in windows:
+            windows[term] = direction_window(G, x, term)
+        arcs.append((windows[term], r - length, count))
+    return R, census, arcs
+
+
+def distinct_arcs(arcs) -> dict:
+    """Multiplicity of each distinct (window, radius > 0), in order of first
+    appearance."""
+    groups: dict[tuple, list] = {}
+    for window, r, count in arcs:
+        if r <= 0:
+            continue
+        if (window, r) in groups:
+            groups[window, r][2] += count
+        else:
+            groups[window, r] = [window, r, count]
+    return groups
+
+
 def _slot_angle_offset(S, d: ConeDirection) -> float:
     """Float angle from the slot's first ray to d.vec, in [0, sector)."""
     r1 = S.star_rays[d.cone_id][d.slot][0]
@@ -970,9 +1024,9 @@ def _trace_to_cell(S, grid, start, dvec, r: float):
 
 
 def _expanded_arcs(G, x: int, R, census):
-    """The arcs of `_circle_arcs` as one (window, radius) per path, so that
+    """The arcs of `listed_circle_arcs` as one (window, radius) per path, so that
     each arc draws from its own stream."""
-    R, census, arcs = _circle_arcs(G, x, R, census)
+    R, census, arcs = listed_circle_arcs(G, x, R, census)
     return R, census, [(w, r) for w, r, count in arcs for _ in range(count)]
 
 
@@ -1057,6 +1111,200 @@ def monte_carlo_region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
         est += sector_vol * p
         var += (sector_vol ** 2) * p * (1 - p) / samples
     return est, math.sqrt(var)
+
+
+def fraction_cell_areas(S, n: int) -> list[Fraction]:
+    """Each cell-intersect-polygon area, clipped and summed in `Fraction`
+    coordinates, in cell-id order."""
+    areas = []
+    for poly in S.polygons:
+        xs = [p[0] for p in poly]
+        ys = [p[1] for p in poly]
+        x0, x1 = min(xs), max(xs)
+        y0, y1 = min(ys), max(ys)
+        cw = Fraction(x1 - x0, n)
+        ch = Fraction(y1 - y0, n)
+        for j in range(n):
+            for i in range(n):
+                piece = convex_clip(poly, x0 + i * cw, x0 + (i + 1) * cw,
+                                    y0 + j * ch, y0 + (j + 1) * ch)
+                areas.append(polygon_area(piece) if len(piece) >= 3
+                             else Fraction(0))
+    return areas
+
+
+def wedge_window_wedges(S, window) -> list:
+    """The window as per-sector `Wedge` objects (slot, wedge): the sectors
+    holding the start vector found by testing every sector."""
+    rays = S.star_rays[window.cone_id]
+    n = len(rays)
+    sectors = [Wedge(r1, True, r2, False) for r1, r2 in rays]
+    vec, first = window.start.vec, window.start.slot
+    holding = sorted((j for j in range(n) if sectors[j].contains(vec)),
+                     key=lambda j: (j - first) % n)
+    turns = round(window.width / TWO_PI)
+    if turns == 0:
+        return []
+    if turns >= len(holding):
+        return list(enumerate(sectors))
+    last = holding[turns]
+    out = [(first, Wedge(vec, True, rays[first][1], False))]
+    slot = (first + 1) % n
+    while slot != last:
+        out.append((slot, sectors[slot]))
+        slot = (slot + 1) % n
+    tail = Wedge(rays[last][0], True, vec, False)
+    if not tail.is_empty():
+        out.append((last, tail))
+    return out
+
+
+def _developed_copies(S, polys, window, rho):
+    """Every polygon copy that the rays of the window reach within length
+    rho (in the scaled coordinates of `polys`). The budget is widened by a
+    relative 1e-12 so that no copy the float circle enters is pruned by a
+    rounded comparison; an extra copy only contributes nothing."""
+    B = rho * rho * (1 + 1e-12)
+    for slot, w in wedge_window_wedges(S, window):
+        p, v = S.cone_points[window.cone_id].star[slot]
+        yield from unfold_wedge(S, polys, B, p, neg(polys[p][v]),
+                                (w.a, w.ia, w.b, w.ib))
+
+
+def _half_circle_cut(nx, ny, h, rho):
+    """The part of the circle of radius rho about the origin in the
+    half-plane n.p >= h, as (angle of n, half-width): the angles within the
+    half-width of n's angle. Half-width -1 when the part is at most a point,
+    4 (> pi) when it is the whole circle. A half-plane and its complement
+    get complementary arcs from the same float quotient, so an arc split
+    between two copies along their shared edge is counted once."""
+    q = h / (rho * math.hypot(nx, ny))
+    if q >= 1:
+        return math.atan2(ny, nx), -1.0
+    if q <= -1:
+        return math.atan2(ny, nx), 4.0
+    return math.atan2(ny, nx), math.acos(q)
+
+
+def _arc_angles(copy, cells, rho):
+    """(cell id, angle) of each piece of the circle of radius rho about the
+    origin inside a copy from `unfold_wedge` and its wedge, split at the
+    cell lines. The pieces come from float clip angles; each is credited to
+    the cell that holds its midpoint."""
+    p, (tx, ty), verts, (a, _, b, _) = copy[:4]
+    a, b = norm_dir(a), norm_dir(b)  # the float angles as on coprime rays
+    width = math.atan2(cross(a, b), dot(a, b))
+    if width <= 0:
+        return []
+    base = math.atan2(a[1], a[0])
+    n = len(verts)
+    edges = []
+    for k in range(n):
+        (x1, y1), (x2, y2) = verts[k], verts[(k + 1) % n]
+        nx, ny = y1 - y2, x2 - x1
+        th, half = _half_circle_cut(nx, ny, nx * x1 + ny * y1, rho)
+        if half < 0:
+            return []
+        if half <= math.pi:
+            edges.append((th, half))
+    cuts = list(edges)
+    for X in cells.xlines[p]:
+        cuts.append(_half_circle_cut(1, 0, X + tx, rho))
+    for Y in cells.ylines[p]:
+        cuts.append(_half_circle_cut(0, 1, Y + ty, rho))
+    marks = [0.0, width]
+    for th, half in cuts:
+        if 0 <= half <= math.pi:
+            for ang in (th - half, th + half):
+                phi = (ang - base) % TWO_PI
+                if 0 < phi < width:
+                    marks.append(phi)
+    marks.sort()
+    out = []
+    for lo, hi in zip(marks, marks[1:]):
+        if hi <= lo:
+            continue
+        mid = base + 0.5 * (lo + hi)
+        inside = True
+        for th, half in edges:
+            off = (mid - th) % TWO_PI
+            if min(off, TWO_PI - off) >= half:
+                inside = False
+                break
+        if inside:
+            cid = cells.cell_of(p, rho * math.cos(mid) - tx,
+                                rho * math.sin(mid) - ty)
+            out.append((cid, hi - lo))
+    return out
+
+
+def per_arc_circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
+                           census: PathCensus | None = None) -> MeasureHistogram:
+    """The circle histogram with every distinct (window, radius) developed
+    on its own and every copy's circle cut again for each arc that reaches
+    it."""
+    R, census, arcs = listed_circle_arcs(G, x, R, census)
+    S = G.surface
+    D, polys = integer_polygons(S)
+    cells = _ScaledCells(grid, D, polys)
+    masses = np.zeros(grid.num_cells)
+    for window, r, mult in distinct_arcs(arcs).values():
+        rho = r * D
+        arc = np.zeros(grid.num_cells)
+        for copy in _developed_copies(S, polys, window, rho):
+            for cid, ang in _arc_angles(copy, cells, rho):
+                arc[cid] += ang
+        masses += (mult * r) * arc
+    total = circle_length(G, x, R, census)
+    meta = {"R": float(R), "arcs": sum(count for _, _, count in arcs),
+            "retried": 0, "dropped": 0,
+            "unnormalized_total": float(masses.sum()),
+            "circle_length": total}
+    return MeasureHistogram(grid, masses / total, meta)
+
+
+def per_arc_region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
+                          census: PathCensus | None = None) -> float:
+    """The region ball volume with every distinct (window, radius)
+    developed on its own and copy-cell-wedge clipped again for each arc."""
+    cells = frozenset(int(c) for c in cells)
+    R, census, arcs = listed_circle_arcs(G, x, R, census)
+    if not cells:
+        return 0.0
+    S = G.surface
+    D, polys = integer_polygons(S)
+    pieces = [[] for _ in polys]
+    for cid in sorted(cells):
+        p, i, j = grid.cell_meta(cid)
+        x0, y0, x1, y1 = (c * D for c in grid.boxes[p])
+        cw, ch = (x1 - x0) / grid.n, (y1 - y0) / grid.n
+        piece = convex_clip(polys[p], x0 + i * cw, x0 + (i + 1) * cw,
+                            y0 + j * ch, y0 + (j + 1) * ch)
+        if len(piece) >= 3:
+            pieces[p].append(piece)
+    m = math.lcm(*(Fraction(c).denominator for mine in pieces
+                   for piece in mine for pt in piece for c in pt))
+    D *= m
+    polys = tuple(tuple((px * m, py * m) for px, py in poly) for poly in polys)
+    pieces = [[[(int(px * m), int(py * m)) for px, py in piece]
+               for piece in mine] for mine in pieces]
+    total = 0.0
+    for window, r, mult in distinct_arcs(arcs).values():
+        rho = r * D
+        vol = 0.0
+        copies = _developed_copies(S, polys, window, rho)
+        for p, (tx, ty), _, (a, _, b, _), _ in copies:
+            for piece in pieces[p]:
+                part = [(px + tx, py + ty) for px, py in piece]
+                if not any(segment_within(P, Q, rho * rho)
+                           for P, Q in zip(part, part[1:] + part[:1])):
+                    continue
+                part = clip_half_plane(part, (0, 0), a)
+                part = clip_half_plane(part, (0, 0), neg(b))
+                if len(part) >= 3:
+                    vol += _disk_area(part, rho)
+        total += mult * vol
+    return total / (D * D)
 
 
 # ----------------------------------------------------------------------------

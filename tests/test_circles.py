@@ -1,3 +1,4 @@
+import json
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -7,8 +8,12 @@ import pytest
 
 import tsurf
 from tsurf import CellGrid, antipodal_direction, circle_measure, direction_window, region_volume
+from tsurf import circles
+from tsurf.circles import DirectionWindow, _cell_areas, _window_wedges
 
-from oracles import monte_carlo_circle_measure, monte_carlo_region_volume
+from oracles import (fraction_cell_areas, monte_carlo_circle_measure,
+                     monte_carlo_region_volume, per_arc_circle_measure,
+                     per_arc_region_volume, wedge_window_wedges)
 
 
 def test_full_cone_window(G9):
@@ -24,6 +29,25 @@ def test_path_window_is_terminal_excess(G9):
         assert w.width == pytest.approx(4 * math.pi, abs=1e-12)
     j = int(G9.out[0][0])
     assert direction_window(G9, 0, terminal=j).width == pytest.approx(4 * math.pi, abs=1e-12)
+
+
+def test_window_of_width_zero_holds_no_wedge(lshape, G9):
+    # a path ending at a point of angle 2*pi leaves no angle to continue in
+    start = direction_window(G9, 0, terminal=0).start
+    assert _window_wedges(lshape, DirectionWindow(start.cone_id, start, 0.0)) == []
+    assert len(_window_wedges(lshape, direction_window(G9, 0, terminal=0))) >= 2
+
+
+@pytest.mark.parametrize("name, params, budget", [
+    ("lshape", None, 36), ("slit_tori", None, 25), ("lshape", ["7/3", "5/2"], 25)])
+def test_window_wedges_match_the_sector_scan(name, params, budget):
+    S = tsurf.builtin_surface(name, params)
+    G = tsurf.build_concat_graph(S, budget)
+    windows = [direction_window(G, c.id) for c in S.cone_points]
+    windows += [direction_window(G, 0, t) for t in range(len(G.saddles))]
+    for w in windows:
+        assert _window_wedges(S, w) == [
+            (slot, (v.a, v.ia, v.b, v.ib)) for slot, v in wedge_window_wedges(S, w)]
 
 
 def test_antipode_order_matches_cone(lshape, G9):
@@ -49,6 +73,31 @@ def test_grid_areas_exact(lshape):
         grid = CellGrid(lshape, n)
         assert grid.num_cells == 3 * n * n
         assert np.all(grid.areas == float(Fraction(1, n * n)))
+
+
+def _sheared_lshape_file(tmp_path):
+    """lshape under the shear (x, y) -> (x + y/3, y + x/2): every edge is
+    slanted, and gluings stay translations."""
+    polys = [[[str(x + y / 3), str(y + x / 2)] for x, y in poly]
+             for poly in tsurf.builtin_surface("lshape").polygons]
+    gl = [[[a, b], [c, d]] for (a, b), (c, d)
+          in tsurf.builtin_surface("lshape").gluing_pairs]
+    f = tmp_path / "sheared.json"
+    f.write_text(json.dumps({"polygons": polys, "gluings": gl}))
+    return tsurf.load_surface_file(f)
+
+
+def test_integer_cell_areas_equal_the_fraction_clip(tmp_path):
+    surfaces = [tsurf.builtin_surface("lshape"),
+                tsurf.builtin_surface("lshape", ["7/3", "5/2"]),
+                tsurf.builtin_surface("slit_tori"),
+                tsurf.builtin_surface("slit_tori", ["2/7"]),
+                _sheared_lshape_file(tmp_path)]
+    for S in surfaces:
+        for n in range(1, 6):
+            assert _cell_areas(S, n) == fraction_cell_areas(S, n), n
+            assert CellGrid(S, n).areas.tolist() == [
+                float(a) for a in fraction_cell_areas(S, n)]
 
 
 def test_cell_lookup(lshape):
@@ -166,6 +215,66 @@ def test_measure_mass_is_circle_length(name, params, budget, R):
         hist.meta["circle_length"], rel=1e-12)
     assert hist.meta["circle_length"] == tsurf.circle_length(G, 0, R)
     assert np.all(hist.masses >= 0)
+
+
+ORACLE_CASES = {
+    "slit_tori-5_2": (lambda: tsurf.builtin_surface("slit_tori"),
+                      Fraction(25, 4), Fraction(5, 2), 4),
+    "lshape-36-4": (lambda: tsurf.builtin_surface("lshape"), 36, 4, 4),
+    "lshape_7_3_5_2-9-3": (
+        lambda: tsurf.builtin_surface("lshape", ["7/3", "5/2"]), 9, 3, 3),
+    "lshape_x2-144-4": (
+        lambda: tsurf.scale_surface(tsurf.builtin_surface("lshape"), 2),
+        144, 4, 4),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_case(request):
+    surface, budget, R, n = ORACLE_CASES[request.param]
+    S = surface()
+    G = tsurf.build_concat_graph(S, budget)
+    return G, R, CellGrid(S, n), tsurf.path_length_census(G, 0, R)
+
+
+def test_measure_matches_the_per_arc_development(oracle_case):
+    G, R, grid, census = oracle_case
+    got = circle_measure(G, 0, R, grid, census=census)
+    want = per_arc_circle_measure(G, 0, R, grid, census=census)
+    assert got.l1_distance(want) <= 1e-12
+    assert got.meta["unnormalized_total"] == pytest.approx(
+        want.meta["unnormalized_total"], rel=1e-12, abs=0)
+    assert {k: v for k, v in got.meta.items() if k != "unnormalized_total"} == {
+        k: v for k, v in want.meta.items() if k != "unnormalized_total"}
+
+
+def test_region_volume_matches_the_per_arc_development(oracle_case):
+    G, R, grid, census = oracle_case
+    cells = range(1, grid.num_cells, 2)
+    got = region_volume(G, 0, R, grid, cells, census=census)
+    want = per_arc_region_volume(G, 0, R, grid, cells, census=census)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_each_sector_is_developed_once_per_call(G36, lshape, monkeypatch):
+    # 15,985 arcs in 277 distinct (window, radius) pairs, at one cone of
+    # twelve sectors
+    calls = []
+
+    def counting(S, polys, B, p, t, w):
+        calls.append((p, t, w))
+        return unfold_wedge(S, polys, B, p, t, w)
+
+    unfold_wedge = circles.unfold_wedge
+    monkeypatch.setattr(circles, "unfold_wedge", counting)
+    grid = CellGrid(lshape, 2)
+    sectors = sum(len(c.star) for c in lshape.cone_points)
+    hist = circle_measure(G36, 0, 4, grid)
+    assert hist.meta["arcs"] == 15985
+    assert len(calls) == len(set(calls)) <= sectors
+    calls.clear()
+    region_volume(G36, 0, 4, grid, [0, 5, 7])
+    assert len(calls) == len(set(calls)) <= sectors
 
 
 def test_measure_is_scale_invariant(G36, lshape, grid4):

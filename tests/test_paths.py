@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import tsurf
 from tsurf import CellGrid, circle_measure, paths, region_volume
 from tsurf.paths import circle_csv
+from tsurf.unfold import ConeDirection
 
 from oracles import (cumsum_circle_formulas, enumerate_paths,
                      expanded_path_census, pairwise_allowed,
@@ -153,6 +154,23 @@ def test_runs_pairs_and_contains_on_arrays():
     assert G.after.contains([0, 0, 1, 3, 0], [8, 3, 0, 3, 5]).tolist() == [
         True, False, False, True, True]
     assert G.after.contains(0, 5) and not G.after.contains(1, 5)
+
+
+def test_arc_run_at_excess_zero_is_the_opposite_direction():
+    # At a point of angle 2*pi the range [pi, 2*pi*(k+1) - pi] is the one
+    # direction opposite to q: one sector holds it, so the first and the
+    # last key of the row coincide and the row must not wrap around the
+    # cone's block.
+    D = ConeDirection
+    placed = [(0, D(0, 0, (1, 0))), (0, D(0, 0, (1, 1))), (0, D(0, 1, (-1, 0))),
+              (0, D(0, 1, (-1, -1))), (0, D(0, 0, (1, 0))), (1, D(1, 0, (1, 0)))]
+    query = [(0, D(0, 1, (-1, 0))), (0, D(0, 0, (1, 0)))]
+    slot = {(1, 0): 0, (-1, 0): 1}
+    runs = paths._arc_runs(lambda q: [slot[(-q.vec[0], -q.vec[1])]],
+                           placed, query)
+    t, ids = runs.pairs()
+    assert sorted(ids[t == 0].tolist()) == [0, 4]
+    assert ids[t == 1].tolist() == [2]
 
 
 def test_self_concatenation_recorded(G2):
