@@ -264,7 +264,7 @@ def pi_stats(census: GeodesicCensus, h: float, grid=None) -> dict:
     Fs = np.array([census.F(t) for t in grid])
     ok = pis > 0
     slope = (float(np.polyfit(grid[ok], np.log(pis[ok]), 1)[0])
-             if len(np.unique(grid[ok])) >= 2 else math.nan)
+             if len(set(grid[ok].tolist())) >= 2 else math.nan)
     return {
         "T": grid,
         "pi": pis.astype(int),

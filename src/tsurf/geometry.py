@@ -1,17 +1,14 @@
-"""Exact planar primitives: integer direction vectors, wedges, predicates.
+"""Exact planar primitives: integer direction vectors, predicates, clipping.
 
 All incidence and ordering decisions in the library reduce to sign tests on
 rational (usually integer) cross and dot products. Directions are stored as
-coprime integer pairs so the hot predicates run on machine ints. Wedges are
-angular sectors of angle <= pi with per-boundary inclusion flags; keeping
-them below a half-turn makes membership a pair of cross-product signs.
+coprime integer pairs so the hot predicates run on machine ints. A wedge of
+directions is an integer ray tuple (a, ia, b, ib), kept in `unfold`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -61,90 +58,6 @@ def second_half(base, v) -> bool:
     """The ccw angle from `base` to `v` lies in [pi, 2*pi)."""
     c = cross(base, v)
     return c < 0 or (c == 0 and dot(base, v) < 0)
-
-
-@dataclass(frozen=True)
-class Wedge:
-    """Angular sector from ray `a` counterclockwise to ray `b`, angle in
-    [0, pi]; `ia`/`ib` say whether each boundary ray belongs to the sector."""
-
-    a: tuple[int, int]
-    ia: bool
-    b: tuple[int, int]
-    ib: bool
-
-    def contains(self, d) -> bool:
-        if same_dir(self.a, d):
-            return self.ia
-        if same_dir(d, self.b):
-            return self.ib
-        return cross(self.a, d) > 0 and cross(d, self.b) > 0
-
-    def is_empty(self) -> bool:
-        # Only zero-angle wedges can be empty; the constructors never build
-        # reversed ones.
-        return same_dir(self.a, self.b) and not (self.ia and self.ib)
-
-
-def wedge_intersect(w1: Wedge, w2: Wedge) -> Wedge | None:
-    """Intersection of two wedges of angle <= pi, or None if empty."""
-    if same_dir(w1.a, w2.a):
-        a, ia = w1.a, (w1.ia and w2.ia)
-    elif w1.contains(w2.a):
-        a, ia = w2.a, w2.ia
-    elif w2.contains(w1.a):
-        a, ia = w1.a, w1.ia
-    else:
-        return None
-    if same_dir(w1.b, w2.b):
-        b, ib = w1.b, (w1.ib and w2.ib)
-    elif w1.contains(w2.b):
-        b, ib = w2.b, w2.ib
-    elif w2.contains(w1.b):
-        b, ib = w1.b, w1.ib
-    else:
-        return None
-    c = cross(a, b)
-    if c < 0:
-        return None
-    if c == 0 and dot(a, b) < 0:
-        # Would be an exact half-turn; a proper intersection of two <= pi
-        # wedges is only pi when both wedges equal it, handled above.
-        if not (same_dir(w1.a, w2.a) and same_dir(w1.b, w2.b)):
-            return None
-    out = Wedge(a, ia, b, ib)
-    return None if out.is_empty() else out
-
-
-def _ccw_cmp(d1, d2) -> int:
-    c = cross(d1, d2)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
-# Sort key putting directions in counterclockwise order. The cross-product
-# sign orders two directions only when they are less than a half-turn apart,
-# so the order is exact for directions inside one half-open sector of angle
-# <= pi (or a closed one of angle < pi); parallel directions compare equal.
-ccw_sort_key = functools.cmp_to_key(_ccw_cmp)
-
-
-def segment_within(p1, p2, B) -> bool:
-    """Whether the segment [p1, p2] comes within squared distance B of the
-    origin. No division, so integer coordinates stay integers and the test
-    is exact for any exact B."""
-    d = sub(p2, p1)
-    s = -dot(p1, d)
-    if s <= 0:
-        return norm_sq(p1) <= B
-    dd = norm_sq(d)
-    if s >= dd:
-        return norm_sq(p2) <= B
-    c = cross(p1, d)
-    return c * c <= B * dd
 
 
 def clip_half_plane(verts, o, u):

@@ -95,7 +95,7 @@ class _Keys:
                 for k, c in (divmod(p, width) for p in merge(pairs, pairs)[0].tolist()):
                     table[k, c] = self.id(tuple(
                         a + b for a, b in zip(self.vecs[k], self.classes[c])))
-                return step(key, cls)
+                nxt = table[key, cls]
             return nxt
         return step
 

@@ -11,6 +11,7 @@ R - l(p), plus the full 2*pi*(k(x)+1) arc of the center itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -19,11 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParams, TruncationError
-from .geometry import ccw_sort_key
 from .lengths import _Keys, exact_bound, keyed, merge
 from .rational import parse_rational
 from .surface import TranslationSurface
-from .unfold import enumerate_saddle_connections, opposite_sectors
+from .unfold import angle_key, enumerate_saddle_connections, opposite_sectors
 
 TWO_PI = 2 * math.pi
 
@@ -181,30 +181,29 @@ class ConcatGraph:
         return f"ConcatGraph(n={self.n}, edges={self.edges})"
 
 
-def _position(slot: int, vec):
-    """Sort key of a direction in its cone's angular coordinate: sector
-    first, then counterclockwise order inside the half-open sector."""
-    return (slot, ccw_sort_key(vec))
-
-
-def _arc_runs(sectors, placed, query) -> Runs:
+def _arc_runs(rays, sectors, placed, query) -> Runs:
     """Runs of the relation in which row i holds every saddle s whose
     direction placed[s] = (cone, d) lies at the cone of query[i] = (cone, q)
-    at a ccw angle from q in [pi, 2*pi*(k+1) - pi]. The placed directions
-    are sorted exactly by (cone, angle), so each row is one cyclic range of
-    that order, found by two binary searches: one run, or two when it wraps
+    at a ccw angle from q in [pi, 2*pi*(k+1) - pi]. A direction's position
+    at its cone is (cone, slot, angle key from the slot's first ray
+    rays[cone][slot][0]), exact by `unfold.angle_key`; the placed
+    directions are sorted by it, so each row is one cyclic range of that
+    order, found by two binary searches: one run, or two when it wraps
     past the end of the cone's block. At k = 0 the range is the one
-    direction opposite to q. sectors(q) lists the sectors holding
-    the direction opposite to q (`unfold.opposite_sectors`)."""
-    keyed = sorted(((c, _position(d.slot, d.vec)), s)
-                   for s, (c, d) in enumerate(placed))
-    keys = [key for key, _ in keyed]
+    direction opposite to q. sectors(q) lists the sectors holding the
+    direction opposite to q (`unfold.opposite_sectors`)."""
+    key = angle_key(itertools.chain(
+        (r for cone in rays for r, _ in cone),
+        (d.vec for _, d in placed), (q.vec for _, q in query)))
+    pos = [(c, d.slot, key(rays[c][d.slot][0], d.vec)) for c, d in placed]
+    order = sorted(range(len(pos)), key=pos.__getitem__)
+    keys = [pos[s] for s in order]
     ptr, lo, hi = [0], [], []
     for c, q in query:
         slots = sectors(q)
         opposite = (-q.vec[0], -q.vec[1])
-        first = (c, _position(slots[0], opposite))
-        last = (c, _position(slots[-1], opposite))
+        first = (c, slots[0], key(rays[c][slots[0]][0], opposite))
+        last = (c, slots[-1], key(rays[c][slots[-1]][0], opposite))
         i = bisect_left(keys, first)
         j = bisect_right(keys, last)
         if first <= last:
@@ -216,7 +215,7 @@ def _arc_runs(sectors, placed, query) -> Runs:
                 lo.append(a)
                 hi.append(b)
         ptr.append(len(lo))
-    return Runs([s for _, s in keyed], ptr, lo, hi)
+    return Runs(order, ptr, lo, hi)
 
 
 def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
@@ -236,7 +235,8 @@ def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
     saddles = enumerate_saddle_connections(S, max_length_sq)
     leaving = [(s.start, s.out_dir) for s in saddles]
     arriving = [(s.end, s.back_dir) for s in saddles]
-    after = _arc_runs(functools.partial(opposite_sectors, S), leaving, arriving)
+    after = _arc_runs(S.star_rays, functools.partial(opposite_sectors, S),
+                      leaving, arriving)
     return ConcatGraph(
         saddles=tuple(saddles),
         lengths=[s.length for s in saddles],

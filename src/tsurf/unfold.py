@@ -26,8 +26,6 @@ from fractions import Fraction
 
 from .errors import InvalidParams
 from .geometry import (
-    Wedge,
-    ccw_sort_key,
     cross,
     dot,
     neg,
@@ -36,13 +34,12 @@ from .geometry import (
     same_dir,
     second_half,
     sub,
-    wedge_intersect,
 )
 from .rational import parse_rational
 from .surface import TranslationSurface
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeDirection:
     """A direction at a cone point: angular sector index plus the direction
     vector (coprime integers) lying weakly inside that sector."""
@@ -56,7 +53,7 @@ def cone_direction(S: TranslationSurface, cone_id: int, slot: int, vec) -> ConeD
     """Validated constructor; `vec` must lie weakly in the slot's sector."""
     d = norm_dir(vec)
     r1, r2 = S.star_rays[cone_id][slot]
-    if not Wedge(r1, True, r2, True).contains(d):
+    if not _holds((r1, True, r2, True), *d):
         raise InvalidParams(
             f"direction {d} is outside sector {slot} of cone {cone_id}"
         )
@@ -228,7 +225,7 @@ def _star_turn(S: TranslationSurface, p: int, v: int, nd) -> tuple[int, int]:
     while True:
         p, v = S.partner((p, (v - 1) % len(S.polygons[p])))
         r1, r2 = S.corner_rays(p, v)
-        if Wedge(r1, True, r2, False).contains(nd):
+        if _holds((r1, True, r2, False), *nd):
             return p, v
 
 
@@ -262,7 +259,7 @@ def _clip_ray(verts, qx, qy, reach):
 # Saddle connection enumeration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaddleConnection:
     """Oriented saddle connection with exact holonomy.
 
@@ -285,11 +282,6 @@ def _sqrt_correctly_rounded(x: Fraction) -> float:
         return float((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
 
 
-# The half-open upper half-plane: of every direction and its reverse, it
-# holds exactly one.
-_UPPER = Wedge((1, 0), True, (-1, 0), False)
-
-
 def integer_polygons(S: TranslationSurface) -> tuple[int, tuple]:
     """The least common denominator D of the vertex coordinates, and every
     polygon scaled by D to integer vertex tuples. Developing on these keeps
@@ -302,6 +294,48 @@ def integer_polygons(S: TranslationSurface) -> tuple[int, tuple]:
                     for poly in S.polygons)
 
 
+def _holds(w, qx, qy) -> bool:
+    """Whether the wedge w = (a, ia, b, ib) holds the direction (qx, qy):
+    along a ray, as that ray's flag says, or strictly between the rays."""
+    (ax, ay), ia, (bx, by), ib = w
+    ca = ax * qy - ay * qx
+    if ca == 0 and ax * qx + ay * qy > 0:
+        return ia
+    cb = qx * by - qy * bx
+    if cb == 0 and qx * bx + qy * by > 0:
+        return ib
+    return ca > 0 and cb > 0
+
+
+# Below this squared norm of every vector, float angles order integer
+# directions exactly: cross and dot products convert to floats exactly,
+# `math.atan2` errs by a few units of 2**-51 at most, and two distinct
+# directions u and v lie at least 1/(|u||v|) > 2**-40 apart.
+_FLOAT_KEY_SQ = 1 << 40
+
+
+def angle_key(vectors):
+    """A function (r, v) -> sort key of the ccw angle from r to v, for r
+    and v among the integer `vectors` and v at an angle in [0, pi] from r.
+    Equal angles get equal keys. The keys are `math.atan2` of the exact
+    cross and dot products while every vector is shorter than
+    sqrt(_FLOAT_KEY_SQ), and (quadrant, `Fraction` slope) past that."""
+    if all(x * x + y * y < _FLOAT_KEY_SQ for x, y in vectors):
+        return _float_angle
+    return _exact_angle
+
+
+def _float_angle(r, v):
+    return math.atan2(r[0] * v[1] - r[1] * v[0], r[0] * v[0] + r[1] * v[1])
+
+
+def _exact_angle(r, v):
+    # angles in [0, pi/2) by c/d, in [pi/2, pi) by -d/c, then pi
+    c, d = r[0] * v[1] - r[1] * v[0], r[0] * v[0] + r[1] * v[1]
+    return ((0, Fraction(c, d)) if d > 0 else
+            (1, Fraction(-d, c)) if c > 0 else (2, 0))
+
+
 def _split(w, hits) -> list:
     """The wedge w = (a, ia, b, ib) split at the hit directions, each split
     direction excluded from every piece."""
@@ -310,7 +344,9 @@ def _split(w, hits) -> list:
         if h[0] not in uniq:  # hit directions are coprime
             uniq.append(h[0])
     if len(uniq) > 1:
-        uniq.sort(key=ccw_sort_key)
+        key = angle_key([w[0], *uniq])
+        keys = [key(w[0], d) for d in uniq]
+        uniq = [d for _, d in sorted(zip(keys, uniq))]
     pieces = []
     a, ia = w[0], w[1]
     for d in uniq:
@@ -326,8 +362,8 @@ def _split(w, hits) -> list:
 def _meet(piece, x1, y1, x2, y2):
     """The wedge piece = (a, ia, b, ib) of angle <= pi intersected with the
     span from (x1, y1) (included) ccw to (x2, y2) (excluded), an angle in
-    (0, pi); None when empty. As `geometry.wedge_intersect`, on unnormalized
-    rays."""
+    (0, pi); None when empty. The result's rays are among the four given,
+    unnormalized, with the flags they carry there."""
     (ax, ay), ia, (bx, by), ib = piece
     a_1 = ax * y1 - ay * x1  # cross(a, E1)
     a_2 = ax * y2 - ay * x2  # cross(a, E2)
@@ -367,7 +403,7 @@ def unfold_wedge(S: TranslationSurface, polys, B, p: int, t, w):
     stop nothing. All decisions are exact sign tests on the integer
     coordinates of `polys` (from `integer_polygons`).
 
-    Wedges are tuples (a, ia, b, ib): the sector from ray a ccw to ray b,
+    A wedge is a tuple (a, ia, b, ib): the sector from ray a ccw to ray b,
     of angle <= pi, with a flag per ray saying whether it belongs. The rays
     are integer vectors, not normalized. Each copy is yielded as (polygon,
     translation, verts, wedge, hits): verts are the polygon's vertices plus
@@ -387,6 +423,8 @@ def unfold_wedge(S: TranslationSurface, polys, B, p: int, t, w):
             dsq = qx * qx + qy * qy
             if dsq > B or dsq == 0:
                 continue
+            # `_holds(w, qx, qy)` inline: a call per lift slows the
+            # development by a few percent
             ca = ax * qy - ay * qx
             if ca == 0 and ax * qx + ay * qy > 0:
                 inside = ia
@@ -457,12 +495,17 @@ def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> Saddle
     raw: list[tuple] = []
     for cone in S.cone_points:
         for slot, (p, v) in enumerate(cone.star):
+            # the sector [r1, r2), of angle <= pi, clipped to the half-open
+            # upper half-plane: of every direction and its reverse, that
+            # holds exactly one
             r1, r2 = S.star_rays[cone.id][slot]
-            w = wedge_intersect(Wedge(r1, True, r2, False), _UPPER)
-            if w is None:
+            if r1[1] > 0 or r1[1] == 0 and r1[0] > 0:
+                w = (r1, True, r2 if r2[1] >= 0 else (-1, 0), False)
+            elif r2[1] > 0:
+                w = ((1, 0), True, r2, False)
+            else:
                 continue
-            copies = unfold_wedge(S, polys, B, p, neg(polys[p][v]),
-                                  (w.a, w.ia, w.b, w.ib))
+            copies = unfold_wedge(S, polys, B, p, neg(polys[p][v]), w)
             for poly, _, _, _, hits in copies:
                 # A lift hides any farther lift in exactly its own direction.
                 nearest = {}

@@ -1,5 +1,12 @@
 """Slow, independent reference implementations that the fast code must match.
 
+- `Wedge` and `wedge_intersect`: wedges as objects with normalized rays and
+  per-ray inclusion flags, and `ccw_sort_key`: the counterclockwise order
+  as a `functools.cmp_to_key` comparator over cross-product signs, with
+  `comparator_arc_runs`, the angular runs sorted and bisected by it. The
+  integer ray tuples of `unfold` and one exact key per direction
+  (`unfold.angle_key`) replaced them. `segment_within`, the
+  division-free segment-to-origin distance test, moved here with them.
 - `angle_ccw_at_least_pi`: the pairwise exact half-turn test that decided
   every concatenation pair before the graph was read off angular intervals.
 - `bisect_lambda_one`: the entropy root by bisection to float exhaustion,
@@ -95,7 +102,7 @@ import functools
 import heapq
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -109,9 +116,8 @@ from tsurf import (BracketFailure, DegenerateRadius, EmptySCC, InvalidParams,
                    spectral_radius)
 from tsurf.circles import (DirectionWindow, MeasureHistogram, _ScaledCells,
                            direction_window)
-from tsurf.geometry import (Wedge, ccw_sort_key, clip_half_plane, convex_clip,
-                            cross, dot, neg, norm_dir, norm_sq, polygon_area,
-                            same_dir, segment_within, sub, wedge_intersect)
+from tsurf.geometry import (clip_half_plane, convex_clip, cross, dot, neg,
+                            norm_dir, norm_sq, polygon_area, same_dir, sub)
 from tsurf.lengths import _length_keys
 from tsurf.paths import (PathCensus, Runs, _arc_runs, circle_length,
                          path_length_census)
@@ -123,6 +129,119 @@ from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
 from tsurf.volume import _disk_area
 
 TWO_PI = 2 * math.pi
+
+
+@dataclass(frozen=True)
+class Wedge:
+    """Angular sector from ray `a` counterclockwise to ray `b`, angle in
+    [0, pi]; `ia`/`ib` say whether each boundary ray belongs to the sector."""
+
+    a: tuple[int, int]
+    ia: bool
+    b: tuple[int, int]
+    ib: bool
+
+    def contains(self, d) -> bool:
+        if same_dir(self.a, d):
+            return self.ia
+        if same_dir(d, self.b):
+            return self.ib
+        return cross(self.a, d) > 0 and cross(d, self.b) > 0
+
+    def is_empty(self) -> bool:
+        # Only zero-angle wedges can be empty; the constructors never build
+        # reversed ones.
+        return same_dir(self.a, self.b) and not (self.ia and self.ib)
+
+
+def wedge_intersect(w1: Wedge, w2: Wedge) -> Wedge | None:
+    """Intersection of two wedges of angle <= pi, or None if empty."""
+    if same_dir(w1.a, w2.a):
+        a, ia = w1.a, (w1.ia and w2.ia)
+    elif w1.contains(w2.a):
+        a, ia = w2.a, w2.ia
+    elif w2.contains(w1.a):
+        a, ia = w1.a, w1.ia
+    else:
+        return None
+    if same_dir(w1.b, w2.b):
+        b, ib = w1.b, (w1.ib and w2.ib)
+    elif w1.contains(w2.b):
+        b, ib = w2.b, w2.ib
+    elif w2.contains(w1.b):
+        b, ib = w1.b, w1.ib
+    else:
+        return None
+    c = cross(a, b)
+    if c < 0:
+        return None
+    if c == 0 and dot(a, b) < 0:
+        # Would be an exact half-turn; a proper intersection of two <= pi
+        # wedges is only pi when both wedges equal it, handled above.
+        if not (same_dir(w1.a, w2.a) and same_dir(w1.b, w2.b)):
+            return None
+    out = Wedge(a, ia, b, ib)
+    return None if out.is_empty() else out
+
+
+def _ccw_cmp(d1, d2) -> int:
+    c = cross(d1, d2)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
+
+
+# Sort key putting directions in counterclockwise order. The cross-product
+# sign orders two directions only when they are less than a half-turn apart,
+# so the order is exact for directions inside one half-open sector of angle
+# <= pi (or a closed one of angle < pi); parallel directions compare equal.
+ccw_sort_key = functools.cmp_to_key(_ccw_cmp)
+
+
+def segment_within(p1, p2, B) -> bool:
+    """Whether the segment [p1, p2] comes within squared distance B of the
+    origin. No division, so integer coordinates stay integers and the test
+    is exact for any exact B."""
+    d = sub(p2, p1)
+    s = -dot(p1, d)
+    if s <= 0:
+        return norm_sq(p1) <= B
+    dd = norm_sq(d)
+    if s >= dd:
+        return norm_sq(p2) <= B
+    c = cross(p1, d)
+    return c * c <= B * dd
+
+
+def comparator_arc_runs(sectors, placed, query) -> Runs:
+    """`paths._arc_runs` with each direction's position at its cone keyed
+    by (slot, `ccw_sort_key`), the comparator order."""
+    def position(slot, vec):
+        return (slot, ccw_sort_key(vec))
+
+    keyed = sorted(((c, position(d.slot, d.vec)), s)
+                   for s, (c, d) in enumerate(placed))
+    keys = [key for key, _ in keyed]
+    ptr, lo, hi = [0], [], []
+    for c, q in query:
+        slots = sectors(q)
+        opposite = (-q.vec[0], -q.vec[1])
+        first = (c, position(slots[0], opposite))
+        last = (c, position(slots[-1], opposite))
+        i = bisect_left(keys, first)
+        j = bisect_right(keys, last)
+        if first <= last:
+            pieces = ((i, j),)
+        else:
+            pieces = ((i, bisect_left(keys, (c + 1,))), (bisect_left(keys, (c,)), j))
+        for a, b in pieces:
+            if a < b:
+                lo.append(a)
+                hi.append(b)
+        ptr.append(len(lo))
+    return Runs([s for _, s in keyed], ptr, lo, hi)
 
 
 def _zmul(z, w):
@@ -262,7 +381,8 @@ def arc_run_predecessors(S, saddles) -> Runs:
     is one cyclic range of them, opposite the out-direction of saddle j."""
     leaving = [(s.start, s.out_dir) for s in saddles]
     arriving = [(s.end, s.back_dir) for s in saddles]
-    return _arc_runs(lambda d: opposite_sectors(S, d), arriving, leaving)
+    return _arc_runs(S.star_rays, lambda d: opposite_sectors(S, d), arriving,
+                     leaving)
 
 
 @functools.cache

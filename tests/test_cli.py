@@ -328,6 +328,29 @@ def test_startup_path_loads_no_numpy():
     assert not {"tsurf.paths", "tsurf.unfold"} & loaded
 
 
+@pytest.mark.parametrize("argv", [
+    "validate --builtin lshape",
+    "info --builtin lshape",
+    "saddles --builtin lshape --max-length-sq 9",
+    "entropy --builtin lshape --max-length-sq 9",
+    "circle --builtin lshape --rmax 2 --step 1/2",
+    "measure --builtin lshape --radius 3/2 --grid 2",
+    "volume --builtin lshape --radius 3/2 --grid 2",
+    "geodesics --builtin lshape --tmax 3",
+    "weights --builtin lshape --tmax 3 --grid 2",
+])
+def test_subcommands_load_no_numpy_ma(tmp_path, argv):
+    # np.unique imports numpy.ma on its first call: 17-20 ms and over a MiB
+    # of peak memory in a fresh process, for nothing a pipeline reads
+    args = [*argv.split(), "--out", str(tmp_path)]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from tsurf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({args!r}) == 0\n")
+    assert "numpy.ma" not in loaded
+
+
 def _cli_process(argv: str) -> subprocess.CompletedProcess:
     # `python -m tsurf.cli` with stdout a pipe, so block-buffered
     env = _child_env()

@@ -1,9 +1,12 @@
 """Exact length keys: the order and prefix rule both censuses share."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 
+import tsurf
 from tsurf.lengths import _Keys, merge
 
 # Convergents of sqrt(2) with p**2 - 2 q**2 = 1: q sqrt(2) is shorter than
@@ -37,3 +40,18 @@ def test_merge_sums_the_counts_of_equal_codes():
     assert count.tolist() == [7, 10, 4]
     code, count = merge(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert len(code) == len(count) == 0
+
+
+def test_a_census_frees_its_keys_without_the_cycle_collector(G9):
+    # a stepper that called itself kept its keys in a reference cycle
+    gc.disable()
+    try:
+        census = tsurf.path_length_census(G9, 0, 3)
+        step = census.keys.stepper()
+        ids = step(census.group_key, np.zeros_like(census.group_key))
+        assert len(ids) == len(census.group_key)
+        keys = weakref.ref(census.keys)
+        del census, step
+        assert keys() is None
+    finally:
+        gc.enable()

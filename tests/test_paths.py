@@ -166,7 +166,9 @@ def test_arc_run_at_excess_zero_is_the_opposite_direction():
               (0, D(0, 1, (-1, -1))), (0, D(0, 0, (1, 0))), (1, D(1, 0, (1, 0)))]
     query = [(0, D(0, 1, (-1, 0))), (0, D(0, 0, (1, 0)))]
     slot = {(1, 0): 0, (-1, 0): 1}
-    runs = paths._arc_runs(lambda q: [slot[(-q.vec[0], -q.vec[1])]],
+    # two half-turn sectors at cone 0, from (1, 0) and from (-1, 0)
+    rays = [[((1, 0), (-1, 0)), ((-1, 0), (1, 0))], [((1, 0), (-1, 0))]]
+    runs = paths._arc_runs(rays, lambda q: [slot[(-q.vec[0], -q.vec[1])]],
                            placed, query)
     t, ids = runs.pairs()
     assert sorted(ids[t == 0].tolist()) == [0, 4]

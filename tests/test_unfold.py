@@ -1,5 +1,6 @@
 """Ray tracing and saddle-connection enumeration."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -7,15 +8,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tsurf
-from tsurf import enumerate_saddle_connections, trace_ray
-from tsurf.geometry import Wedge, neg
+from tsurf import enumerate_saddle_connections, trace_ray, unfold
+from tsurf.geometry import cross, neg, norm_dir
 from tsurf.surface import TranslationSurface
-from tsurf.unfold import (TracePoint, cone_direction, integer_polygons,
-                          opposite_sectors, unfold_wedge)
+from tsurf.unfold import (TracePoint, angle_key, cone_direction,
+                          integer_polygons, opposite_sectors, unfold_wedge)
 
-from oracles import (arc_run_predecessors, fraction_saddle_connections,
+from oracles import (Wedge, arc_run_predecessors, ccw_sort_key,
+                     comparator_arc_runs, fraction_saddle_connections,
                      fraction_trace_ray, reversal_permutation,
                      scan_opposite_sectors, wedge_unfold_wedge)
 
@@ -209,14 +212,51 @@ def test_slit_tori_saddles_exist(slit):
     assert {s.start for s in sad} == {0, 1}
 
 
+def _sheared_lshape():
+    """lshape under the shear (x, y) -> (x + y/3, y + x/2): every edge is
+    slanted, and gluings stay translations."""
+    L = tsurf.builtin_surface("lshape")
+    return TranslationSurface(
+        [[(x + y / 3, y + x / 2) for x, y in poly] for poly in L.polygons],
+        L.gluing_pairs)
+
+
+def _flat_corner_lshape():
+    """lshape with its squares [0,1]x[0,1] and [1,2]x[0,1] joined into one
+    hexagon: its corners at (1, 0) and (1, 1) are corners of the cone point
+    of angle pi, one sector the upper half-plane and one the lower."""
+    polygons = [[(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)],
+                [(0, 1), (1, 1), (1, 2), (0, 2)]]
+    gluings = [((0, 0), (1, 2)), ((0, 4), (1, 0)), ((0, 5), (0, 2)),
+               ((0, 1), (0, 3)), ((1, 1), (1, 3))]
+    return TranslationSurface(
+        [[(Fraction(x), Fraction(y)) for x, y in poly] for poly in polygons],
+        gluings)
+
+
+def _surface(name, params=None, scale=1):
+    S = {"sheared_lshape": _sheared_lshape,
+         "flat_corner_lshape": _flat_corner_lshape}.get(name)
+    S = S() if S else tsurf.builtin_surface(name, params)
+    return tsurf.scale_surface(S, scale)
+
+
+# the surfaces on which the integer kernel and the exact direction key are
+# checked against the `Wedge` objects and the comparator order
+SURFACES = [("lshape", None, 1), ("slit_tori", None, 1),
+            ("lshape", ("7/3", "5/2"), 1), ("lshape", None, Fraction(2, 3)),
+            ("sheared_lshape", None, 1), ("flat_corner_lshape", None, 1)]
+
+
 @pytest.mark.parametrize("name, params, scale, budget", [
     ("lshape", None, 1, 49),
     ("slit_tori", None, 1, 25),
     ("lshape", ("7/3", "5/2"), 1, Fraction(121, 4)),
     ("lshape", None, Fraction(2, 3), 9),
-])
+] + [case + (budget,) for case in SURFACES for budget in (49, 100)
+     if case + (budget,) != ("lshape", None, 1, 49)])
 def test_saddles_match_fraction_oracle(name, params, scale, budget):
-    S = tsurf.scale_surface(tsurf.builtin_surface(name, params), scale)
+    S = _surface(name, params, scale)
     assert enumerate_saddle_connections(S, budget) == \
         fraction_saddle_connections(S, budget)
 
@@ -238,10 +278,12 @@ def test_opposite_sectors_match_the_scan(name):
     ("lshape", ("7/3", "5/2"), 1),
     ("slit_tori", None, 1),
     ("lshape", None, Fraction(2, 3)),
+    ("sheared_lshape", None, 1),
+    ("flat_corner_lshape", None, 1),
 ])
 def test_kernel_develops_as_the_wedge_objects(name, params, scale):
     # every sector whole at B = 49, copy by copy in the same order
-    S = tsurf.scale_surface(tsurf.builtin_surface(name, params), scale)
+    S = _surface(name, params, scale)
     D, polys = integer_polygons(S)
     B = 49 * D * D
     for cone in S.cone_points:
@@ -255,6 +297,95 @@ def test_kernel_develops_as_the_wedge_objects(name, params, scale):
                     wedge_unfold_wedge(S, polys, B, p, t, w)]
             assert got == want
             assert any(hits for _, _, hits in got)
+
+
+@pytest.mark.parametrize("budget", [49, 100])
+@pytest.mark.parametrize("name, params, scale", SURFACES)
+def test_runs_match_the_comparator_order(name, params, scale, budget):
+    # the runs of `after` and `before` array for array, as when directions
+    # were sorted and bisected with the cmp_to_key comparator
+    S = _surface(name, params, scale)
+    G = tsurf.build_concat_graph(S, budget)
+    leaving = [(s.start, s.out_dir) for s in G.saddles]
+    arriving = [(s.end, s.back_dir) for s in G.saddles]
+    after = comparator_arc_runs(functools.partial(opposite_sectors, S),
+                                leaving, arriving)
+    before = after.conjugate(reversal_permutation(G.saddles))
+    for got, want in ((G.after, after), (G.before, before)):
+        for name in ("order", "ptr", "lo", "hi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _in_sector(r1, r2, coeffs):
+    """The coprime directions of a * r1 + b * m: in the closed sector [r1,
+    r2] of angle < pi with m = r2 and |a|, in the half-open half-turn [r1,
+    r2) with m the quarter-turn from r1 and b > 0 or a > 0."""
+    if cross(r1, r2) > 0:
+        m, coeffs = r2, [(abs(a), b) for a, b in coeffs]
+    else:
+        m, coeffs = (-r1[1], r1[0]), [(a, b) for a, b in coeffs if b or a > 0]
+    return [norm_dir((a * r1[0] + b * m[0], a * r1[1] + b * m[1]))
+            for a, b in coeffs]
+
+
+def _check_angle_key(r1, dirs):
+    # the key order is the comparator's, ties and all; equal keys are equal
+    # directions, with float keys and with the exact ones
+    by_cmp = sorted(range(len(dirs)), key=lambda i: ccw_sort_key(dirs[i]))
+    for bound in (unfold._FLOAT_KEY_SQ, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(unfold, "_FLOAT_KEY_SQ", bound)
+            key = angle_key([r1, *dirs])
+        keys = [key(r1, d) for d in dirs]
+        assert sorted(range(len(dirs)), key=keys.__getitem__) == by_cmp
+        for i, j in zip(by_cmp, by_cmp[1:]):
+            assert (keys[i] == keys[j]) == (dirs[i] == dirs[j])
+
+
+_BUILTIN_SECTORS = sorted({
+    rays for name, params in [("lshape", None), ("lshape", ("7/3", "5/2")),
+                              ("slit_tori", None), ("slit_tori", ("1/3",))]
+    for cone in tsurf.builtin_surface(name, params).star_rays for rays in cone})
+
+
+def _coprime_ray():
+    return st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(
+        lambda v: v != (0, 0)).map(norm_dir)
+
+
+_SECTORS = st.one_of(
+    st.sampled_from(_BUILTIN_SECTORS),
+    st.tuples(_coprime_ray(), _coprime_ray()).filter(
+        lambda rr: cross(*rr) > 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sector=_SECTORS,
+       coeffs=st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 40)).filter(
+           any), min_size=1, max_size=10),
+       n=st.one_of(st.integers(1, 1 << 12), st.integers(1, 1 << 24)),
+       repeats=st.lists(st.integers(0, 100), max_size=5))
+def test_angle_key_orders_as_the_comparator(sector, coeffs, n, repeats):
+    r1, r2 = sector
+    # near-parallel pairs from the coefficients (n, n + 1) and (n + 1, n + 2),
+    # and r1 itself
+    dirs = _in_sector(r1, r2, coeffs + [(n, n + 1), (n + 1, n + 2), (1, 0)])
+    dirs += [dirs[i % len(dirs)] for i in repeats]
+    _check_angle_key(r1, dirs)
+
+
+def test_angle_key_falls_back_past_the_float_bound():
+    # 2**-61 apart at an angle near pi/4, whose float ulp is 2**-53: the
+    # float keys tie, the exact ones do not
+    n = 1 << 30
+    dirs = [(n + 1, n + 2), (n, n + 1), (1, 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unfold, "_FLOAT_KEY_SQ", 1 << 200)
+        key = angle_key([(1, 0), *dirs])
+    assert key((1, 0), dirs[0]) == key((1, 0), dirs[1])
+    key = angle_key([(1, 0), *dirs])
+    assert key((1, 0), dirs[2]) < key((1, 0), dirs[0]) < key((1, 0), dirs[1])
+    _check_angle_key((1, 0), dirs)
 
 
 @pytest.mark.parametrize("name, budget", [("lshape", 49), ("slit_tori", 49),
