@@ -10,12 +10,11 @@ import importlib
 # Exported name -> the submodule that defines it.
 _HOME = {
     **dict.fromkeys(
-        ("CellGrid", "DirectionWindow", "MeasureHistogram", "antipodal_direction",
-         "circle_measure", "direction_window"), "circles"),
+        ("CellGrid", "MeasureHistogram", "circle_measure"), "circles"),
     **dict.fromkeys(
         ("BracketFailure", "DegenerateRadius", "DerivativeMismatch",
          "Disconnected", "EdgeMismatch", "EmptySCC", "InvalidParams",
-         "MismatchedCone", "NonConvexPolygon", "NoSingularities", "ParseError",
+         "NonConvexPolygon", "NoSingularities", "ParseError",
          "TruncationError", "TsurfError"), "errors"),
     **dict.fromkeys(
         ("GeodesicCensus", "enumerate_closed", "occupancy", "pi_stats"),

@@ -2,13 +2,16 @@
 
 A circle of radius R around a cone point is a union of arcs, one per
 admissible path p (radius R - l(p), angular width 2*pi*k at the terminal
-cone) plus the full arc around the center. One development serves every
-arc: each cone sector is developed once, to the largest arc radius at its
-cone, and a direction window is its whole sectors plus at most two partial
-ones clipped to its rays. Radius by radius, the circle in each polygon copy
-is cut once against the copy's edges and the cell lines, and each window
-copy credits the pieces inside its wedge to their cells. Cell areas and the
-development are exact; only the clip angles are float.
+cone) plus the full arc around the center. A path's window holds the
+directions at least a half-turn from its terminal's back-direction, the
+test that decides which saddle may follow which, and is read off the same
+slots (`unfold.opposite_sectors`). One development serves every arc: each
+cone sector is developed once, to the largest arc radius at its cone, and
+a window is its whole sectors plus at most two partial ones clipped to its
+rays. Radius by radius, the circle in each polygon copy is cut once against
+the copy's edges and the cell lines, and each window copy credits the
+pieces inside its wedge to their cells. Cell areas and the development are
+exact; only the clip angles are float.
 """
 
 from __future__ import annotations
@@ -23,50 +26,14 @@ from .errors import DegenerateRadius, InvalidParams
 from .geometry import cross, dot, neg
 from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
 from .surface import TranslationSurface
-from .unfold import (ConeDirection, _meet, cone_direction,
-                     integer_polygons, opposite_sectors, unfold_wedge)
+from .unfold import (ConeDirection, _meet, integer_polygons, opposite_sectors,
+                     unfold_wedge)
 # Not called here: the benchmark tracer (perfbench/tracing.py) wraps
 # circles.trace_ray by name to count rays.
 from .unfold import trace_ray  # noqa: F401
 
 TWO_PI = 2 * math.pi
 HALF_PI = math.pi / 2
-
-
-@dataclass(frozen=True)
-class DirectionWindow:
-    """CCW angular interval of allowed continuation directions at a cone,
-    given as a start direction plus an exact width in radians."""
-
-    cone_id: int
-    start: ConeDirection
-    width: float
-
-
-def antipodal_direction(S: TranslationSurface, d: ConeDirection) -> ConeDirection:
-    """The direction exactly pi counterclockwise from d. A boundary landing
-    belongs to the next slot (wedges are half-open on their far ray)."""
-    slot = opposite_sectors(S, d)[0]
-    return cone_direction(S, d.cone_id, slot, (-d.vec[0], -d.vec[1]))
-
-
-def direction_window(G: ConcatGraph, x: int,
-                     terminal: int | None = None) -> DirectionWindow:
-    """Continuations after a path ending with saddle `terminal` leave 2*pi*k
-    of angle at its end cone, starting a half-turn past the incoming
-    direction. The empty path (terminal None) sees the whole cone x, width
-    2*pi*(k+1)."""
-    S = G.surface
-    if S is None:
-        raise InvalidParams("synthetic graphs carry no geometry")
-    if terminal is None:
-        k = S.cone_points[x].k
-        start = cone_direction(S, x, 0, S.star_rays[x][0][0])
-        return DirectionWindow(x, start, TWO_PI * (k + 1))
-    back = G.saddles[terminal].back_dir
-    k = S.cone_points[back.cone_id].k
-    return DirectionWindow(back.cone_id, antipodal_direction(S, back),
-                           TWO_PI * k)
 
 
 # ----------------------------------------------------------------------------
@@ -232,8 +199,12 @@ def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
     around cone x: the full cone at the center, then one per census group
     of length <= R. Returns (R, census, arcs, narcs): arcs maps each
     distinct (window, radius > 0) to its number of paths, in order of first
-    appearance; narcs counts every arc. Only the arc radii round R to a
-    float. The census is read in blocks, not as per-group lists."""
+    appearance; narcs counts every arc. A window is (cone, back): back is
+    the terminal saddle's back-direction, or None for the full cone at the
+    center. Only the arc radii round R to a float. The census is read in
+    blocks, not as per-group lists."""
+    if G.surface is None:
+        raise InvalidParams("synthetic graphs carry no geometry")
     if R <= 0:
         raise DegenerateRadius(f"radius must be positive, got {R}")
     G.check_radius(R)
@@ -241,9 +212,8 @@ def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
         census = path_length_census(G, x, R)
     g = census.groups(R)
     r = float(R)
-    arcs = {(direction_window(G, x), r): 1}
+    arcs = {((x, None), r): 1}
     narcs = 1
-    windows: dict[int, DirectionWindow] = {}
     for lo in range(0, g, 256):
         hi = min(g, lo + 256)
         for length, term, count in zip(census.group_lengths[lo:hi].tolist(),
@@ -252,39 +222,37 @@ def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
             narcs += count
             if r - length <= 0:
                 continue
-            if term not in windows:
-                windows[term] = direction_window(G, x, term)
-            key = windows[term], r - length
+            back = G.saddles[term].back_dir
+            key = (back.cone_id, back), r - length
             arcs[key] = arcs.get(key, 0) + count
     return R, census, arcs, narcs
 
 
-def _window_wedges(S: TranslationSurface, window: DirectionWindow) -> list:
-    """The window as exact per-sector wedges (slot, (a, ia, b, ib)). A
-    window of m full turns runs from its start vector to the same vector m
-    turns later; the full cone is every sector whole, and a window of
-    width 0 holds no wedge."""
-    rays = S.star_rays[window.cone_id]
-    turns = round(window.width / TWO_PI)
-    if turns == 0:
-        return []
-    if turns > S.cone_points[window.cone_id].k:  # k + 1 sectors hold vec
+def _window_wedges(S: TranslationSurface,
+                   window: tuple[int, ConeDirection | None]) -> list:
+    """The window (cone, back) as exact per-sector wedges (slot, (a, ia, b,
+    ib)). The full cone (back None) is every sector whole. Otherwise the
+    window is the 2*pi*k of directions from -back ccw back to -back, whose
+    ends lie in the first and the last of the sectors `opposite_sectors`
+    lists: a partial first slot from -back, the whole sectors in between
+    and a partial last slot up to -back. At k = 0 that is one slot and no
+    wedge."""
+    cone, back = window
+    rays = S.star_rays[cone]
+    if back is None:
         return [(slot, (r1, True, r2, False)) for slot, (r1, r2) in enumerate(rays)]
-    vec, slot = window.start.vec, window.start.slot
-    vx, vy = vec
-    out = [(slot, (vec, True, rays[slot][1], False))]
-    while True:
+    slots = opposite_sectors(S, back)
+    if len(slots) == 1:
+        return []
+    vec = (-back.vec[0], -back.vec[1])
+    first, last = slots[0], slots[-1]
+    out = [(first, (vec, True, rays[first][1], False))]
+    slot = (first + 1) % len(rays)
+    while slot != last:
+        out.append((slot, (rays[slot][0], True, rays[slot][1], False)))
         slot = (slot + 1) % len(rays)
-        r1, r2 = (ax, ay), (bx, by) = rays[slot]
-        # whether the half-open sector [r1, r2) holds vec; rays are coprime
-        if vec == r1 or (vec != r2 and ax * vy - ay * vx > 0
-                         and vx * by - vy * bx > 0):
-            turns -= 1
-            if turns == 0:
-                break
-        out.append((slot, (r1, True, r2, False)))
-    if vec != r1:
-        out.append((slot, (r1, True, vec, False)))
+    if vec != rays[last][0]:
+        out.append((last, (rays[last][0], True, vec, False)))
     return out
 
 
@@ -323,8 +291,7 @@ class _Development:
         # arcs: the (window, rho) pairs that the development serves
         self.S, self.polys = S, polys
         self.reach: dict[int, float] = {}
-        for window, rho in arcs:
-            cone = window.cone_id
+        for (cone, _), rho in arcs:
             self.reach[cone] = max(self.reach.get(cone, 0.0), rho)
         self.sectors: dict[tuple, list] = {}
         self.rays: dict[tuple, tuple] = {}  # ray -> (coprime ray, angle)
@@ -358,15 +325,16 @@ class _Development:
             self.sectors[cone, slot] = copies
         return self.sectors[cone, slot]
 
-    def copies(self, window: DirectionWindow, lo: float, hi: float):
+    def copies(self, window, lo: float, hi: float):
         """The copies the window's rays reach with near <= hi and far
         >= lo. A window is whole sectors plus at most two partial ones,
         whose copies keep the part of their wedge between the window's
         rays (`unfold._meet`): what developing them would give."""
-        rays = self.S.star_rays[window.cone_id]
+        cone = window[0]
+        rays = self.S.star_rays[cone]
         for slot, ((ex, ey), _, (fx, fy), _) in _window_wedges(self.S, window):
             whole = rays[slot] == ((ex, ey), (fx, fy))
-            for c in self.sector(window.cone_id, slot):
+            for c in self.sector(cone, slot):
                 if c[5] > hi:
                     break
                 if c[6] < lo:

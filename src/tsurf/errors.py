@@ -31,10 +31,6 @@ class InvalidParams(TsurfError):
     """Bad parameters passed to a builtin surface constructor."""
 
 
-class MismatchedCone(TsurfError):
-    """Two cone directions at different cone points were compared."""
-
-
 class TruncationError(TsurfError):
     """A query radius exceeds the budget the concatenation graph was built
     with, so the answer would silently miss saddle connections."""

@@ -6,6 +6,11 @@ each other (gluing by translation only). Identified vertices with total
 angle 2*pi*(k+1), k >= 1, are the cone points; total-angle-2*pi vertices are
 regular marked points and are dropped. Every surface here must have at
 least one cone point.
+
+Angles are counted in exact half-turns, never as floats: one ccw walk
+around each vertex class gives its star of corners, the half-turn of each
+sector's first ray and k, and the polygon check counts the half-turns of
+the edge directions the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,10 +29,8 @@ from .errors import (
     NoSingularities,
     ParseError,
 )
-from .geometry import cross, dot, norm_dir, polygon_area, second_half, sub
+from .geometry import cross, norm_dir, polygon_area, second_half, sub
 from .rational import format_rational, parse_rational
-
-TWO_PI = 2 * math.pi
 
 # An edge reference: (polygon index, edge index); edge i runs from vertex i
 # to vertex i+1 (mod n).
@@ -76,8 +78,11 @@ class TranslationSurface:
                 raise NonConvexPolygon(f"polygon {pi} has fewer than 3 vertices")
             if len(set(poly)) != n:
                 raise NonConvexPolygon(f"polygon {pi} repeats a vertex")
-            strict = 0
-            turning = 0.0
+            # Each turn lies in [0, pi] (cross >= 0), so the edge direction
+            # changes half-plane against edge 0 at most once per vertex: a
+            # polygon winding w times makes 2w changes.
+            first = sub(poly[1], poly[0])
+            strict = changes = 0
             for i in range(n):
                 a, b, c = poly[i - 1], poly[i], poly[(i + 1) % n]
                 e1 = sub(b, a)
@@ -89,10 +94,10 @@ class TranslationSurface:
                     )
                 if cr > 0:
                     strict += 1
-                turning += math.atan2(float(cr), float(dot(e1, e2)))
+                changes += second_half(first, e1) != second_half(first, e2)
             if strict < 3:
                 raise NonConvexPolygon(f"polygon {pi} is degenerate (collinear)")
-            if abs(turning - TWO_PI) > 1e-6:
+            if changes != 2:
                 raise NonConvexPolygon(f"polygon {pi} winds more than once")
 
     def _validate_gluings(self):
@@ -140,74 +145,50 @@ class TranslationSurface:
     # -- star structure ----------------------------------------------------
 
     def _build_stars(self):
-        corners = [
-            (p, v) for p, poly in enumerate(self.polygons) for v in range(len(poly))
-        ]
-        nextc = {}
-        for (p, v) in corners:
-            n = len(self.polygons[p])
-            # Rotating ccw past the incoming edge (p, v-1) lands on the
-            # corner at the partner edge's start vertex.
-            nextc[(p, v)] = self._partner[(p, (v - 1) % n)]
-
-        unvisited = set(corners)
-        classes = []
-        while unvisited:
-            start = min(unvisited)
-            cyc = [start]
-            unvisited.discard(start)
-            cur = nextc[start]
-            while cur != start:
-                cyc.append(cur)
-                unvisited.discard(cur)
-                cur = nextc[cur]
-            classes.append(tuple(cyc))
-
-        cones = []
-        regular = []
-        for cyc in classes:
-            total = sum(self.corner_angle(p, v) for (p, v) in cyc)
-            m = round(total / TWO_PI)
-            if abs(total - TWO_PI * m) > 1e-9 * max(1.0, m) or m < 1:
-                raise NonConvexPolygon(
-                    f"vertex class {cyc[0]} has angle {total}, not a 2*pi multiple"
-                )
-            if m == 1:
-                regular.append(cyc)
+        # One ccw walk per vertex class: rotating ccw past the incoming edge
+        # (p, v-1) lands on the corner at the partner edge's start vertex.
+        # Corners are taken in order, so each class starts at its least
+        # corner and the classes come out by least corner. A sector spans at
+        # most pi, so the first rays change half-plane against the first one
+        # at most once per step: counted along the walk, that is each
+        # sector's half-turn, and (half-turn, ray) orders the sectors
+        # exactly; taken cyclically, angle 2*pi*(k+1) makes 2(k+1) changes.
+        cones, regular = [], []
+        seen = set()
+        for start in ((p, v) for p, poly in enumerate(self.polygons)
+                      for v in range(len(poly))):
+            if start in seen:
+                continue
+            star, cur = [], start
+            while cur not in seen:
+                seen.add(cur)
+                star.append(cur)
+                p, v = cur
+                cur = self._partner[(p, (v - 1) % len(self.polygons[p]))]
+            rays = tuple(self.corner_rays(p, v) for p, v in star)
+            half = [second_half(rays[0][0], r1) for r1, _ in rays]
+            turns = tuple(itertools.accumulate(
+                (h0 != h1 for h0, h1 in zip(half, half[1:])), initial=0))
+            k = (turns[-1] + (half[-1] != half[0])) // 2 - 1
+            if k:
+                cones.append((tuple(star), rays, turns, k))
             else:
-                cones.append((cyc, m - 1))
+                regular.append(tuple(star))
         if not cones:
             raise NoSingularities(
                 "every vertex is a regular 2*pi point; no cone points"
             )
 
-        cones.sort(key=lambda ck: min(ck[0]))
-        self.cone_points = tuple(
-            ConePoint(id=i, k=k, star=_rotate_to_min(cyc))
-            for i, (cyc, k) in enumerate(cones)
-        )
-        self.regular_classes = tuple(_rotate_to_min(cyc) for cyc in regular)
-
-        self.corner_cone: dict[tuple[int, int], tuple[int, int]] = {}
-        for cone in self.cone_points:
-            for slot, corner in enumerate(cone.star):
-                self.corner_cone[corner] = (cone.id, slot)
-
-        # Per-slot sector rays, precomputed for the angle predicates.
-        self.star_rays: tuple[tuple, ...] = tuple(
-            tuple(self.corner_rays(p, v) for (p, v) in cone.star)
-            for cone in self.cone_points
-        )
-        # Half-turns from slot 0's first ray to each slot's first ray, counted
-        # along the cone: (half-turn, ray) orders the sectors exactly. A
-        # sector spans at most pi, so the count steps whenever the first ray
-        # changes half-plane against slot 0's.
-        self.star_half_turns: tuple[tuple[int, ...], ...] = tuple(
-            tuple(itertools.accumulate(
-                (second_half(rays[0][0], r1) != second_half(rays[0][0], r0)
-                 for (r0, _), (r1, _) in zip(rays, rays[1:])), initial=0))
-            for rays in self.star_rays
-        )
+        # Per cone: each slot's sector rays, precomputed for the angle
+        # predicates, and the half-turns from slot 0's first ray to each
+        # slot's first ray.
+        stars, self.star_rays, self.star_half_turns, ks = zip(*cones)
+        self.cone_points = tuple(ConePoint(id=i, k=k, star=star)
+                                 for i, (star, k) in enumerate(zip(stars, ks)))
+        self.regular_classes = tuple(regular)
+        self.corner_cone: dict[tuple[int, int], tuple[int, int]] = {
+            corner: (cone.id, slot)
+            for cone in self.cone_points for slot, corner in enumerate(cone.star)}
 
         V = len(self.cone_points) + len(self.regular_classes)
         E = len(self.gluing_pairs)
@@ -252,13 +233,6 @@ class TranslationSurface:
         r2 = norm_dir(sub(poly[(v - 1) % n], poly[v]))
         return r1, r2
 
-    def corner_angle(self, p: int, v: int) -> float:
-        r1, r2 = self.corner_rays(p, v)
-        ang = math.atan2(float(cross(r1, r2)), float(dot(r1, r2)))
-        if ang <= 0:
-            ang += TWO_PI  # cross >= 0, so this only fires for angle == pi
-        return ang
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -281,11 +255,6 @@ class TranslationSurface:
             f"TranslationSurface(polygons={len(self.polygons)}, "
             f"genus={self.genus}, cone_k=[{ks}])"
         )
-
-
-def _rotate_to_min(cyc):
-    i = cyc.index(min(cyc))
-    return tuple(cyc[i:] + cyc[:i])
 
 
 def load_surface(text) -> TranslationSurface:

@@ -49,17 +49,6 @@ class ConeDirection:
     vec: tuple[int, int]
 
 
-def cone_direction(S: TranslationSurface, cone_id: int, slot: int, vec) -> ConeDirection:
-    """Validated constructor; `vec` must lie weakly in the slot's sector."""
-    d = norm_dir(vec)
-    r1, r2 = S.star_rays[cone_id][slot]
-    if not _holds((r1, True, r2, True), *d):
-        raise InvalidParams(
-            f"direction {d} is outside sector {slot} of cone {cone_id}"
-        )
-    return ConeDirection(cone_id, slot, d)
-
-
 def opposite_sectors(S: TranslationSurface, d: ConeDirection) -> list[int]:
     """Sectors holding the direction opposite to d, in the ccw order met
     walking around the cone from d. A direction lies in exactly one half-open

@@ -87,6 +87,17 @@
   own pairing and `after` conjugated by it replaced them.
 - `star_angles`: the float angle of every sector of a cone, which every
   surface computed when it was built and only `_direction_at` read.
+- `corner_angle` and `float_excess`: a cone's k as the float sum of its
+  `atan2` corner angles rounded to whole turns within 1e-9, which the
+  count of half-plane changes along the exact star walk replaced.
+  `cone_direction`, the validated `ConeDirection` constructor, moved here
+  with them.
+- `DirectionWindow`, `direction_window` and `antipodal_direction`: a
+  circle window as its start direction a half-turn past the terminal's
+  back-direction plus a float width of whole turns, which the window
+  (cone, back) read off the slots of `unfold.opposite_sectors` replaced.
+  The Monte Carlo and per-arc oracles still walk these windows.
+  `MismatchedCone`, raised only by `angle_ccw_at_least_pi`, moved here too.
 - `fraction_trace_ray`: the ray walked polygon by polygon in `Fraction`
   coordinates, exit edge by exit edge, through regular vertices by a scan
   of their star (`point_in_convex` and `_star_continue` moved here with
@@ -112,10 +123,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from tsurf import (BracketFailure, DegenerateRadius, EmptySCC, InvalidParams,
-                   MismatchedCone, SpectralResult, TruncationError,
+                   SpectralResult, TruncationError, TsurfError,
                    spectral_radius)
-from tsurf.circles import (DirectionWindow, MeasureHistogram, _ScaledCells,
-                           direction_window)
+from tsurf.circles import MeasureHistogram, _ScaledCells
 from tsurf.geometry import (clip_half_plane, convex_clip, cross, dot, neg,
                             norm_dir, norm_sq, polygon_area, same_dir, sub)
 from tsurf.lengths import _length_keys
@@ -267,6 +277,10 @@ def _past_half_turn(z) -> bool:
     return z[1] < 0 or (z[1] == 0 and z[0] < 0)
 
 
+class MismatchedCone(TsurfError):
+    """Two cone directions at different cone points were compared."""
+
+
 def angle_ccw_at_least_pi(S, d1, d2) -> bool:
     """Exact test: counterclockwise angle from d1 to d2 at their cone >= pi.
 
@@ -385,10 +399,39 @@ def arc_run_predecessors(S, saddles) -> Runs:
                      leaving)
 
 
+def corner_angle(S, p: int, v: int) -> float:
+    """The float angle of the corner's sector, in (0, pi]."""
+    r1, r2 = S.corner_rays(p, v)
+    ang = math.atan2(float(cross(r1, r2)), float(dot(r1, r2)))
+    if ang <= 0:
+        ang += TWO_PI  # cross >= 0, so this only fires for angle == pi
+    return ang
+
+
+def float_excess(S, corners) -> int:
+    """k of the vertex class with these corners, from the float sum of
+    their angles: 2*pi*(k+1) to within 1e-9 relative."""
+    total = sum(corner_angle(S, p, v) for (p, v) in corners)
+    m = round(total / TWO_PI)
+    assert m >= 1 and abs(total - TWO_PI * m) <= 1e-9 * m, total
+    return m - 1
+
+
+def cone_direction(S, cone_id: int, slot: int, vec) -> ConeDirection:
+    """Validated constructor; `vec` must lie weakly in the slot's sector."""
+    d = norm_dir(vec)
+    r1, r2 = S.star_rays[cone_id][slot]
+    if not Wedge(r1, True, r2, True).contains(d):
+        raise InvalidParams(
+            f"direction {d} is outside sector {slot} of cone {cone_id}"
+        )
+    return ConeDirection(cone_id, slot, d)
+
+
 @functools.cache
 def star_angles(S, cone_id: int) -> tuple[float, ...]:
     """The float angle of each sector of the cone, slot by slot."""
-    return tuple(S.corner_angle(p, v) for (p, v) in S.cone_points[cone_id].star)
+    return tuple(corner_angle(S, p, v) for (p, v) in S.cone_points[cone_id].star)
 
 
 def pairwise_allowed(G, i: int, j: int) -> bool:
@@ -1052,6 +1095,42 @@ def _star_continue(S, corner, d):
 
 # ----------------------------------------------------------------------------
 # Monte Carlo circle measure and region volume
+
+
+@dataclass(frozen=True)
+class DirectionWindow:
+    """CCW angular interval of allowed continuation directions at a cone,
+    given as a start direction plus an exact width in radians."""
+
+    cone_id: int
+    start: ConeDirection
+    width: float
+
+
+def antipodal_direction(S, d: ConeDirection) -> ConeDirection:
+    """The direction exactly pi counterclockwise from d. A boundary landing
+    belongs to the next slot (wedges are half-open on their far ray)."""
+    slot = opposite_sectors(S, d)[0]
+    return cone_direction(S, d.cone_id, slot, (-d.vec[0], -d.vec[1]))
+
+
+def direction_window(G: ConcatGraph, x: int,
+                     terminal: int | None = None) -> DirectionWindow:
+    """Continuations after a path ending with saddle `terminal` leave 2*pi*k
+    of angle at its end cone, starting a half-turn past the incoming
+    direction. The empty path (terminal None) sees the whole cone x, width
+    2*pi*(k+1)."""
+    S = G.surface
+    if S is None:
+        raise InvalidParams("synthetic graphs carry no geometry")
+    if terminal is None:
+        k = S.cone_points[x].k
+        start = cone_direction(S, x, 0, S.star_rays[x][0][0])
+        return DirectionWindow(x, start, TWO_PI * (k + 1))
+    back = G.saddles[terminal].back_dir
+    k = S.cone_points[back.cone_id].k
+    return DirectionWindow(back.cone_id, antipodal_direction(S, back),
+                           TWO_PI * k)
 
 
 def listed_circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):

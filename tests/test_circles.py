@@ -2,40 +2,64 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tsurf
-from tsurf import CellGrid, antipodal_direction, circle_measure, direction_window, region_volume
+from tsurf import CellGrid, circle_measure, region_volume
 from tsurf import circles
-from tsurf.circles import DirectionWindow, _cell_areas, _window_wedges
+from tsurf.circles import _cell_areas, _window_wedges
+from tsurf.geodesics import saddle_cell_lengths
+from tsurf.geometry import cross, dot
+from tsurf.unfold import ConeDirection, opposite_sectors
 
-from oracles import (fraction_cell_areas, monte_carlo_circle_measure,
+from oracles import (antipodal_direction, direction_window,
+                     fraction_cell_areas, monte_carlo_circle_measure,
                      monte_carlo_region_volume, per_arc_circle_measure,
                      per_arc_region_volume, wedge_window_wedges)
 
 
-def test_full_cone_window(G9):
+def _wedges_angle(wedges) -> float:
+    """The float angle the wedges (slot, (a, ia, b, ib)) sweep together."""
+    return sum(math.atan2(cross(a, b), dot(a, b)) for _, (a, _, b, _) in wedges)
+
+
+def test_full_cone_window(lshape, G9):
     w = direction_window(G9, x=0)
     assert w.cone_id == 0
     assert w.width == pytest.approx(6 * math.pi, abs=1e-12)
+    wedges = _window_wedges(lshape, (0, None))
+    assert [slot for slot, _ in wedges] == list(range(12))
+    assert _wedges_angle(wedges) == pytest.approx(6 * math.pi, abs=1e-12)
 
 
-def test_path_window_is_terminal_excess(G9):
+def test_path_window_is_terminal_excess(lshape, G9):
     # every terminal cone here has k=2, so each path window spans 4*pi
-    for i in (0, 12, 24):
+    j = int(G9.out[0][0])
+    for i in (0, 12, 24, j):
         w = direction_window(G9, 0, terminal=i)
         assert w.width == pytest.approx(4 * math.pi, abs=1e-12)
-    j = int(G9.out[0][0])
-    assert direction_window(G9, 0, terminal=j).width == pytest.approx(4 * math.pi, abs=1e-12)
+        back = G9.saddles[i].back_dir
+        assert _wedges_angle(_window_wedges(lshape, (back.cone_id, back))) \
+            == pytest.approx(4 * math.pi, abs=1e-12)
 
 
 def test_window_of_width_zero_holds_no_wedge(lshape, G9):
-    # a path ending at a point of angle 2*pi leaves no angle to continue in
-    start = direction_window(G9, 0, terminal=0).start
-    assert _window_wedges(lshape, DirectionWindow(start.cone_id, start, 0.0)) == []
-    assert len(_window_wedges(lshape, direction_window(G9, 0, terminal=0))) >= 2
+    # a path ending at a point of angle 2*pi leaves no angle to continue
+    # in: at the regular point of the square torus, whose four corners are
+    # the square's, the opposite direction lies in one sector
+    quarter = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    torus = SimpleNamespace(
+        star_rays=(tuple(zip(quarter, quarter[1:] + quarter[:1])),),
+        star_half_turns=((0, 0, 1, 1),), cone_points=(SimpleNamespace(k=0),))
+    for slot, vec in enumerate([(1, 1), (-1, 0), (-1, -2), (0, -1)]):
+        back = ConeDirection(0, slot, vec)
+        assert len(opposite_sectors(torus, back)) == 1
+        assert _window_wedges(torus, (0, back)) == []
+    back = G9.saddles[0].back_dir
+    assert len(_window_wedges(lshape, (back.cone_id, back))) >= 2
 
 
 @pytest.mark.parametrize("name, params, budget", [
@@ -43,11 +67,13 @@ def test_window_of_width_zero_holds_no_wedge(lshape, G9):
 def test_window_wedges_match_the_sector_scan(name, params, budget):
     S = tsurf.builtin_surface(name, params)
     G = tsurf.build_concat_graph(S, budget)
-    windows = [direction_window(G, c.id) for c in S.cone_points]
-    windows += [direction_window(G, 0, t) for t in range(len(G.saddles))]
-    for w in windows:
-        assert _window_wedges(S, w) == [
-            (slot, (v.a, v.ia, v.b, v.ib)) for slot, v in wedge_window_wedges(S, w)]
+    windows = [((c.id, None), direction_window(G, c.id)) for c in S.cone_points]
+    windows += [((s.back_dir.cone_id, s.back_dir), direction_window(G, 0, t))
+                for t, s in enumerate(G.saddles)]
+    for window, oracle in windows:
+        assert _window_wedges(S, window) == [
+            (slot, (v.a, v.ia, v.b, v.ib))
+            for slot, v in wedge_window_wedges(S, oracle)]
 
 
 def test_antipode_order_matches_cone(lshape, G9):
@@ -64,6 +90,16 @@ def test_antipode_order_matches_cone(lshape, G9):
     for _ in range(6):
         cur = antipodal_direction(lshape, cur)
     assert cur == d
+
+
+def test_synthetic_graphs_carry_no_geometry(lshape, C3):
+    grid = CellGrid(lshape, 2)
+    with pytest.raises(tsurf.InvalidParams, match="no geometry"):
+        circle_measure(C3, 0, 2, grid)
+    with pytest.raises(tsurf.InvalidParams, match="no geometry"):
+        region_volume(C3, 0, 2, grid, [0, 1])
+    with pytest.raises(tsurf.InvalidParams, match="no geometry"):
+        saddle_cell_lengths(C3, grid)
 
 
 def test_grid_areas_exact(lshape):

@@ -1,6 +1,9 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tsurf
 from tsurf import (
@@ -11,6 +14,8 @@ from tsurf import (
     NoSingularities,
     ParseError,
 )
+
+from oracles import corner_angle, float_excess
 
 
 def test_lshape_invariants(lshape):
@@ -69,13 +74,11 @@ def test_square_torus_has_no_singularity():
     # one square, opposite sides glued: flat torus, k would be 0
     sq = [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]]
     gl = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
-    import json
     with pytest.raises(NoSingularities):
         tsurf.load_surface(json.dumps({"polygons": sq, "gluings": gl}))
 
 
 def test_mismatched_edge_vectors():
-    import json
     polys = [[["0", "0"], ["2", "0"], ["2", "1"], ["0", "1"]],
              [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]]
     # bottom of a 2x1 rectangle against top of a unit square
@@ -85,7 +88,6 @@ def test_mismatched_edge_vectors():
 
 
 def test_nonconvex_polygon_rejected():
-    import json
     # reflex vertex at (1,1)
     poly = [[["0", "0"], ["2", "0"], ["2", "2"], ["1", "1"], ["0", "2"]]]
     gl = []
@@ -94,7 +96,6 @@ def test_nonconvex_polygon_rejected():
 
 
 def test_disconnected_surface_rejected():
-    import json
     # two tori with no gluing between them would each need k=0 anyway,
     # so build two separate lshape copies instead
     L = tsurf.builtin_surface("lshape")
@@ -115,7 +116,30 @@ def test_scale_surface(lshape):
 
 
 def test_corner_angles_sum_around_cone(lshape):
-    import math
     c = lshape.cone_points[0]
-    total = sum(lshape.corner_angle(p, v) for (p, v) in c.star)
+    total = sum(corner_angle(lshape, p, v) for (p, v) in c.star)
     assert abs(total - 6 * math.pi) < 1e-12
+
+
+_SIDES = st.fractions(min_value=1, max_value=6, max_denominator=60).filter(
+    lambda side: side > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_SIDES, q=_SIDES)
+def test_lshape_cone_angle_matches_the_float_sum(p, q):
+    S = tsurf.builtin_surface("lshape", [p, q])
+    assert [c.k for c in S.cone_points] == [float_excess(S, c.star)
+                                            for c in S.cone_points] == [2]
+    assert [float_excess(S, cyc) for cyc in S.regular_classes] == [0] * len(
+        S.regular_classes)
+    # the last sector's first ray lies in the last half-turn
+    assert S.star_half_turns[0][-1] == 2 * S.cone_points[0].k + 1
+
+
+def test_polygon_winding_twice_rejected():
+    # a five-pointed star: a left turn at every vertex, winding number 2
+    star = [["10", "0"], ["-8", "6"], ["3", "-10"], ["3", "10"], ["-8", "-6"]]
+    gl = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
+    with pytest.raises(NonConvexPolygon, match="winds more than once"):
+        tsurf.load_surface(json.dumps({"polygons": [star], "gluings": gl}))

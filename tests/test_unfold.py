@@ -14,13 +14,14 @@ import tsurf
 from tsurf import enumerate_saddle_connections, trace_ray, unfold
 from tsurf.geometry import cross, neg, norm_dir
 from tsurf.surface import TranslationSurface
-from tsurf.unfold import (TracePoint, angle_key, cone_direction,
-                          integer_polygons, opposite_sectors, unfold_wedge)
+from tsurf.unfold import (TracePoint, angle_key, integer_polygons,
+                          opposite_sectors, unfold_wedge)
 
 from oracles import (Wedge, arc_run_predecessors, ccw_sort_key,
-                     comparator_arc_runs, fraction_saddle_connections,
-                     fraction_trace_ray, reversal_permutation,
-                     scan_opposite_sectors, wedge_unfold_wedge)
+                     comparator_arc_runs, cone_direction, float_excess,
+                     fraction_saddle_connections, fraction_trace_ray,
+                     reversal_permutation, scan_opposite_sectors,
+                     wedge_unfold_wedge)
 
 
 def test_trace_straight_across_square(lshape):
@@ -236,7 +237,8 @@ def _flat_corner_lshape():
 
 def _surface(name, params=None, scale=1):
     S = {"sheared_lshape": _sheared_lshape,
-         "flat_corner_lshape": _flat_corner_lshape}.get(name)
+         "flat_corner_lshape": _flat_corner_lshape,
+         "regular_vertex_lshape": _lshape_with_regular_vertices}.get(name)
     S = S() if S else tsurf.builtin_surface(name, params)
     return tsurf.scale_surface(S, scale)
 
@@ -246,6 +248,25 @@ def _surface(name, params=None, scale=1):
 SURFACES = [("lshape", None, 1), ("slit_tori", None, 1),
             ("lshape", ("7/3", "5/2"), 1), ("lshape", None, Fraction(2, 3)),
             ("sheared_lshape", None, 1), ("flat_corner_lshape", None, 1)]
+
+
+@pytest.mark.parametrize("name, params, scale", SURFACES + [
+    ("regular_vertex_lshape", None, 1), ("regular_vertex_lshape", None, 3)])
+def test_half_turn_count_gives_the_float_cone_angle(name, params, scale):
+    # k from the half-plane changes of the star walk, against the float sum
+    # of the corner angles, at every cone and every regular class
+    S = _surface(name, params, scale)
+    for cone in S.cone_points:
+        assert cone.k == float_excess(S, cone.star) >= 1
+    for cyc in S.regular_classes:
+        assert float_excess(S, cyc) == 0
+    # each class starts at its least corner, the classes in that order
+    classes = [cone.star for cone in S.cone_points] + list(S.regular_classes)
+    assert all(cyc[0] == min(cyc) for cyc in classes)
+    assert [cone.star[0] for cone in S.cone_points] == sorted(
+        cone.star[0] for cone in S.cone_points)
+    assert sorted(c for cyc in classes for c in cyc) == [
+        (p, v) for p, poly in enumerate(S.polygons) for v in range(len(poly))]
 
 
 @pytest.mark.parametrize("name, params, scale, budget", [
