@@ -10,20 +10,22 @@ cone sector is developed once, to the largest arc radius at its cone, and
 a window is its whole sectors plus at most two partial ones clipped to its
 rays. Radius by radius, the circle in each polygon copy is cut once against
 the copy's edges and the cell lines, and each window copy credits the
-pieces inside its wedge to their cells. Cell areas and the development are
-exact; only the clip angles are float.
+pieces inside its wedge to their cells. `CellGrid` owns the one integer
+frame that places the cells: their lines, their exact areas and which cell
+holds a point. The measure, the ball volume (`volume`) and the occupancy
+(`geodesics`) all read the cells from it. Cell areas and the development
+are exact; only the clip angles are float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateRadius, InvalidParams
-from .geometry import cross, dot, neg
+from .geometry import cross, dot, neg, polygon_area
 from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
 from .surface import TranslationSurface
 from .unfold import (ConeDirection, _meet, integer_polygons, opposite_sectors,
@@ -58,59 +60,57 @@ def _clip_axis(pts, axis: int, c: int, sign: int) -> list:
     return out
 
 
-def _cell_areas(S: TranslationSurface, n: int) -> list[Fraction]:
-    """The exact area of each cell-intersect-polygon of the n x n grids, in
-    cell-id order, computed on integers. The polygons of `integer_polygons`
-    scaled by n * L put every vertex and cell line on integers, where L is a
-    multiple of every edge's |dx| and |dy|: a cell line then meets each edge
-    line at an integer point, and so does every clip below."""
-    D, polys = integer_polygons(S)
-    L = 1
-    for poly in polys:
-        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-            L = math.lcm(L, abs(x2 - x1) or 1, abs(y2 - y1) or 1)
-    m = n * L
-    unit = 2 * (D * m) ** 2  # twice the area of a unit square, scaled
-    areas = []
-    for poly in polys:
-        pts = [(x * m, y * m) for x, y in poly]
-        x0 = min(x for x, _ in pts)
-        y0 = min(y for _, y in pts)
-        cw = (max(x for x, _ in pts) - x0) // n
-        ch = (max(y for _, y in pts) - y0) // n
-        for j in range(n):
-            row = _clip_axis(_clip_axis(pts, 1, y0 + j * ch, 1),
-                             1, y0 + (j + 1) * ch, -1)
-            for i in range(n):
-                piece = _clip_axis(_clip_axis(row, 0, x0 + i * cw, 1),
-                                   0, x0 + (i + 1) * cw, -1)
-                areas.append(Fraction(sum(
-                    px * qy - py * qx for (px, py), (qx, qy)
-                    in zip(piece, piece[1:] + piece[:1])), unit))
-    return areas
-
-
 @dataclass
 class CellGrid:
     """Per-polygon n x n congruent axis-aligned cells over each polygon's
-    bounding box, with the exact area of cell-intersect-polygon. Degenerate
+    bounding box, in one integer frame that every reader of the cells
+    shares. The polygons of `integer_polygons` scaled by n * L, with L a
+    multiple of every edge's |dx| and |dy|, put every vertex and cell line
+    on integers: a cell line then meets each edge line at an integer point,
+    so each cell-intersect-polygon is an integer polygon.
+
+    `scale` is the frame's unit (D * n * L), `polys` the scaled polygons,
+    `frames[p]` = (x0, y0, cw, ch) the corner and cell size of polygon p's
+    box, and `pieces[cid]` the integer cell-intersect-polygon that the
+    exact area comes from. Cell ids are offsets[p] + j * n + i. Degenerate
     cells (zero area) keep their id so indexing stays rectangular."""
 
     surface: TranslationSurface
     n: int
     offsets: list[int] = field(default_factory=list)
     areas: np.ndarray | None = None
-    boxes: list[tuple] = field(default_factory=list)
+    scale: int = 1
+    polys: tuple = ()
+    frames: list[tuple] = field(default_factory=list)
+    pieces: list[list] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise InvalidParams("grid resolution must be >= 1")
-        for poly in self.surface.polygons:
-            xs = [p[0] for p in poly]
-            ys = [p[1] for p in poly]
-            self.offsets.append(len(self.boxes) * self.n * self.n)
-            self.boxes.append((min(xs), min(ys), max(xs), max(ys)))
-        areas = _cell_areas(self.surface, self.n)
+        D, polys = integer_polygons(self.surface)
+        L = 1
+        for poly in polys:
+            for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+                L = math.lcm(L, abs(x2 - x1) or 1, abs(y2 - y1) or 1)
+        m = n * L
+        self.scale = D * m
+        self.polys = tuple(tuple((x * m, y * m) for x, y in poly)
+                           for poly in polys)
+        for pts in self.polys:
+            self.offsets.append(len(self.pieces))
+            x0 = min(x for x, _ in pts)
+            y0 = min(y for _, y in pts)
+            cw = (max(x for x, _ in pts) - x0) // n
+            ch = (max(y for _, y in pts) - y0) // n
+            self.frames.append((x0, y0, cw, ch))
+            for j in range(n):
+                row = _clip_axis(_clip_axis(pts, 1, y0 + j * ch, 1),
+                                 1, y0 + (j + 1) * ch, -1)
+                for i in range(n):
+                    self.pieces.append(_clip_axis(_clip_axis(
+                        row, 0, x0 + i * cw, 1), 0, x0 + (i + 1) * cw, -1))
+        areas = [polygon_area(piece) / self.scale ** 2 for piece in self.pieces]
         assert sum(areas) == self.surface.area, "grid cells must partition the area"
         self.areas = np.array([float(a) for a in areas])
 
@@ -118,14 +118,15 @@ class CellGrid:
     def num_cells(self) -> int:
         return len(self.areas)
 
-    def cell_of_point(self, polygon: int, position) -> int:
-        x0, y0, x1, y1 = self.boxes[polygon]
-        px, py = position
-        i = int((Fraction(px) - x0) * self.n // (x1 - x0))
-        j = int((Fraction(py) - y0) * self.n // (y1 - y0))
-        i = min(max(i, 0), self.n - 1)
-        j = min(max(j, 0), self.n - 1)
-        return self.offsets[polygon] + j * self.n + i
+    def cell_of(self, p: int, x, y, den: int = 1) -> int:
+        """The cell of polygon p holding the point (x / den, y / den) of the
+        frame, by floor division on the cell lines; a point outside the
+        box clamps to the nearest cell. x and y are floats or integers."""
+        x0, y0, cw, ch = self.frames[p]
+        n = self.n
+        i = min(max(int((x - x0 * den) // (cw * den)), 0), n - 1)
+        j = min(max(int((y - y0 * den) // (ch * den)), 0), n - 1)
+        return self.offsets[p] + j * n + i
 
     def cell_meta(self, cid: int) -> tuple[int, int, int]:
         poly = max(p for p in range(len(self.offsets)) if self.offsets[p] <= cid)
@@ -169,10 +170,9 @@ class MeasureHistogram:
         xoff = 0.0
         rects = []
         height = 0.0
-        for poly in range(len(grid.offsets)):
-            x0, y0, x1, y1 = grid.boxes[poly]
-            w = float(x1 - x0) * scale
-            h = float(y1 - y0) * scale
+        for poly, (_, _, fw, fh) in enumerate(grid.frames):
+            w = grid.n * fw / grid.scale * scale
+            h = grid.n * fh / grid.scale * scale
             height = max(height, h)
             cw, ch = w / grid.n, h / grid.n
             for j in range(grid.n):
@@ -354,18 +354,18 @@ class _Development:
 
 
 class _ScaledCells:
-    """The grid in the integer coordinates of `integer_polygons`: per
-    polygon the scaled box and cell lines, and per edge (nx, ny, h, angle,
-    length) of its inner normal n, with h = n.p on the edge."""
+    """The grid in the integer coordinates of `integer_polygons`, its own
+    frame divided by unit = grid.scale / D: per polygon the cell lines as
+    correctly rounded floats, and per edge (nx, ny, h, angle, length) of
+    its inner normal n, with h = n.p on the edge."""
 
     def __init__(self, grid: CellGrid, D: int, polys):
-        self.grid = grid
-        self.boxes = [tuple(float(c * D) for c in box) for box in grid.boxes]
-        n = grid.n
-        self.xlines = [[x0 + (x1 - x0) * i / n for i in range(1, n)]
-                       for x0, _, x1, _ in self.boxes]
-        self.ylines = [[y0 + (y1 - y0) * i / n for i in range(1, n)]
-                       for _, y0, _, y1 in self.boxes]
+        self.grid, self.unit = grid, grid.scale // D
+        lines = range(1, grid.n)
+        self.xlines = [[(x0 + i * cw) / self.unit for i in lines]
+                       for x0, _, cw, _ in grid.frames]
+        self.ylines = [[(y0 + j * ch) / self.unit for j in lines]
+                       for _, y0, _, ch in grid.frames]
         self.normals = []
         for poly in polys:
             mine = []
@@ -375,13 +375,6 @@ class _ScaledCells:
                              math.hypot(nx, ny)))
             self.normals.append(mine)
 
-    def cell_of(self, p: int, x: float, y: float) -> int:
-        x0, y0, x1, y1 = self.boxes[p]
-        n = self.grid.n
-        i = min(max(int((x - x0) * n // (x1 - x0)), 0), n - 1)
-        j = min(max(int((y - y0) * n // (y1 - y0)), 0), n - 1)
-        return self.grid.offsets[p] + j * n + i
-
     def cut(self, p: int, tx, ty, rho) -> list:
         """The circle of radius rho about the origin inside polygon p
         translated by (tx, ty), as pieces (start angle, angle, cell id). A
@@ -389,7 +382,7 @@ class _ScaledCells:
         acos(h / (rho |n|)). An arc between edge cuts lies in the copy when
         its midpoint is within every edge's arc; the cell lines split it,
         and each piece goes to the cell holding its midpoint."""
-        cell_of = self.cell_of
+        cell_of, unit = self.grid.cell_of, self.unit
         edges = []
         marks = []
         for nx, ny, h, th, norm in self.normals[p]:
@@ -445,7 +438,8 @@ class _ScaledCells:
                 if b > a:
                     mid = 0.5 * (a + b)
                     out.append((a, b - a, cell_of(
-                        p, rho * math.cos(mid) - tx, rho * math.sin(mid) - ty)))
+                        p, unit * (rho * math.cos(mid) - tx),
+                        unit * (rho * math.sin(mid) - ty))))
         return out
 
 

@@ -50,4 +50,4 @@ class DerivativeMismatch(TsurfError):
 
 
 class DegenerateRadius(TsurfError):
-    """A sampling sector has zero or negative radius."""
+    """A circle or ball radius is zero or negative."""

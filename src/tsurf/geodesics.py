@@ -305,8 +305,7 @@ def saddle_cell_lengths(G: ConcatGraph, grid, ids=None) -> dict[int, dict[int, f
     if S is None:
         raise InvalidParams("synthetic graphs carry no geometry")
     D, polys = integer_polygons(S)
-    n = grid.n
-    boxes = [tuple(int(c * D) for c in box) for box in grid.boxes]
+    unit = grid.scale // D
     out: dict[int, dict[int, float]] = {}
     for sid in (range(G.n) if ids is None else ids):
         s = G.saddles[sid]
@@ -319,28 +318,30 @@ def saddle_cell_lengths(G: ConcatGraph, grid, ids=None) -> dict[int, dict[int, f
         for poly, (tx, ty), verts, *_ in copies:
             span = _clip_ray(verts, qx, qy, 1)
             if span is not None:
-                _split_span(span, qx, qy, tx, ty, boxes[poly], n,
-                            grid.offsets[poly], s.length, shares)
+                _split_span(grid, poly, unit, span, qx, qy, tx, ty,
+                            s.length, shares)
         out[sid] = shares
     return out
 
 
-def _split_span(span, qx, qy, tx, ty, box, n, offset, total_len, shares):
-    """Cut the ray's span in one copy (translated by (tx, ty)) at the cell
-    lines of its polygon's scaled bounding box and credit each piece to its
-    cell. Every parameter is an integer over the common denominator L."""
+def _split_span(grid, p, unit, span, qx, qy, tx, ty, total_len, shares):
+    """Cut the ray's span in one copy of polygon p (translated by (tx, ty))
+    at the grid's cell lines and credit each piece to its cell. The grid's
+    frame is the copy's coordinates times `unit`; every parameter is an
+    integer over the common denominator L."""
     (an, ad), (bn, bd) = span
-    X0, Y0, X1, Y1 = box
-    L = math.lcm(ad, bd, n * qx or 1, n * qy or 1)
+    L = math.lcm(ad, bd, unit * qx or 1, unit * qy or 1)
     ua, ub = an * (L // ad), bn * (L // bd)
     cuts = {ua, ub}
-    # Line i of a coordinate sits at X0 + i (X1 - X0) / n in the polygon,
-    # which the ray reaches at tau = (n (X0 + tx) + i (X1 - X0)) / (n qx).
-    for q, lo, hi, t in ((qx, X0, X1, tx), (qy, Y0, Y1, ty)):
+    # Line i of a coordinate sits at lo + i * size in the frame, which the
+    # ray, at unit * (tau * q - t) there, reaches at
+    # tau = (lo + i * size + unit * t) / (unit * q).
+    x0, y0, cw, ch = grid.frames[p]
+    for q, lo, size, t in ((qx, x0, cw, tx), (qy, y0, ch, ty)):
         if q:
-            scale = L // (n * q)
-            for i in range(1, n):
-                u = (n * (lo + t) + i * (hi - lo)) * scale
+            step = L // (unit * q)
+            for i in range(1, grid.n):
+                u = (lo + i * size + unit * t) * step
                 if ua < u < ub:
                     cuts.add(u)
     us = sorted(cuts)
@@ -350,11 +351,9 @@ def _split_span(span, qx, qy, tx, ty, box, n, offset, total_len, shares):
     # correctly as float(Fraction) does, so the shares agree bit for bit.
     frac_of_total = math.sqrt(width * width / (L * L))
     for u0, u1 in zip(us, us[1:]):
-        # The midpoint (u0 + u1) / 2L of the piece, in the polygon's own
-        # scaled coordinates, located on the cell lines by floor division.
-        i = ((u0 + u1) * qx - 2 * L * (tx + X0)) * n // (2 * L * (X1 - X0))
-        j = ((u0 + u1) * qy - 2 * L * (ty + Y0)) * n // (2 * L * (Y1 - Y0))
-        cid = offset + min(max(j, 0), n - 1) * n + min(max(i, 0), n - 1)
+        # the cell of the piece's midpoint, at tau = (u0 + u1) / 2L
+        cid = grid.cell_of(p, unit * ((u0 + u1) * qx - 2 * L * tx),
+                           unit * ((u0 + u1) * qy - 2 * L * ty), 2 * L)
         piece = (u1 - u0) / width * frac_of_total * total_len
         if piece:
             shares[cid] = shares.get(cid, 0.0) + piece

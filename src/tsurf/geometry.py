@@ -78,23 +78,7 @@ def clip_half_plane(verts, o, u):
     return out
 
 
-def convex_clip(verts, xlo, xhi, ylo, yhi):
-    """Clip a convex ccw polygon to an axis box; exact for rational input,
-    returns the clipped vertex list (possibly empty, possibly degenerate
-    with zero area)."""
-    poly = list(verts)
-    for o, u in (((xlo, 0), (0, -1)), ((xhi, 0), (0, 1)),
-                 ((0, ylo), (1, 0)), ((0, yhi), (-1, 0))):
-        if not poly:
-            return []
-        poly = clip_half_plane(poly, o, u)
-    return poly
-
-
 def polygon_area(verts) -> Fraction:
     """Signed area (positive for ccw), exact."""
-    s = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        s += cross(verts[i], verts[(i + 1) % n])
-    return s / 2
+    return Fraction(sum(cross(verts[i - 1], verts[i])
+                        for i in range(len(verts)))) / 2

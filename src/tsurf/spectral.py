@@ -37,28 +37,24 @@ def _find(nxt: list, p: int) -> int:
     return root
 
 
-def _unvisited(order: list, k: int) -> list:
-    """Union-find over the positions of `order` plus a sentinel: the
-    saddles outside the prefix [0, k) start out visited."""
-    return [p if s < k else p + 1 for p, s in enumerate(order)] + [len(order)]
-
-
-def _postorder(runs: Runs, k: int) -> list:
-    """Saddles below k in the order an iterative depth-first search over the
-    successor runs finishes them. Each frame keeps the run it is scanning;
-    the union-find skips visited positions, so every position is visited
-    once and each run is scanned to its end once."""
+def _searches(runs: Runs, k: int, roots):
+    """Iterative depth-first searches over the runs, among the saddles below
+    k: from each root not yet reached, yields the saddles that this search
+    alone reaches, in the order it finishes them. Each frame keeps the run
+    it is scanning; a union-find over the positions of `runs.order` plus a
+    sentinel skips the visited saddles and those outside the prefix, so
+    every position is visited once and each run is scanned to its end
+    once."""
     order, lo, hi = runs.order.tolist(), runs.lo.tolist(), runs.hi.tolist()
     ptr, pos = runs.ptr.tolist(), runs.pos.tolist()
-    nxt = _unvisited(order, k)
+    nxt = [p if s < k else p + 1 for p, s in enumerate(order)] + [len(order)]
     cur = ptr[:k]
-    post = []
-    for root in range(k):
+    for root in roots:
         p = pos[root]
         if nxt[p] != p:
             continue
         nxt[p] = p + 1
-        stack = [root]
+        done, stack = [], [root]
         while stack:
             i = stack[-1]
             r, end = cur[i], ptr[i + 1]
@@ -69,35 +65,11 @@ def _postorder(runs: Runs, k: int) -> list:
                 r += 1
             cur[i] = r
             if r == end:
-                post.append(stack.pop())
+                done.append(stack.pop())
             else:
                 nxt[p] = p + 1
                 stack.append(order[p])
-    return post
-
-
-def _components(runs: Runs, k: int, roots: list):
-    """The components of saddles below k reached over the predecessor runs
-    from each root in turn, skipping the saddles already reached."""
-    order, lo, hi = runs.order.tolist(), runs.lo.tolist(), runs.hi.tolist()
-    ptr, pos = runs.ptr.tolist(), runs.pos.tolist()
-    nxt = _unvisited(order, k)
-    for root in roots:
-        p = pos[root]
-        if nxt[p] != p:
-            continue
-        nxt[p] = p + 1
-        comp, stack = [root], [root]
-        while stack:
-            i = stack.pop()
-            for r in range(ptr[i], ptr[i + 1]):
-                p = _find(nxt, lo[r])
-                while p < hi[r]:
-                    nxt[p] = p + 1
-                    comp.append(order[p])
-                    stack.append(order[p])
-                    p = _find(nxt, p + 1)
-        yield comp
+        yield done
 
 
 def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
@@ -116,7 +88,8 @@ def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
     if k == 0:
         raise EmptySCC(f"no saddles within cutoff {cutoff}")
     best, key = None, None
-    for comp in _components(G.before, k, _postorder(G.after, k)[::-1]):
+    post = [s for done in _searches(G.after, k, range(k)) for s in done]
+    for comp in _searches(G.before, k, post[::-1]):
         if len(comp) == 1 and not G.after.contains(comp[0], comp[0]):
             continue
         if key is None or (len(comp), -min(comp)) > key:

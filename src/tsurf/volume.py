@@ -2,21 +2,21 @@
 
 The ball of radius R around a cone point is a union of sectors, one per arc
 of the circle (`circles._circle_arcs`), each developed as the circle
-measure develops it (`circles._Development`). Inside every window copy,
-copy-cell-wedge is clipped exactly and its area inside the disk is added in
-closed form. Of the subcommands only `volume` loads this module.
+measure develops it (`circles._Development`), here in the grid's own
+integer frame. The cells are the grid's integer cell-intersect-polygon
+pieces (`CellGrid.pieces`). Inside every window copy, copy-cell-wedge is
+clipped exactly and its area inside the disk is added in closed form. Of
+the subcommands only `volume` loads this module.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .circles import CellGrid, _circle_arcs, _Development, _distance_bounds
 from .errors import InvalidParams
-from .geometry import clip_half_plane, convex_clip, cross, dot, neg
+from .geometry import clip_half_plane, cross, dot, neg
 from .paths import ConcatGraph, PathCensus
-from .unfold import integer_polygons
 
 
 def _disk_triangle(A, B, rho):
@@ -68,29 +68,16 @@ def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
     R, census, arcs, _ = _circle_arcs(G, x, R, census)
     if not cells:
         return 0.0
-    S = G.surface
-    D, polys = integer_polygons(S)
+    scale, polys = grid.scale, grid.polys
     pieces = [[] for _ in polys]  # per polygon: its cells in the set
     for cid in sorted(cells):
-        p, i, j = grid.cell_meta(cid)
-        x0, y0, x1, y1 = (c * D for c in grid.boxes[p])
-        cw, ch = (x1 - x0) / grid.n, (y1 - y0) / grid.n
-        piece = convex_clip(polys[p], x0 + i * cw, x0 + (i + 1) * cw,
-                            y0 + j * ch, y0 + (j + 1) * ch)
-        if len(piece) >= 3:
-            pieces[p].append(piece)
-    # Scale once more so that the piece vertices are integers as well.
-    m = math.lcm(*(Fraction(c).denominator for mine in pieces
-                   for piece in mine for pt in piece for c in pt))
-    D *= m
-    polys = tuple(tuple((px * m, py * m) for px, py in poly) for poly in polys)
-    pieces = [[[(int(px * m), int(py * m)) for px, py in piece]
-               for piece in mine] for mine in pieces]
+        if len(grid.pieces[cid]) >= 3:
+            pieces[grid.cell_meta(cid)[0]].append(grid.pieces[cid])
     by_window: dict = {}
     for (window, r), mult in arcs.items():
-        by_window.setdefault(window, []).append((r * D, mult))
-    dev = _Development(S, polys, [(w, rho) for w, group in by_window.items()
-                                  for rho, _ in group])
+        by_window.setdefault(window, []).append((r * scale, mult))
+    dev = _Development(G.surface, polys, [
+        (w, rho) for w, group in by_window.items() for rho, _ in group])
     placed: dict[tuple, list] = {}  # (polygon, tx, ty) -> its pieces
     total = 0.0
     for window, group in by_window.items():
@@ -116,4 +103,4 @@ def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
                         sums[k] += _disk_area(clipped, rho)
         for (_, mult), vol in zip(group, sums):
             total += mult * vol
-    return total / (D * D)
+    return total / (scale * scale)

@@ -14,6 +14,15 @@ def slit():
 
 
 @pytest.fixture(scope="session")
+def sheared_lshape(lshape):
+    """lshape under the shear (x, y) -> (x + y/3, y + x/2): every edge is
+    slanted, and gluings stay translations."""
+    return tsurf.TranslationSurface(
+        [[(x + y / 3, y + x / 2) for x, y in poly] for poly in lshape.polygons],
+        lshape.gluing_pairs)
+
+
+@pytest.fixture(scope="session")
 def G2(lshape):
     # lengths 1 and sqrt(2) only
     return tsurf.build_concat_graph(lshape, 2)

@@ -60,6 +60,10 @@
   `Wedge.contains`, which the walk from the start sector replaced.
 - `fraction_cell_areas`: each cell-intersect-polygon clipped and summed in
   `Fraction` coordinates, which the clip on integer coordinates replaced.
+  `convex_clip`, the clip of a polygon to an axis box that it and
+  `per_arc_region_volume` use, and `cell_of_point`, the cell of a rational
+  point found on the polygon's `Fraction` bounding box, moved here when
+  `CellGrid` came to own one integer frame that every layer reads.
 - `dijkstra_return_bounds`: one anchor's return bounds by Dijkstra on the
   reversed edges, which the one Floyd-Warshall pass for all anchors
   (`return_bounds`) replaced.
@@ -126,8 +130,8 @@ from tsurf import (BracketFailure, DegenerateRadius, EmptySCC, InvalidParams,
                    SpectralResult, TruncationError, TsurfError,
                    spectral_radius)
 from tsurf.circles import MeasureHistogram, _ScaledCells
-from tsurf.geometry import (clip_half_plane, convex_clip, cross, dot, neg,
-                            norm_dir, norm_sq, polygon_area, same_dir, sub)
+from tsurf.geometry import (clip_half_plane, cross, dot, neg, norm_dir,
+                            norm_sq, polygon_area, same_dir, sub)
 from tsurf.lengths import _length_keys
 from tsurf.paths import (PathCensus, Runs, _arc_runs, circle_length,
                          path_length_census)
@@ -1214,12 +1218,12 @@ def _trace_to_cell(S, grid, start, dvec, r: float):
     """Trace a straight segment of length r; returns the cell id or None on a
     mid-flight singular hit."""
     if r <= 0:
-        return grid.cell_of_point(start.polygon, start.position)
+        return cell_of_point(grid, start.polygon, start.position)
     budget = Fraction(r) ** 2
     res = fraction_trace_ray(S, start, dvec, budget)
     if res.hit_cone is not None and res.consumed_length_sq < budget:
         return None
-    return grid.cell_of_point(res.end.polygon, res.end.position)
+    return cell_of_point(grid, res.end.polygon, res.end.position)
 
 
 def _expanded_arcs(G, x: int, R, census):
@@ -1312,15 +1316,45 @@ def monte_carlo_region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
     return est, math.sqrt(var)
 
 
+def convex_clip(verts, xlo, xhi, ylo, yhi):
+    """Clip a convex ccw polygon to an axis box; exact for rational input,
+    returns the clipped vertex list (possibly empty, possibly degenerate
+    with zero area)."""
+    poly = list(verts)
+    for o, u in (((xlo, 0), (0, -1)), ((xhi, 0), (0, 1)),
+                 ((0, ylo), (1, 0)), ((0, yhi), (-1, 0))):
+        if not poly:
+            return []
+        poly = clip_half_plane(poly, o, u)
+    return poly
+
+
+def bounding_box(poly) -> tuple:
+    """(x0, y0, x1, y1) of a polygon's vertices."""
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def cell_of_point(grid, polygon: int, position) -> int:
+    """The grid cell of polygon `polygon` holding a rational point, located
+    in `Fraction` coordinates on the polygon's own bounding box; a point
+    outside the box clamps to the nearest cell."""
+    x0, y0, x1, y1 = bounding_box(grid.surface.polygons[polygon])
+    px, py = position
+    i = int((Fraction(px) - x0) * grid.n // (x1 - x0))
+    j = int((Fraction(py) - y0) * grid.n // (y1 - y0))
+    i = min(max(i, 0), grid.n - 1)
+    j = min(max(j, 0), grid.n - 1)
+    return grid.offsets[polygon] + j * grid.n + i
+
+
 def fraction_cell_areas(S, n: int) -> list[Fraction]:
     """Each cell-intersect-polygon area, clipped and summed in `Fraction`
     coordinates, in cell-id order."""
     areas = []
     for poly in S.polygons:
-        xs = [p[0] for p in poly]
-        ys = [p[1] for p in poly]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+        x0, y0, x1, y1 = bounding_box(poly)
         cw = Fraction(x1 - x0, n)
         ch = Fraction(y1 - y0, n)
         for j in range(n):
@@ -1431,8 +1465,9 @@ def _arc_angles(copy, cells, rho):
                 inside = False
                 break
         if inside:
-            cid = cells.cell_of(p, rho * math.cos(mid) - tx,
-                                rho * math.sin(mid) - ty)
+            unit = cells.unit
+            cid = cells.grid.cell_of(p, unit * (rho * math.cos(mid) - tx),
+                                     unit * (rho * math.sin(mid) - ty))
             out.append((cid, hi - lo))
     return out
 
@@ -1475,7 +1510,7 @@ def per_arc_region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
     pieces = [[] for _ in polys]
     for cid in sorted(cells):
         p, i, j = grid.cell_meta(cid)
-        x0, y0, x1, y1 = (c * D for c in grid.boxes[p])
+        x0, y0, x1, y1 = (c * D for c in bounding_box(S.polygons[p]))
         cw, ch = (x1 - x0) / grid.n, (y1 - y0) / grid.n
         piece = convex_clip(polys[p], x0 + i * cw, x0 + (i + 1) * cw,
                             y0 + j * ch, y0 + (j + 1) * ch)
@@ -1559,7 +1594,7 @@ def _split_segment(grid, seg, total_len: float, total_sq, shares):
     """Clip one chart segment at the cell lines and credit each piece to its
     cell. Cut parameters are exact rationals; only the final length is float."""
     poly, a, b = seg
-    x0, y0, x1, y1 = grid.boxes[poly]
+    x0, y0, x1, y1 = bounding_box(grid.surface.polygons[poly])
     n = grid.n
     dx = b[0] - a[0]
     dy = b[1] - a[1]
@@ -1580,7 +1615,7 @@ def _split_segment(grid, seg, total_len: float, total_sq, shares):
     frac_of_total = math.sqrt(float(Fraction(norm_sq((dx, dy))) / total_sq))
     for t0, t1 in zip(ts, ts[1:]):
         mid = (a[0] + dx * (t0 + t1) / 2, a[1] + dy * (t0 + t1) / 2)
-        cid = grid.cell_of_point(poly, mid)
+        cid = cell_of_point(grid, poly, mid)
         piece = float(t1 - t0) * frac_of_total * total_len
         if piece:
             shares[cid] = shares.get(cid, 0.0) + piece

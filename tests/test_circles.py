@@ -1,4 +1,3 @@
-import json
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -6,17 +5,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tsurf
 from tsurf import CellGrid, circle_measure, region_volume
 from tsurf import circles
-from tsurf.circles import _cell_areas, _window_wedges
+from tsurf.circles import _window_wedges
 from tsurf.geodesics import saddle_cell_lengths
-from tsurf.geometry import cross, dot
+from tsurf.geometry import cross, dot, polygon_area
 from tsurf.unfold import ConeDirection, opposite_sectors
 
-from oracles import (antipodal_direction, direction_window,
-                     fraction_cell_areas, monte_carlo_circle_measure,
+from oracles import (antipodal_direction, bounding_box, cell_of_point,
+                     direction_window, fraction_cell_areas,
+                     monte_carlo_circle_measure,
                      monte_carlo_region_volume, per_arc_circle_measure,
                      per_arc_region_volume, wedge_window_wedges)
 
@@ -111,37 +112,60 @@ def test_grid_areas_exact(lshape):
         assert np.all(grid.areas == float(Fraction(1, n * n)))
 
 
-def _sheared_lshape_file(tmp_path):
-    """lshape under the shear (x, y) -> (x + y/3, y + x/2): every edge is
-    slanted, and gluings stay translations."""
-    polys = [[[str(x + y / 3), str(y + x / 2)] for x, y in poly]
-             for poly in tsurf.builtin_surface("lshape").polygons]
-    gl = [[[a, b], [c, d]] for (a, b), (c, d)
-          in tsurf.builtin_surface("lshape").gluing_pairs]
-    f = tmp_path / "sheared.json"
-    f.write_text(json.dumps({"polygons": polys, "gluings": gl}))
-    return tsurf.load_surface_file(f)
+def _cell_surfaces(sheared_lshape):
+    return [tsurf.builtin_surface("lshape"),
+            tsurf.builtin_surface("lshape", ["7/3", "5/2"]),
+            tsurf.builtin_surface("slit_tori"),
+            tsurf.builtin_surface("slit_tori", ["2/7"]),
+            sheared_lshape]
 
 
-def test_integer_cell_areas_equal_the_fraction_clip(tmp_path):
-    surfaces = [tsurf.builtin_surface("lshape"),
-                tsurf.builtin_surface("lshape", ["7/3", "5/2"]),
-                tsurf.builtin_surface("slit_tori"),
-                tsurf.builtin_surface("slit_tori", ["2/7"]),
-                _sheared_lshape_file(tmp_path)]
-    for S in surfaces:
+def test_integer_cell_areas_equal_the_fraction_clip(sheared_lshape):
+    for S in _cell_surfaces(sheared_lshape):
         for n in range(1, 6):
-            assert _cell_areas(S, n) == fraction_cell_areas(S, n), n
-            assert CellGrid(S, n).areas.tolist() == [
-                float(a) for a in fraction_cell_areas(S, n)]
+            grid = CellGrid(S, n)
+            want = fraction_cell_areas(S, n)
+            assert [polygon_area(piece) / grid.scale ** 2
+                    for piece in grid.pieces] == want, n
+            assert grid.areas.tolist() == [float(a) for a in want]
 
 
 def test_cell_lookup(lshape):
     grid = CellGrid(lshape, 2)
-    cid = grid.cell_of_point(0, (Fraction(1, 8), Fraction(1, 8)))
+    s = grid.scale
+    cid = grid.cell_of(0, s, s, 8)  # (1/8, 1/8) of the polygon
     assert grid.cell_meta(cid) == (0, 0, 0)
-    cid = grid.cell_of_point(0, (Fraction(7, 8), Fraction(7, 8)))
+    cid = grid.cell_of(0, 7 * s, 7 * s, 8)
     assert grid.cell_meta(cid) == (0, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def cell_grids(sheared_lshape):
+    return [[CellGrid(S, n) for n in range(1, 6)]
+            for S in _cell_surfaces(sheared_lshape)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cell_of_matches_the_fraction_lookup(cell_grids, data):
+    # rational points a / b of the way across the box, b <= 3n: on a cell
+    # line whenever n * a / b is an integer (always when b = n), outside the
+    # box (and clamped) when a < 0 or a > b; located as integers over den
+    # and as floats
+    grid = data.draw(st.sampled_from(cell_grids).flatmap(st.sampled_from))
+    n, S = grid.n, grid.surface
+    p = data.draw(st.integers(0, len(S.polygons) - 1))
+    box = bounding_box(S.polygons[p])
+    point = []
+    for lo, hi in (box[0::2], box[1::2]):
+        b = data.draw(st.integers(1, 3 * n))
+        a = data.draw(st.integers(-b, 2 * b))
+        point.append(lo + (hi - lo) * Fraction(a, b))
+    want = cell_of_point(grid, p, point)
+    X, Y = (c * grid.scale for c in point)
+    den = math.lcm(X.denominator, Y.denominator) * data.draw(st.integers(1, 3))
+    assert grid.cell_of(p, int(X * den), int(Y * den), den) == want
+    assert grid.cell_of(p, float(X), float(Y)) == want
 
 
 def test_measure_is_probability(G9, lshape):
@@ -253,22 +277,24 @@ def test_measure_mass_is_circle_length(name, params, budget, R):
     assert np.all(hist.masses >= 0)
 
 
+# surface(get) builds the surface; get reads a fixture by name
 ORACLE_CASES = {
-    "slit_tori-5_2": (lambda: tsurf.builtin_surface("slit_tori"),
+    "slit_tori-5_2": (lambda get: tsurf.builtin_surface("slit_tori"),
                       Fraction(25, 4), Fraction(5, 2), 4),
-    "lshape-36-4": (lambda: tsurf.builtin_surface("lshape"), 36, 4, 4),
+    "lshape-36-4": (lambda get: tsurf.builtin_surface("lshape"), 36, 4, 4),
     "lshape_7_3_5_2-9-3": (
-        lambda: tsurf.builtin_surface("lshape", ["7/3", "5/2"]), 9, 3, 3),
+        lambda get: tsurf.builtin_surface("lshape", ["7/3", "5/2"]), 9, 3, 3),
     "lshape_x2-144-4": (
-        lambda: tsurf.scale_surface(tsurf.builtin_surface("lshape"), 2),
+        lambda get: tsurf.scale_surface(tsurf.builtin_surface("lshape"), 2),
         144, 4, 4),
+    "sheared_lshape-9-3": (lambda get: get("sheared_lshape"), 9, 3, 3),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
 def oracle_case(request):
     surface, budget, R, n = ORACLE_CASES[request.param]
-    S = surface()
+    S = surface(request.getfixturevalue)
     G = tsurf.build_concat_graph(S, budget)
     return G, R, CellGrid(S, n), tsurf.path_length_census(G, 0, R)
 

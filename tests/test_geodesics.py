@@ -329,7 +329,7 @@ def test_word_lengths_match_word_length_on_random_words():
 
 @pytest.mark.parametrize("surface, budget, n", [
     ("lshape", 9, 2), ("lshape", 9, 3), ("wide_lshape", Fraction(121, 4), 2),
-    ("slit", 16, 4)])
+    ("slit", 16, 4), ("sheared_lshape", 4, 3)])
 def test_saddle_cell_lengths_match_the_fraction_tracer(
         request, surface, budget, n):
     S = request.getfixturevalue(surface)
