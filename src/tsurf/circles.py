@@ -77,12 +77,12 @@ class CellGrid:
 
     surface: TranslationSurface
     n: int
-    offsets: list[int] = field(default_factory=list)
-    areas: np.ndarray | None = None
-    scale: int = 1
-    polys: tuple = ()
-    frames: list[tuple] = field(default_factory=list)
-    pieces: list[list] = field(default_factory=list)
+    offsets: list[int] = field(init=False, default_factory=list)
+    areas: np.ndarray = field(init=False)
+    scale: int = field(init=False)
+    polys: tuple = field(init=False)
+    frames: list[tuple] = field(init=False, default_factory=list)
+    pieces: list[list] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         n = self.n

@@ -129,17 +129,21 @@ def _closing_costs(G: ConcatGraph, m: int) -> np.ndarray:
     path of at least one step from j to u, weighted by the letters entered;
     the letters appended after j before closing at r cost D[j, r] - l(r)."""
     lengths = G.lengths[:m]
+    D = np.full((m, m), math.inf)
     s, j = G.after.pairs(np.arange(m))
     inside = j < m
-    D = np.full((m, m), math.inf)
-    D[s[inside], j[inside]] = lengths[j[inside]]
-    # one buffer for every relaxation: a fresh m x m temporary per k grew
-    # the heap by several times the table
+    s, j = s[inside], j[inside]
+    D[s, j] = lengths[j]
+    del s, j, inside
+    # One buffer for every relaxation, which then takes the result in C
+    # order: a fresh m x m temporary per k grew the heap by several times
+    # the table, and a transposed result made each `take` copy it.
     via = np.empty_like(D)
     for k in range(m):
         np.add(D[:, k, None], D[k], out=via)
         np.minimum(D, via, out=D)
-    return lengths + (D - lengths).T
+    D -= lengths
+    return np.add(D.T, lengths, out=via)
 
 
 def _closed_walks(after: Runs, cost, keys: _Keys, limit: float):
@@ -180,6 +184,8 @@ def _closed_walks(after: Runs, cost, keys: _Keys, limit: float):
         code, count = merge((step(key[src], keys.cls[j]) * m + r[src]) * m + j,
                             count[src])
         c, r, key = code % m, code // m % m, code // (m * m)
+        # the next extension's batches reuse this memory
+        del src, j, code
         n += 1
     if not rows:
         return (np.zeros(0, dtype=np.int64),) * 4

@@ -221,5 +221,8 @@ def merge(code: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes in ascending order, each with its summed count."""
     order = np.argsort(code, kind="stable")
     code = code[order]
-    first = np.flatnonzero(np.diff(code, prepend=code[:1] - 1))
+    # run starts by a bool mask, not an int64 diff: merge is at memory peaks
+    new = np.ones(len(code), dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    first = np.flatnonzero(new)
     return code[first], np.add.reduceat(count[order], first)

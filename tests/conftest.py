@@ -2,6 +2,8 @@ import pytest
 
 import tsurf
 
+import oracles
+
 
 @pytest.fixture(scope="session")
 def lshape():
@@ -14,12 +16,8 @@ def slit():
 
 
 @pytest.fixture(scope="session")
-def sheared_lshape(lshape):
-    """lshape under the shear (x, y) -> (x + y/3, y + x/2): every edge is
-    slanted, and gluings stay translations."""
-    return tsurf.TranslationSurface(
-        [[(x + y / 3, y + x / 2) for x, y in poly] for poly in lshape.polygons],
-        lshape.gluing_pairs)
+def sheared_lshape():
+    return oracles.sheared_lshape()
 
 
 @pytest.fixture(scope="session")

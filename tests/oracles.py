@@ -127,8 +127,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from tsurf import (BracketFailure, DegenerateRadius, EmptySCC, InvalidParams,
-                   SpectralResult, TruncationError, TsurfError,
-                   spectral_radius)
+                   SpectralResult, TranslationSurface, TruncationError,
+                   TsurfError, builtin_surface, spectral_radius)
 from tsurf.circles import MeasureHistogram, _ScaledCells
 from tsurf.geometry import (clip_half_plane, cross, dot, neg, norm_dir,
                             norm_sq, polygon_area, same_dir, sub)
@@ -143,6 +143,15 @@ from tsurf.unfold import (ConeDirection, SaddleConnection, TracePoint,
 from tsurf.volume import _disk_area
 
 TWO_PI = 2 * math.pi
+
+
+def sheared_lshape() -> TranslationSurface:
+    """lshape under the shear (x, y) -> (x + y/3, y + x/2): every edge is
+    slanted, and gluings stay translations."""
+    L = builtin_surface("lshape")
+    return TranslationSurface(
+        [[(x + y / 3, y + x / 2) for x, y in poly] for poly in L.polygons],
+        L.gluing_pairs)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from oracles import (antipodal_direction, bounding_box, cell_of_point,
                      direction_window, fraction_cell_areas,
                      monte_carlo_circle_measure,
                      monte_carlo_region_volume, per_arc_circle_measure,
-                     per_arc_region_volume, wedge_window_wedges)
+                     per_arc_region_volume, sheared_lshape,
+                     wedge_window_wedges)
 
 
 def _wedges_angle(wedges) -> float:
@@ -277,24 +278,23 @@ def test_measure_mass_is_circle_length(name, params, budget, R):
     assert np.all(hist.masses >= 0)
 
 
-# surface(get) builds the surface; get reads a fixture by name
 ORACLE_CASES = {
-    "slit_tori-5_2": (lambda get: tsurf.builtin_surface("slit_tori"),
+    "slit_tori-5_2": (lambda: tsurf.builtin_surface("slit_tori"),
                       Fraction(25, 4), Fraction(5, 2), 4),
-    "lshape-36-4": (lambda get: tsurf.builtin_surface("lshape"), 36, 4, 4),
+    "lshape-36-4": (lambda: tsurf.builtin_surface("lshape"), 36, 4, 4),
     "lshape_7_3_5_2-9-3": (
-        lambda get: tsurf.builtin_surface("lshape", ["7/3", "5/2"]), 9, 3, 3),
+        lambda: tsurf.builtin_surface("lshape", ["7/3", "5/2"]), 9, 3, 3),
     "lshape_x2-144-4": (
-        lambda get: tsurf.scale_surface(tsurf.builtin_surface("lshape"), 2),
+        lambda: tsurf.scale_surface(tsurf.builtin_surface("lshape"), 2),
         144, 4, 4),
-    "sheared_lshape-9-3": (lambda get: get("sheared_lshape"), 9, 3, 3),
+    "sheared_lshape-9-3": (sheared_lshape, 9, 3, 3),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
 def oracle_case(request):
     surface, budget, R, n = ORACLE_CASES[request.param]
-    S = surface(request.getfixturevalue)
+    S = surface()
     G = tsurf.build_concat_graph(S, budget)
     return G, R, CellGrid(S, n), tsurf.path_length_census(G, 0, R)
 

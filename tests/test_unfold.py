@@ -21,7 +21,7 @@ from oracles import (Wedge, arc_run_predecessors, ccw_sort_key,
                      comparator_arc_runs, cone_direction, float_excess,
                      fraction_saddle_connections, fraction_trace_ray,
                      reversal_permutation, scan_opposite_sectors,
-                     wedge_unfold_wedge)
+                     sheared_lshape, wedge_unfold_wedge)
 
 
 def test_trace_straight_across_square(lshape):
@@ -213,15 +213,6 @@ def test_slit_tori_saddles_exist(slit):
     assert {s.start for s in sad} == {0, 1}
 
 
-def _sheared_lshape():
-    """lshape under the shear (x, y) -> (x + y/3, y + x/2): every edge is
-    slanted, and gluings stay translations."""
-    L = tsurf.builtin_surface("lshape")
-    return TranslationSurface(
-        [[(x + y / 3, y + x / 2) for x, y in poly] for poly in L.polygons],
-        L.gluing_pairs)
-
-
 def _flat_corner_lshape():
     """lshape with its squares [0,1]x[0,1] and [1,2]x[0,1] joined into one
     hexagon: its corners at (1, 0) and (1, 1) are corners of the cone point
@@ -236,7 +227,7 @@ def _flat_corner_lshape():
 
 
 def _surface(name, params=None, scale=1):
-    S = {"sheared_lshape": _sheared_lshape,
+    S = {"sheared_lshape": sheared_lshape,
          "flat_corner_lshape": _flat_corner_lshape,
          "regular_vertex_lshape": _lshape_with_regular_vertices}.get(name)
     S = S() if S else tsurf.builtin_surface(name, params)
