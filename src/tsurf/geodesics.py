@@ -8,11 +8,12 @@ strict power of a shorter word. Both orientations of a geodesic are counted
 the word itself).
 
 The census never lists words. It counts rooted closed walks by letter count
-and exact length, and recovers the primitive words from those counts by
-Moebius inversion over the letter count, as in the prime-orbit counting of
-Parry and Pollicott (Zeta functions and the periodic orbit structure of
-hyperbolic dynamics, Asterisque 187-188, 1990). Lengths are exact keys
-(`lengths`), so every inclusion decision is exact.
+and exact length, by the path census's sweep (`paths._walks`) rooted at each
+saddle and pruned by the cheapest way back to the root, and recovers the
+primitive words by Moebius inversion over the letter count, as in the
+prime-orbit counting of Parry and Pollicott (Zeta functions and the periodic
+orbit structure of hyperbolic dynamics, Asterisque 187-188, 1990). Lengths
+are exact keys (`lengths`), so every inclusion decision is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 from .errors import InvalidParams
 from .geometry import neg
 from .lengths import _Keys, exact_bound, keyed, merge
-from .paths import ConcatGraph, Runs, _extend
+from .paths import ConcatGraph, _walks
+from .rational import parse_rational
 from .unfold import _clip_ray, integer_polygons, unfold_wedge
 
 
@@ -146,63 +148,15 @@ def _closing_costs(G: ConcatGraph, m: int) -> np.ndarray:
     return np.add(D.T, lengths, out=via)
 
 
-def _closed_walks(after: Runs, cost, keys: _Keys, limit: float):
-    """Rooted closed walks of float length <= limit, graded by letter count
-    and key: arrays (letters, root, key, count), one row per distinct
-    (letters, root, key).
-
-    A state (root r, last letter c, key, count) stands for count walks that
-    start with r. Each step extends a state to the successors j < m of c
-    with l(j) plus the cost of closing at r within limit - l(key)
-    (`paths._extend`), and merges equal (r, j, key) by summing counts. A
-    state is a closed walk when r may follow c."""
-    m = len(cost)
-    floor = cost.min(axis=1, initial=math.inf)
-    r = np.flatnonzero(np.diagonal(cost) <= limit)
-    c = r
-    key = keys.class_key[keys.cls[r]]
-    count = np.ones(len(r), dtype=np.int64)
-    total = len(r)
-    rows, n, step = [], 1, keys.stepper()
-    while len(r):
-        closed = after.contains(c, r)
-        rows.append((np.full(int(closed.sum()), n), r[closed], key[closed],
-                     count[closed]))
-        budget = limit - keys.floats()[key]
-        # only a state with some letter that closes at r in budget extends
-        live = floor[r] <= budget
-        r, c, key, count, budget = (a[live] for a in (r, c, key, count, budget))
-
-        def keep(src, j):
-            # a j >= m reads a clipped cell of cost; j < m drops it
-            return (j < m) & (cost.take(r[src] * m + j, mode="clip") <= budget[src])
-
-        src, j, total = _extend(after, c, count, keep, total,
-                                "closed walks within the bound")
-        if not len(src):
-            break
-        code, count = merge((step(key[src], keys.cls[j]) * m + r[src]) * m + j,
-                            count[src])
-        c, r, key = code % m, code // m % m, code // (m * m)
-        # the next extension's batches reuse this memory
-        del src, j, code
-        n += 1
-    if not rows:
-        return (np.zeros(0, dtype=np.int64),) * 4
-    letters, root, key, count = (np.concatenate(a) for a in zip(*rows))
-    # merge the closing last letters of each (letters, root, key), sorted
-    # by key, root and letters
-    code, count = merge((key * m + root) * (n + 1) + letters, count)
-    return code % (n + 1), code // (n + 1) % m, code // ((n + 1) * m), count
-
-
 def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
     """Count the primitive closed words of the graph of exact length <= T.
 
-    Rooted closed walks are counted by (letters n, root r, key K) with
-    `_closed_walks`: a_r(n, K). A walk that is a d-th power has d times the
-    letters and d times the length of its primitive root, which starts with
-    the same letter, so the primitive rooted walks are
+    Rooted closed walks are counted by (letters n, root r, key K), a_r(n,
+    K), by `paths._walks` with one root per saddle and `_closing_costs`: a
+    state is a closed walk when r may follow its last letter. A walk that
+    is a d-th power has d times the letters and d times the length of its
+    primitive root, which starts with the same letter, so the primitive
+    rooted walks are
         p_r(n, K) = sum over d | n of mu(n / d) a_r(d, K d / n),
     with every term of length <= l(K) <= T. A primitive word of n letters
     has n distinct rotations, one per occurrence of each letter, so the
@@ -211,17 +165,30 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
 
     The walks are pruned in floats with a margin that bounds their rounding,
     and the census keeps the keys <= T, decided exactly."""
-    if T <= 0:
+    if parse_rational(T) <= 0:
         raise InvalidParams("need a positive length bound")
     T, m, keys, limit = keyed(G, T)
     cost = _closing_costs(G, m)
-    letters, root, key, a = _closed_walks(G.after, cost, keys, limit)
+    r = np.flatnonzero(np.diagonal(cost) <= limit)
+    rows = [(r[:0],) * 4]  # rows[n]: the closed walks of n letters
+
+    def record(root, last, key, count):
+        closed = G.after.contains(last, root)
+        rows.append((np.full(int(closed.sum()), len(rows)), root[closed],
+                     key[closed], count[closed]))
+
+    _walks(G.after, keys, limit, cost, cost.min(axis=1, initial=math.inf), r, r,
+           record, "closed walks within the bound")
+    top = len(rows) - 1
+    letters, root, key, a = (np.concatenate(x) for x in zip(*rows))
+    # merge the closing last letters of each (letters, root, key)
+    code, a = merge((key * m + root) * (top + 1) + letters, a)
+    rest, letters = np.divmod(code, top + 1)
+    key, root = np.divmod(rest, m)
     # Moebius inversion: add mu(k) times each walk's count at its k-th
     # power, for squarefree k >= 2 with the power within the limit. Every
     # count and every p is below 2**63 and p >= 0, so int64 sums, which
     # wrap silently, give p exactly.
-    top = int(letters.max()) if len(letters) else 0
-    code = (key * m + root) * (top + 1) + letters
     at, add = [], []
     for k in range(2, top + 1):
         mu = _mobius(k)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .rational import parse_rational
+from .rational import parse_rational, refine_roots, root_bracket, rounded
 
 
 def _square_part(n: int) -> tuple[int, int]:
@@ -104,28 +104,15 @@ class _Keys:
             return None
         return Fraction(0 if self.one is None else vec[self.one], self.den)
 
-    def _bracket(self, vec, bits: int) -> tuple[Fraction, Fraction]:
-        """Fractions lo <= l <= hi around the length l, at most n / (den *
-        2**bits) apart for n terms: each term a sqrt(r) 2**bits rounded
-        down to an integer by `math.isqrt`."""
-        s = sum(math.isqrt(a * a * r << 2 * bits)
-                for a, r in zip(vec, self.radicands) if a)
-        scale = self.den << bits
-        return Fraction(s, scale), Fraction(s + sum(map(bool, vec)), scale)
-
-    def _refine(self, vec, decide):
-        """decide(lo, hi) on brackets of rising precision until not None."""
-        bits = 64
-        while (out := decide(*self._bracket(vec, bits))) is None:
-            bits *= 2
-        return out
+    def _squares(self, vec) -> list[int]:
+        """The length vec as the sum of sqrt(q) over q in squares, over den."""
+        return [a * a * r for a, r in zip(vec, self.radicands) if a]
 
     def _float(self, vec) -> float:
         exact = self._rational(vec)
         if exact is not None:
             return float(exact)
-        return self._refine(
-            vec, lambda lo, hi: float(lo) if float(lo) == float(hi) else None)
+        return refine_roots(self._squares(vec), self.den, rounded)
 
     def le(self, vec, T: Fraction) -> bool:
         """Whether the length vec is <= T, exactly. A length with an
@@ -133,7 +120,8 @@ class _Keys:
         exact = self._rational(vec)
         if exact is not None:
             return exact <= T
-        return self._refine(vec, lambda lo, hi: None if lo <= T < hi else hi <= T)
+        return refine_roots(self._squares(vec), self.den,
+                            lambda lo, hi: None if lo <= T < hi else hi <= T)
 
     def _exact(self, run: list[int]) -> list[int]:
         """The stable permutation that sorts a run of key ids by exact
@@ -141,7 +129,8 @@ class _Keys:
         their brackets are disjoint."""
         bits = 64
         while True:
-            span = {k: self._bracket(self.vecs[k], bits) for k in set(run)}
+            span = {k: root_bracket(self._squares(self.vecs[k]), self.den, bits)
+                    for k in set(run)}
             spans = sorted(span.values())
             if all(a[1] < b[0] for a, b in zip(spans, spans[1:])):
                 return sorted(range(len(run)), key=lambda i: span[run[i]])

@@ -6,6 +6,10 @@ sides (equality allowed). Admissible paths from a cone point x with total
 length <= R are the combinatorial skeleton of the metric circle of radius R
 around x: each path contributes an arc of angle 2*pi*k(t(p)) and radius
 R - l(p), plus the full 2*pi*(k(x)+1) arc of the center itself.
+
+Both censuses, these paths and the closed walks of `geodesics`, are one
+sweep (`_walks`) over counted (root, last saddle, exact length key) states,
+which drops a state once the cheapest step its root allows overruns the bound.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParams, TruncationError
+from .errors import DegenerateRadius, InvalidParams, TruncationError
 from .lengths import _Keys, exact_bound, keyed, merge
 from .rational import parse_rational
 from .surface import TranslationSurface
@@ -315,70 +319,73 @@ def _check_int64(total: int, what: str):
         raise InvalidParams(f"{total} {what} reach 2**63; the counts are int64")
 
 
-# Successor pairs expanded at a time by `_extend`.
+# Successor pairs expanded at a time by `_walks`.
 _BATCH = 1 << 14
 
 
-def _extend(after: Runs, last, count, keep, total: int, what: str):
-    """The kept successor pairs (src, j) of counted states, and the new
-    running total.
-
-    State s stands for count[s] walks that end with saddle last[s]. Its
-    successors j are read off the runs of `after`, at most _BATCH pairs at
-    a time (a longer row alone), and keep(src, j) says which pairs to keep,
-    so no temporary grows with the pairs dropped. total counts the walks so
-    far in Python ints; with the kept extensions added, it raises
-    InvalidParams at 2**63, below which no int64 count and no sum of counts
-    wraps."""
+def _walks(after: Runs, keys: _Keys, limit: float, cost, floor, root, last,
+           record, what: str):
+    """Count walks in `after` level by level, from the one-letter walks
+    `last` with roots `root`: a state (root r, last letter c, key, count)
+    stands for count walks of exact length key ending with c. Each level
+    goes to record(root, last, key, count); then, for b = limit - l(key) in
+    floats, states with floor[r] > b drop out and the rest extend to the
+    successors j of c with cost[r, j] <= b, at most _BATCH pairs at a time
+    (a longer row alone), merging equal (key, r, j). A total of walks at
+    2**63, past which int64 counts wrap, raises InvalidParams."""
+    roots, m = cost.shape
+    key = keys.class_key[keys.cls[last]]
+    count = np.ones(len(last), dtype=np.int64)
+    total = len(last)
     at = np.concatenate(([0], np.cumsum(after.hi - after.lo)))[after.ptr]
-    ends = np.cumsum(np.diff(at)[last])
-    src, nxt = [np.zeros(0, dtype=np.int64)], [after.order[:0]]
-    a = 0
-    while a < len(last):
-        done = ends[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, done + _BATCH, side="right")))
-        t, j = after.pairs(last[a:b])
-        t += a
-        ok = keep(t, j)
-        src.append(t[ok])
-        nxt.append(j[ok])
-        a = b
-    src, j = np.concatenate(src), np.concatenate(nxt)
-    total += _dot(count, np.bincount(src, minlength=len(count)))
-    _check_int64(total, what)
-    return src, j, total
+    step = keys.stepper()
+    while len(last):
+        record(root, last, key, count)
+        budget = limit - keys.floats()[key]
+        live = floor[root] <= budget
+        root, last, key, count, budget = (
+            a[live] for a in (root, last, key, count, budget))
+        if not len(last):
+            break
+        ends = np.cumsum(np.diff(at)[last])
+        src, nxt = [np.zeros(0, dtype=np.int64)], [after.order[:0]]
+        a = 0
+        while a < len(last):
+            done = ends[a - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + _BATCH, side="right")))
+            t, j = after.pairs(last[a:b])
+            t += a
+            # a j >= m reads a clipped cell of cost; j < m drops it
+            ok = (j < m) & (cost.take(root[t] * m + j, mode="clip") <= budget[t])
+            src.append(t[ok])
+            nxt.append(j[ok])
+            a = b
+        src, j = np.concatenate(src), np.concatenate(nxt)
+        # the merge below reuses the memory of the batches
+        del ends, t, ok, nxt
+        total += _dot(count, np.bincount(src, minlength=len(count)))
+        _check_int64(total, what)
+        code, count = merge((step(key[src], keys.cls[j]) * roots + root[src]) * m + j,
+                            count[src])
+        del src, j
+        code, last = np.divmod(code, m)
+        key, root = np.divmod(code, roots)
 
 
 def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
-    """Level-synchronized sweep over word lengths on counted groups.
-
-    A level holds the groups (terminal saddle, key, count) of its paths. A
-    step extends each group along its terminal's successor runs to the j
-    with l(j) <= min(limit - l(key), T) in floats (`lengths.keyed`), adds
-    l(j) to the key (`_Keys.stepper`) and merges equal (j, key) by summing
-    counts, as the levels do at the end; the census keeps the keys <= Rmax,
-    decided exactly."""
+    """The admissible paths from x as counted groups: the walks of `_walks`
+    with one root, of cost l(j) for the saddles of length <= Rmax and floor
+    the shortest length, from the saddles leaving x. The levels' equal
+    (terminal, key) merge by summing counts; the census keeps the keys <=
+    Rmax, decided exactly."""
     if not (0 <= x < len(G.cone_k)):
         raise InvalidParams(f"no cone point {x}")
     T, m, keys, limit = keyed(G, Rmax)
     term = np.flatnonzero(G.start[:m] == x)
-    key = keys.class_key[keys.cls[term]]
-    count = np.ones(len(term), dtype=np.int64)
-    levels = [(term[:0], count[:0])]
-    total = len(term)
-    step = keys.stepper()
-    while len(term):
-        levels.append((key * m + term, count))
-        budget = limit - keys.floats()[key]
-        # no saddle longer than T extends a path, so every j kept is < m
-        budget[budget > float(T)] = float(T)
-        src, j, total = _extend(G.after, term, count,
-                                lambda src, j: G.lengths[j] <= budget[src],
-                                total, f"paths up to R = {float(T):g}")
-        if not len(src):
-            break
-        code, count = merge(step(key[src], keys.cls[j]) * m + j, count[src])
-        key, term = np.divmod(code, m)
+    levels = [(term[:0], term[:0])]
+    _walks(G.after, keys, limit, G.lengths[None, :m], G.lengths[:1], term * 0,
+           term, lambda root, last, key, count: levels.append((key * m + last, count)),
+           f"paths up to R = {float(T):g}")
     code, count = merge(*(np.concatenate(a) for a in zip(*levels)))
     key, term = np.divmod(code, m)
     term = term.astype(np.int32)
@@ -446,7 +453,10 @@ def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
     sum path by path would, and take time per group (`_run_sums`). Which
     paths count is exact. The census is rebuilt when missing or shorter
     than the largest radius."""
-    exact = radii.tolist() if isinstance(radii, np.ndarray) else list(radii)
+    exact = [r if isinstance(r, float) else parse_rational(r)
+             for r in (radii.tolist() if isinstance(radii, np.ndarray) else radii)]
+    if any(r < 0 for r in exact):
+        raise DegenerateRadius(f"radius must be nonnegative, got {min(exact)}")
     radii = np.array([float(r) for r in exact], dtype=np.float64)
     if not len(radii):
         return np.zeros(0, dtype=np.int64), radii, radii, radii

@@ -264,11 +264,9 @@ def load_surface(text) -> TranslationSurface:
      "gluings": [[[0,0],[0,2]], ...]}
     Coordinates are rational strings "p/q" or "p" (decimals accepted).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "polygons" not in data or "gluings" not in data:
         raise ParseError("surface file needs 'polygons' and 'gluings' keys")
@@ -281,7 +279,9 @@ def load_surface(text) -> TranslationSurface:
     gluings = []
     try:
         for a, b in data["gluings"]:
-            gluings.append(((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))))
+            if any(type(i) is not int for i in (*a, *b)):  # int() reads 3.5 as 3
+                raise ValueError(f"gluing index in {[a, b]} is not an integer")
+            gluings.append(((a[0], a[1]), (b[0], b[1])))
     except (TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed gluing list: {exc}") from exc
     return TranslationSurface(polys, gluings)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .errors import InvalidParams
@@ -35,7 +34,7 @@ from .geometry import (
     second_half,
     sub,
 )
-from .rational import parse_rational
+from .rational import parse_rational, refine_roots, rounded
 from .surface import TranslationSurface
 
 
@@ -266,9 +265,11 @@ class SaddleConnection:
 
 
 def _sqrt_correctly_rounded(x: Fraction) -> float:
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return float((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
+    """sqrt(x) = sqrt(n) / den with n = num * den, correctly rounded: exact
+    when n is a square, else between integer square roots (irrational)."""
+    n, den = x.numerator * x.denominator, x.denominator
+    r = math.isqrt(n)
+    return float(Fraction(r, den)) if r * r == n else refine_roots([n], den, rounded)
 
 
 def integer_polygons(S: TranslationSurface) -> tuple[int, tuple]:

@@ -113,6 +113,20 @@ def test_conflicting_surface_flags(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('"2"', "Infinity", 1).encode(),
+    lambda text: text.encode("utf-16"),
+    lambda text: text.replace("[0, 3]", "[0, 3.5]").encode(),
+    lambda text: text.replace("[0, 1]", "[0, true]").encode(),
+], ids=["infinity", "utf-16", "index-3.5", "index-true"])
+def test_malformed_surface_file_is_usage_error(capsys, tmp_path, lshape, edit):
+    f = tmp_path / "s.json"
+    f.write_bytes(edit(json.dumps(lshape.to_dict())))
+    code, _, err = run(capsys, "validate", "--surface", str(f))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_bad_builtin_params(capsys):
     code, _, err = run(capsys, "info", "--builtin", "lshape",
                        "--params", "1,1")
@@ -326,6 +340,17 @@ def test_startup_path_loads_no_numpy():
     assert "tsurf.surface" in loaded
     assert "numpy" not in loaded
     assert not {"tsurf.paths", "tsurf.unfold"} & loaded
+
+
+def test_saddles_loads_no_numpy():
+    # saddle lengths round between integer square roots (`tsurf.rational`)
+    loaded = _loaded_after(
+        "import contextlib, io, tsurf.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert tsurf.cli.main(['saddles', '--builtin', 'lshape',\n"
+        "                           '--max-length-sq', '9']) == 0\n")
+    assert "tsurf.unfold" in loaded
+    assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,9 +22,10 @@ from tsurf import InvalidParams, TruncationError, enumerate_closed, occupancy, p
 from tsurf.geodesics import _closing_costs, saddle_cell_lengths, stats_csv
 
 from oracles import (brute_closed_words, dense_follows, dijkstra_return_bounds,
-                     fraction_saddle_cell_lengths, is_primitive, lyndon_census,
-                     per_word_pi_saddle, return_bounds, reversal_permutation,
-                     slice_min_rotation, word_length, word_lengths)
+                     enumerate_paths, fraction_saddle_cell_lengths, is_primitive,
+                     lyndon_census, per_word_pi_saddle, return_bounds,
+                     reversal_permutation, slice_min_rotation, word_length,
+                     word_lengths)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,28 @@ def test_lyndon_census_matches_brute_force_on_random_graphs(density):
         assert len(words) == len(set(words))
         assert set(words) == brute_closed_words(G, 6.0)
         assert enumerate_closed(G, 6.0).pi() == len(words)
+
+
+@pytest.mark.parametrize("density", [0.15, 0.3, 0.5])
+def test_path_census_matches_the_heap_oracle_on_random_graphs(density):
+    # the sweep of the closed walks read with one root: the paths' dead
+    # ends and unequal lengths, which the surfaces rarely show
+    for G in random_graphs(density):
+        for R in (Fraction(5, 2), 4, Fraction(11, 2)):
+            census = tsurf.path_length_census(G, 0, R)
+            want = Counter((length, ids[-1])
+                           for length, ids in enumerate_paths(G, 0, R))
+            assert Counter(zip(census.lengths.tolist(),
+                               census.terminal_saddle.tolist())) == want
+            assert census.count(R) == sum(want.values())
+
+
+def test_length_bound_parses_before_it_compares(G9):
+    census = enumerate_closed(G9, "3")
+    assert census.bound == 3
+    assert census.pi() == enumerate_closed(G9, 3).pi()
+    with pytest.raises(InvalidParams):
+        enumerate_closed(G9, "-1/2")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -220,6 +220,21 @@ def test_enumerate_paths_ordered(G9):
     assert len(lens) == tsurf.path_length_census(G9, 0, 2.5).count(2.5)
 
 
+def test_radii_parse_before_they_compare(G9):
+    assert tsurf.circle_length(G9, 0, "5/2") == tsurf.circle_length(
+        G9, 0, Fraction(5, 2))
+    assert tsurf.ball_volume_closed(G9, 0, "5/2") == tsurf.ball_volume_closed(
+        G9, 0, 2.5)
+
+
+@pytest.mark.parametrize("formula", [tsurf.circle_length, tsurf.ball_volume_closed,
+                                     tsurf.circle_slope])
+def test_negative_radius_is_degenerate(G9, formula):
+    with pytest.raises(tsurf.DegenerateRadius):
+        formula(G9, 0, -1)
+    assert formula(G9, 0, 0) >= 0
+
+
 def test_circle_length_exact_values(G9):
     census = tsurf.path_length_census(G9, 0, 1.5)
     pi = math.pi

@@ -63,11 +63,19 @@ def test_roundtrip_through_json(lshape, tmp_path):
     assert [c.k for c in S2.cone_points] == [c.k for c in lshape.cone_points]
 
 
-def test_parse_error_on_garbage():
+def test_parse_error_on_garbage(lshape):
     with pytest.raises(ParseError):
         tsurf.load_surface("not json {")
     with pytest.raises(ParseError):
         tsurf.load_surface('{"polygons": []}')
+    good = json.dumps(lshape.to_dict())
+    # an infinite coordinate, a file that is not UTF-8, and gluing indices
+    # that int() would read as 3 and as 1
+    for bad in (good.replace('"2"', "Infinity", 1), good.encode("utf-16"),
+                good.replace("[0, 3]", "[0, 3.5]"),
+                good.replace("[0, 1]", "[0, true]")):
+        with pytest.raises(ParseError):
+            tsurf.load_surface(bad)
 
 
 def test_square_torus_has_no_singularity():

@@ -14,8 +14,8 @@ import tsurf
 from tsurf import enumerate_saddle_connections, trace_ray, unfold
 from tsurf.geometry import cross, neg, norm_dir
 from tsurf.surface import TranslationSurface
-from tsurf.unfold import (TracePoint, angle_key, integer_polygons,
-                          opposite_sectors, unfold_wedge)
+from tsurf.unfold import (TracePoint, _sqrt_correctly_rounded, angle_key,
+                          integer_polygons, opposite_sectors, unfold_wedge)
 
 from oracles import (Wedge, arc_run_predecessors, ccw_sort_key,
                      comparator_arc_runs, cone_direction, float_excess,
@@ -173,6 +173,26 @@ def test_holonomy_matches_length(lshape):
         hx, hy = s.holonomy
         assert hx * hx + hy * hy == s.length_sq
         assert s.length == pytest.approx(math.sqrt(float(s.length_sq)), rel=1e-15)
+
+
+def test_saddle_length_rounds_once():
+    # sqrt(x) lies just above 1 + 2**-53, the midpoint of two floats, so a
+    # 40-digit decimal root rounded again to a float gives 1.0
+    N = (2 ** 53 + 1) << 15
+    assert _sqrt_correctly_rounded(Fraction(N * N + 1, 2 ** 136)) == 1.0000000000000002
+    # exact roots, the midpoint itself rounding to even
+    assert _sqrt_correctly_rounded(Fraction(9, 4)) == 1.5
+    assert _sqrt_correctly_rounded(Fraction((2 ** 53 + 1) ** 2, 2 ** 106)) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6))
+def test_saddle_length_is_within_half_an_ulp(x):
+    # the midpoints to the neighbouring floats bracket sqrt(x), exactly
+    f = _sqrt_correctly_rounded(x)
+    lo = (Fraction(f) + Fraction(math.nextafter(f, 0))) / 2
+    hi = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    assert lo * lo <= x <= hi * hi
 
 
 def test_reversal_is_an_involution(lshape):
