@@ -12,10 +12,9 @@ _HOME = {
     **dict.fromkeys(
         ("CellGrid", "MeasureHistogram", "circle_measure"), "circles"),
     **dict.fromkeys(
-        ("BracketFailure", "DegenerateRadius", "DerivativeMismatch",
-         "Disconnected", "EdgeMismatch", "EmptySCC", "InvalidParams",
-         "NonConvexPolygon", "NoSingularities", "ParseError",
-         "TruncationError", "TsurfError"), "errors"),
+        ("BracketFailure", "DegenerateRadius", "Disconnected", "EdgeMismatch",
+         "EmptySCC", "InvalidParams", "NonConvexPolygon", "NoSingularities",
+         "ParseError", "TruncationError", "TsurfError"), "errors"),
     **dict.fromkeys(
         ("GeodesicCensus", "enumerate_closed", "occupancy", "pi_stats"),
         "geodesics"),
@@ -25,8 +24,8 @@ _HOME = {
          "circle_slope", "complete_graph", "path_length_census"), "paths"),
     **dict.fromkeys(
         ("EntropyEstimate", "SpectralResult", "WeightMatrix", "solve_entropy",
-         "spectral_radius", "truncated_scc", "v_weight", "v_weights",
-         "weight_matrix"), "spectral"),
+         "spectral_radius", "truncated_scc", "v_weights", "weight_matrix"),
+        "spectral"),
     **dict.fromkeys(
         ("ConePoint", "TranslationSurface", "builtin_surface", "load_surface",
          "load_surface_file", "scale_surface"), "surface"),

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRadius, InvalidParams
 from .geometry import cross, dot, neg, polygon_area
 from .paths import ConcatGraph, PathCensus, path_length_census, circle_length
+from .rational import GRID_MAX, parse_grid, parse_int
 from .surface import TranslationSurface
 from .unfold import (ConeDirection, _meet, integer_polygons, opposite_sectors,
                      unfold_wedge)
@@ -73,7 +73,8 @@ class CellGrid:
     `frames[p]` = (x0, y0, cw, ch) the corner and cell size of polygon p's
     box, and `pieces[cid]` the integer cell-intersect-polygon that the
     exact area comes from. Cell ids are offsets[p] + j * n + i. Degenerate
-    cells (zero area) keep their id so indexing stays rectangular."""
+    cells (zero area) keep their id so indexing stays rectangular; n is at
+    most `rational.GRID_MAX`."""
 
     surface: TranslationSurface
     n: int
@@ -85,9 +86,7 @@ class CellGrid:
     pieces: list[list] = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise InvalidParams("grid resolution must be >= 1")
+        n = self.n = parse_int(self.n, GRID_MAX + 1, "grid size", first=1)
         D, polys = integer_polygons(self.surface)
         L = 1
         for poly in polys:
@@ -197,21 +196,18 @@ class MeasureHistogram:
 def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
     """Checks shared by the estimators, then the arcs of the radius-R circle
     around cone x: the full cone at the center, then one per census group
-    of length <= R. Returns (R, census, arcs, narcs): arcs maps each
+    of length <= R. Returns (R parsed, census, arcs, narcs): arcs maps each
     distinct (window, radius > 0) to its number of paths, in order of first
     appearance; narcs counts every arc. A window is (cone, back): back is
     the terminal saddle's back-direction, or None for the full cone at the
     center. Only the arc radii round R to a float. The census is read in
-    blocks, not as per-group lists."""
-    if G.surface is None:
-        raise InvalidParams("synthetic graphs carry no geometry")
-    if R <= 0:
-        raise DegenerateRadius(f"radius must be positive, got {R}")
-    G.check_radius(R)
-    if census is None or census.Rmax < float(R):
-        census = path_length_census(G, x, R)
+    blocks, not as per-group lists, and R as given (`lengths.exact_bound`)."""
+    x = parse_int(x, len(G.cone_k), "cone point")
+    T = G.check_radius(R, positive=True)
+    r = float(T)
+    if census is None or census.Rmax < r:
+        census = path_length_census(G, x, T)
     g = census.groups(R)
-    r = float(R)
     arcs = {((x, None), r): 1}
     narcs = 1
     for lo in range(0, g, 256):
@@ -225,7 +221,7 @@ def _circle_arcs(G: ConcatGraph, x: int, R, census: PathCensus | None):
             back = G.saddles[term].back_dir
             key = (back.cone_id, back), r - length
             arcs[key] = arcs.get(key, 0) + count
-    return R, census, arcs, narcs
+    return T, census, arcs, narcs
 
 
 def _window_wedges(S: TranslationSurface,
@@ -454,7 +450,8 @@ def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
     each window copy credits r times the angle of the pieces inside its
     wedge to their cells. Which copy and wedge a piece lies in is exact;
     the clip angles are float. Nothing is sampled."""
-    R, census, arcs, narcs = _circle_arcs(G, x, R, census)
+    parse_grid(grid, G.surface)
+    T, census, arcs, narcs = _circle_arcs(G, x, R, census)
     by_radius: dict[float, list] = {}
     for (window, r), mult in arcs.items():
         by_radius.setdefault(r, []).append((window, mult))
@@ -490,7 +487,7 @@ def circle_measure(G: ConcatGraph, x: int, R, grid: CellGrid,
     total = circle_length(G, x, R, census)
     # Nothing is sampled, so no sample is retried or dropped; the keys stay
     # because perfbench/tracing.py reads them.
-    meta = {"R": float(R), "arcs": narcs, "retried": 0, "dropped": 0,
+    meta = {"R": float(T), "arcs": narcs, "retried": 0, "dropped": 0,
             "unnormalized_total": float(masses.sum()),
             "circle_length": total}
     return MeasureHistogram(grid, masses / total, meta)

@@ -45,9 +45,5 @@ class EmptySCC(TsurfError):
     """The truncated graph has no strongly connected component with an edge."""
 
 
-class DerivativeMismatch(TsurfError):
-    """Analytic eigenvalue derivative disagrees with finite differences."""
-
-
 class DegenerateRadius(TsurfError):
     """A circle or ball radius is zero or negative."""

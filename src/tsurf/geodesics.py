@@ -27,7 +27,7 @@ from .errors import InvalidParams
 from .geometry import neg
 from .lengths import _Keys, exact_bound, keyed, merge
 from .paths import ConcatGraph, _walks
-from .rational import parse_rational
+from .rational import parse_grid, parse_length, parse_list, parse_real
 from .unfold import _clip_ray, integer_polygons, unfold_wedge
 
 
@@ -165,9 +165,7 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
 
     The walks are pruned in floats with a margin that bounds their rounding,
     and the census keeps the keys <= T, decided exactly."""
-    if parse_rational(T) <= 0:
-        raise InvalidParams("need a positive length bound")
-    T, m, keys, limit = keyed(G, T)
+    T, m, keys, limit = keyed(G, T, error=InvalidParams, positive=True)
     cost = _closing_costs(G, m)
     r = np.flatnonzero(np.diagonal(cost) <= limit)
     rows = [(r[:0],) * 4]  # rows[n]: the closed walks of n letters
@@ -224,7 +222,8 @@ def enumerate_closed(G: ConcatGraph, T) -> GeodesicCensus:
 def pi_stats(census: GeodesicCensus, h: float, grid=None) -> dict:
     """Counting diagnostics on a T grid: pi, F, the growth-law ratios
     pi(T)*hT*exp(-hT) and F(T)*h*exp(-hT), and the trailing regression slope
-    of log pi."""
+    of log pi. The grid is a list of lengths, h a real."""
+    h = parse_real(h, "h")
     if grid is None:
         # Up to T from the larger of 0.4 T and 1.5 times the shortest
         # length, or from the shortest length when that start passes T.
@@ -232,7 +231,9 @@ def pi_stats(census: GeodesicCensus, h: float, grid=None) -> dict:
         lo = census.lengths[0] if len(census.lengths) else T
         start = max(lo * 1.5, T * 0.4)
         grid = np.linspace(start if start <= T else lo, T, 12)
-    grid = np.asarray(grid, dtype=np.float64)
+    else:
+        grid = np.array([float(parse_length(t)) for t in parse_list(grid, "T grid")],
+                        dtype=np.float64)
     pis = np.array([census.pi(t) for t in grid], dtype=np.float64)
     Fs = np.array([census.F(t) for t in grid])
     ok = pis > 0
@@ -274,9 +275,8 @@ def saddle_cell_lengths(G: ConcatGraph, grid, ids=None) -> dict[int, dict[int, f
     cross-multiplications over one common denominator per copy. Each piece
     is credited to the cell of its midpoint with its share of the length;
     only that share is float."""
+    grid = parse_grid(grid, G.surface)
     S = G.surface
-    if S is None:
-        raise InvalidParams("synthetic graphs carry no geometry")
     D, polys = integer_polygons(S)
     unit = grid.scale // D
     out: dict[int, dict[int, float]] = {}
@@ -338,6 +338,7 @@ def occupancy(G: ConcatGraph, census: GeodesicCensus, grid):
     exactly zero."""
     from .circles import MeasureHistogram
 
+    grid = parse_grid(grid, G.surface)
     pi = census.pi()
     if pi == 0:
         raise InvalidParams("no closed geodesics within the bound")

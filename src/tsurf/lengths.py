@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TruncationError
-from .rational import parse_rational, refine_roots, root_bracket, rounded
+from .rational import parse_length, refine_roots, root_bracket, rounded
 
 
 def _square_part(n: int) -> tuple[int, int]:
@@ -179,12 +179,11 @@ def _length_keys(G, m: int) -> _Keys:
     return _Keys([split[s.length_sq] for s in G.saddles[:m]])
 
 
-def keyed(G, T) -> tuple[Fraction, int, _Keys, float]:
-    """(T, m, keys, limit) for a census up to the exact bound T: the m
-    saddles of length <= T, first as rounding is monotone, their keys, and
-    the float limit to prune at."""
-    G.check_radius(T)
-    T = parse_rational(T)
+def keyed(G, T, **rule) -> tuple[Fraction, int, _Keys, float]:
+    """(T, m, keys, limit) for a census up to the bound T, checked by
+    `G.check_radius` with the sign rule given: the m saddles of length <= T,
+    their keys, and the float limit to prune at."""
+    T = G.check_radius(T, **rule)
     t = float(T)
     m = int(np.searchsorted(G.lengths, t, side="right"))
     # Each float compared against the limit is a sum of at most m + 3
@@ -200,7 +199,7 @@ def exact_bound(T, bound: Fraction) -> Fraction:
     exact binary value. Beyond `bound` raises TruncationError."""
     if T is None or (isinstance(T, float) and T == float(bound)):
         return bound
-    T = parse_rational(T)
+    T = parse_length(T)
     if T > bound:
         raise TruncationError(f"bound {T} exceeds the census bound {float(bound)}")
     return T

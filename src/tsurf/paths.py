@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateRadius, InvalidParams, TruncationError
+from .errors import InvalidParams, TruncationError
 from .lengths import _Keys, exact_bound, keyed, merge
-from .rational import parse_rational
+from .rational import parse_int, parse_length, parse_list
 from .surface import TranslationSurface
 from .unfold import angle_key, enumerate_saddle_connections, opposite_sectors
 
@@ -171,15 +171,14 @@ class ConcatGraph:
     def edges(self) -> int:
         return self.after.size
 
-    def check_radius(self, R):
-        """Queries at radius R are only complete if every saddle connection
-        of length <= R is inside the enumeration budget."""
-        if self.max_length_sq is None:
-            return
-        if Fraction(parse_rational(R)) ** 2 > self.max_length_sq:
-            raise TruncationError(
-                f"radius {R} exceeds the graph budget sqrt({self.max_length_sq})"
-            )
+    def check_radius(self, R, **rule) -> Fraction:
+        """R parsed by `rational.parse_length` with the rule given. Queries at R
+        are complete only if every saddle of length <= R is within budget."""
+        R = parse_length(R, **rule)
+        if self.max_length_sq is not None and R * R > self.max_length_sq:
+            raise TruncationError(f"radius {R} exceeds the graph budget "
+                                  f"sqrt({self.max_length_sq})")
+        return R
 
     def __repr__(self):
         return f"ConcatGraph(n={self.n}, edges={self.edges})"
@@ -236,7 +235,8 @@ def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
     the reverse of s2, and the predecessors are the successors conjugated
     by the reversal.
     """
-    saddles = enumerate_saddle_connections(S, max_length_sq)
+    B = parse_length(max_length_sq, InvalidParams)
+    saddles = enumerate_saddle_connections(S, B)
     leaving = [(s.start, s.out_dir) for s in saddles]
     arriving = [(s.end, s.back_dir) for s in saddles]
     after = _arc_runs(S.star_rays, functools.partial(opposite_sectors, S),
@@ -249,7 +249,7 @@ def build_concat_graph(S: TranslationSurface, max_length_sq) -> ConcatGraph:
         cone_k=[c.k for c in S.cone_points],
         after=after,
         before=functools.partial(after.conjugate, saddles.reversal),
-        max_length_sq=parse_rational(max_length_sq),
+        max_length_sq=B,
         surface=S,
     )
 
@@ -378,8 +378,7 @@ def path_length_census(G: ConcatGraph, x: int, Rmax) -> PathCensus:
     the shortest length, from the saddles leaving x. The levels' equal
     (terminal, key) merge by summing counts; the census keeps the keys <=
     Rmax, decided exactly."""
-    if not (0 <= x < len(G.cone_k)):
-        raise InvalidParams(f"no cone point {x}")
+    x = parse_int(x, len(G.cone_k), "cone point")
     T, m, keys, limit = keyed(G, Rmax)
     term = np.flatnonzero(G.start[:m] == x)
     levels = [(term[:0], term[:0])]
@@ -452,17 +451,16 @@ def _circle_formulas(G: ConcatGraph, x: int, radii, census: PathCensus | None):
     is an exact integer; the float sums of k * l and k * l^2 round as one
     sum path by path would, and take time per group (`_run_sums`). Which
     paths count is exact. The census is rebuilt when missing or shorter
-    than the largest radius."""
-    exact = [r if isinstance(r, float) else parse_rational(r)
-             for r in (radii.tolist() if isinstance(radii, np.ndarray) else radii)]
-    if any(r < 0 for r in exact):
-        raise DegenerateRadius(f"radius must be nonnegative, got {min(exact)}")
+    than the largest radius, and reads each radius as given (`exact_bound`)."""
+    x = parse_int(x, len(G.cone_k), "cone point")
+    given = parse_list(radii, "radii")
+    exact = [parse_length(r) for r in given]
     radii = np.array([float(r) for r in exact], dtype=np.float64)
     if not len(radii):
         return np.zeros(0, dtype=np.int64), radii, radii, radii
     if census is None or census.Rmax < radii.max():
         census = path_length_census(G, x, max(exact))
-    g = np.array([census.groups(r) for r in exact], dtype=np.int64)
+    g = np.array([census.groups(r) for r in given], dtype=np.int64)
     idx = census.ends[g]
     _check_int64(_dot(census.group_k, census.counts),
                  f"k-weighted paths up to R = {census.Rmax:g}")

@@ -1,34 +1,41 @@
-"""Rational literals: parsing and canonical formatting.
+"""Rational literals, the arguments of every entry point, and exact roots.
 
-Coordinates, radii and flag values are exact rationals throughout the
-library. `fractions.Fraction` already keeps reduced form with a positive
-denominator, so this module only handles the text representation used by
-surface files and command-line flags: "p/q", "p", or a decimal like "2.5".
-It also rounds sums of square roots to floats exactly, with no numpy, for
-the saddle lengths and the censuses' length keys.
+Coordinates, radii and flag values are exact rationals, written "p/q", "p"
+or a decimal like "2.5" in surface files and flags. Each kind of argument
+has one parser here, called by every public entry point before it compares,
+indexes or allocates anything. Sums of square roots round to floats exactly
+here, with no numpy, for the saddle lengths and the censuses' length keys.
 """
 
+import contextlib
 import math
+import numbers
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DegenerateRadius, InvalidParams, ParseError
+
+# The largest grid size; a grid builds its n * n cells per polygon in Python.
+GRID_MAX = 100
+
+
+def _shown(value) -> str:
+    """repr(value) cut to 60 characters; an int of over 4300 digits has none."""
+    try:
+        return f"{value!r:.60}"
+    except ValueError:
+        return f"a {type(value).__name__} too large to print"
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q", an integer string, a decimal string, or a number.
-
-    Raises ParseError on anything else (including irrational spellings).
-    """
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, float) and math.isfinite(text):
-        # Floats arrive only from JSON decimals typed by a user; take the
-        # exact binary value rather than guessing digits.
-        return Fraction(text)
+    """Parse "p/q", an integer string, a decimal string, or a number: any
+    rational but a bool (numpy integers too), or a finite float as its exact
+    binary value. Raises ParseError on anything else."""
+    if isinstance(text, numbers.Rational) and not isinstance(text, bool):
+        return Fraction(int(text.numerator), int(text.denominator))
+    if isinstance(text, numbers.Real) and math.isfinite(text):
+        return Fraction(float(text))
     if not isinstance(text, str):
-        raise ParseError(f"not a rational literal: {text!r}")
+        raise ParseError(f"not a rational literal: {_shown(text)}")
     s = text.strip()
     try:
         if "/" in s:
@@ -37,8 +44,64 @@ def parse_rational(text) -> Fraction:
         else:
             f = Fraction(s)  # handles "3" and "2.5"
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational literal: {text!r}") from exc
+        raise ParseError(f"not a rational literal: {_shown(text)}") from exc
     return f
+
+
+def parse_length(value, error=DegenerateRadius, positive: bool = False) -> Fraction:
+    """A radius, bound or budget: `parse_rational` within the float range
+    (`parse_real`). A negative one, or zero when positive, raises `error`."""
+    f = parse_rational(value)
+    x = parse_real(f, "length")
+    if f < 0 or (positive and f == 0):
+        raise error(f"length must be {'positive' if positive else 'nonnegative'}"
+                    f", got {x:g}")
+    return f
+
+
+def parse_int(value, n: int, what: str, first: int = 0) -> int:
+    """An integer in [first, n): a cone, polygon or cell id, or a grid size
+    (first 1, n GRID_MAX + 1). Any integer type but bool; anything else
+    raises ParseError, and an integer out of range InvalidParams."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, got {_shown(value)}")
+    if not first <= value < n:
+        raise InvalidParams(f"{what} {_shown(int(value))} is outside {first}..{n - 1}")
+    return int(value)
+
+
+def parse_real(value, what: str) -> float:
+    """A cutoff, sigma or h: a finite real number of any type but bool or
+    str, as a float. Anything else raises ParseError."""
+    with contextlib.suppress(OverflowError):  # an int or Fraction past floats
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(x := float(value))):
+            return x
+    raise ParseError(f"{what} must be a finite real number, got {_shown(value)}")
+
+
+def parse_list(values, what: str) -> list:
+    """The items of a list, tuple, range, array or other iterable; a string
+    or anything that does not iterate raises ParseError."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(values, (str, bytes)):
+            return list(values)
+    raise ParseError(f"{what} must be a list, got {_shown(values)}")
+
+
+def parse_grid(grid, surface):
+    """A cell grid on `surface`, whose polygons its cell ids index: a grid on
+    other polygons or gluings, or a graph with no surface, InvalidParams."""
+    from .circles import CellGrid  # loads numpy, as every caller has
+
+    if surface is None:
+        raise InvalidParams("synthetic graphs carry no geometry")
+    if not isinstance(grid, CellGrid):
+        raise ParseError(f"not a cell grid: {_shown(grid)}")
+    S = grid.surface
+    if (S.polygons, S.gluing_pairs) != (surface.polygons, surface.gluing_pairs):
+        raise InvalidParams("the grid was built on another surface")
+    return grid
 
 
 def format_rational(f: Fraction) -> str:

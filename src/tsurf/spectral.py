@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BracketFailure, DerivativeMismatch, EmptySCC, InvalidParams
+from .errors import BracketFailure, EmptySCC, InvalidParams
 from .paths import ConcatGraph, Runs, _spans
+from .rational import parse_list, parse_real
 
 
 def _prefix_count(G: ConcatGraph, cutoff: float | None) -> int:
@@ -23,7 +24,7 @@ def _prefix_count(G: ConcatGraph, cutoff: float | None) -> int:
     prefix of the id range."""
     if cutoff is None:
         return G.n
-    return int(np.searchsorted(G.lengths, cutoff, side="right"))
+    return int(np.searchsorted(G.lengths, parse_real(cutoff, "cutoff"), side="right"))
 
 
 def _find(nxt: list, p: int) -> int:
@@ -107,12 +108,11 @@ def truncated_scc(G: ConcatGraph, cutoff: float | None = None) -> np.ndarray:
 @dataclass
 class WeightMatrix:
     """Weight matrix on an SCC index set: W[a, b] = weights[b] when saddle
-    ids[b] may follow ids[a], with weights = exp(-sigma * lengths) (times
-    the tilt of v_weight's audit). The relation is the successor runs
-    restricted to the component: `cols` lists the SCC indices in successor
-    order, and run r of row rows[r] covers positions bounds[2r] to
-    bounds[2r+1] - 1 of it. Built once per cutoff; `at` and `scaled` only
-    change the weights."""
+    ids[b] may follow ids[a], with weights = exp(-sigma * lengths). The
+    relation is the successor runs restricted to the component: `cols`
+    lists the SCC indices in successor order, and run r of row rows[r]
+    covers positions bounds[2r] to bounds[2r+1] - 1 of it. Built once per
+    cutoff; `at` only changes the weights."""
 
     ids: np.ndarray
     lengths: np.ndarray
@@ -128,10 +128,6 @@ class WeightMatrix:
 
     def at(self, sigma: float) -> "WeightMatrix":
         return replace(self, weights=np.exp(-sigma * self.lengths), sigma=float(sigma))
-
-    def scaled(self, factors: np.ndarray) -> "WeightMatrix":
-        """Columns scaled by factors."""
-        return replace(self, weights=self.weights * factors)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         """W v: weights * v in successor order, summed over each run by
@@ -160,6 +156,7 @@ def weight_matrix(G: ConcatGraph, sigma: float,
     """The weight matrix at sigma on the SCC at the cutoff: the successor
     runs of its rows, renumbered to the positions of its members in the
     successor order, empty runs dropped."""
+    sigma = parse_real(sigma, "sigma")
     ids = truncated_scc(G, cutoff)
     a = G.after
     index = np.full(G.n, -1, dtype=np.int64)
@@ -172,8 +169,7 @@ def weight_matrix(G: ConcatGraph, sigma: float,
     keep = lo < hi
     lengths = G.lengths[ids]
     return WeightMatrix(
-        ids=ids, lengths=lengths, weights=np.exp(-float(sigma) * lengths),
-        sigma=float(sigma),
+        ids=ids, lengths=lengths, weights=np.exp(-sigma * lengths), sigma=sigma,
         rows=np.repeat(np.arange(len(ids)), last - first)[keep],
         bounds=np.column_stack((lo[keep], hi[keep])).ravel(),
         cols=at[at >= 0])
@@ -393,13 +389,13 @@ def solve_entropy(G: ConcatGraph, cutoffs=None) -> EntropyEstimate:
     if cutoffs is None:
         _require_saddles(G)
         cutoffs = default_cutoffs(G)
-    if not len(cutoffs):
+    cutoffs = [parse_real(L, "cutoff") for L in parse_list(cutoffs, "cutoffs")]
+    if not cutoffs:
         raise InvalidParams("need at least one cutoff")
     per = []
     est = None
     sigma0 = 1e-3
     for L in cutoffs:
-        L = float(L)
         pattern = weight_matrix(G, 1.0, cutoff=L)
         h, bracket, samples, conv = _solve_lambda_one(pattern, sigma0)
         tail = _tail_estimate(G, L, h)
@@ -424,48 +420,7 @@ def single_rung_entropy(G: ConcatGraph, cutoff: float | None = None) -> float:
     if cutoff is None:
         _require_saddles(G)
         cutoff = G.lengths.max()
-    return solve_entropy(G, cutoffs=[float(cutoff)]).h
-
-
-# Step and tolerance of v_weight's finite-difference audit.
-_FD_STEP = 1e-5
-_FD_TOL = 1e-6
-
-
-def v_weight(G: ConcatGraph, s0: int, cutoff: float | None = None,
-             h: float | None = None) -> float:
-    """Relative weight of saddle s0: minus the ratio of the tilt derivative to
-    the sigma derivative of the leading eigenvalue at sigma = h, computed from
-    the eigenvector identity d(lambda) = u (dW) v and cross-checked against
-    central finite differences. The tilt by t scales the column of s0 by
-    exp(t * l(s0)). h defaults to the single-rung entropy at the cutoff."""
-    if h is None:
-        h = single_rung_entropy(G, cutoff)
-    pattern = weight_matrix(G, h, cutoff=cutoff)
-    pos = np.flatnonzero(pattern.ids == s0)
-    if len(pos) == 0:
-        raise InvalidParams(f"saddle {s0} is outside the strongly connected "
-                            f"component at cutoff {cutoff}")
-    p0 = int(pos[0])
-    l0 = float(pattern.lengths[p0])
-    r = spectral_radius(pattern)
-    lam, u, v = r.lam, r.u, r.v
-    luv = float((pattern.lengths * u * v).sum())
-    dt = lam * l0 * float(u[p0]) * float(v[p0])
-    dsig = -lam * luv
-    val = -dt / dsig
-    # Finite-difference audit of both partials.
-    tilt = np.zeros(pattern.size)
-    tilt[p0] = l0
-    dt_fd = (spectral_radius(pattern.scaled(np.exp(_FD_STEP * tilt))).lam
-             - spectral_radius(pattern.scaled(np.exp(-_FD_STEP * tilt))).lam) / (2 * _FD_STEP)
-    dsig_fd = (spectral_radius(pattern.at(h + _FD_STEP)).lam
-               - spectral_radius(pattern.at(h - _FD_STEP)).lam) / (2 * _FD_STEP)
-    if abs(dt_fd - dt) > _FD_TOL or abs(dsig_fd - dsig) > _FD_TOL:
-        raise DerivativeMismatch(
-            f"eigenvector vs finite-difference derivatives disagree: "
-            f"dt {dt} vs {dt_fd}, dsigma {dsig} vs {dsig_fd}")
-    return val
+    return solve_entropy(G, cutoffs=[cutoff]).h
 
 
 def v_weights(G: ConcatGraph, cutoff: float | None = None,
@@ -473,8 +428,7 @@ def v_weights(G: ConcatGraph, cutoff: float | None = None,
     """All weights on the cutoff SCC from one eigensolve (no per-saddle
     audit); returns (saddle ids, weights). Weights sum to 1 exactly by
     construction. h defaults to the single-rung entropy at the cutoff."""
-    if h is None:
-        h = single_rung_entropy(G, cutoff)
+    h = single_rung_entropy(G, cutoff) if h is None else parse_real(h, "h")
     pattern = weight_matrix(G, h, cutoff=cutoff)
     r = spectral_radius(pattern)
     w = pattern.lengths * r.u * r.v

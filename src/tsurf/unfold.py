@@ -34,7 +34,8 @@ from .geometry import (
     second_half,
     sub,
 )
-from .rational import parse_rational, refine_roots, rounded
+from .rational import (parse_int, parse_length, parse_rational, refine_roots,
+                       rounded)
 from .surface import TranslationSurface
 
 
@@ -119,12 +120,8 @@ def trace_ray(S: TranslationSurface, start: TracePoint, direction, len_sq_budget
     d = (parse_rational(direction[0]), parse_rational(direction[1]))
     if d == (0, 0):
         raise InvalidParams("zero direction")
-    B = parse_rational(len_sq_budget)
-    if B < 0:
-        raise InvalidParams("negative budget")
-    p = start.polygon
-    if not 0 <= p < len(S.polygons):
-        raise InvalidParams(f"start polygon {p} does not exist")
+    B = parse_length(len_sq_budget, InvalidParams)
+    p = parse_int(start.polygon, len(S.polygons), "start polygon")
     pos = (parse_rational(start.position[0]), parse_rational(start.position[1]))
     verts = S.polygons[p]
     edges = [(a, sub(b, a)) for a, b in zip(verts, verts[1:] + verts[:1])]
@@ -473,9 +470,7 @@ def enumerate_saddle_connections(S: TranslationSurface, max_length_sq) -> Saddle
     Enumerating with a larger budget extends the list without renumbering:
     ids are stable under budget growth.
     """
-    B = parse_rational(max_length_sq)
-    if B < 0:
-        raise InvalidParams(f"negative length budget {B}")
+    B = parse_length(max_length_sq, InvalidParams)
     D, polys = integer_polygons(S)
     B = B * D * D
     if B.denominator == 1:

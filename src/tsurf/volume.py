@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 
 from .circles import CellGrid, _circle_arcs, _Development, _distance_bounds
-from .errors import InvalidParams
 from .geometry import clip_half_plane, cross, dot, neg
 from .paths import ConcatGraph, PathCensus
+from .rational import parse_grid, parse_int, parse_list
 
 
 def _disk_triangle(A, B, rho):
@@ -60,11 +60,8 @@ def region_volume(G: ConcatGraph, x: int, R, grid: CellGrid, cells,
     `circle_measure`. In every window copy, copy-cell-wedge is clipped
     exactly once, and its area inside the disk of radius r is added in
     closed form for each arc radius r of the window."""
-    cells = frozenset(int(c) for c in cells)
-    outside = sorted(c for c in cells if not 0 <= c < grid.num_cells)
-    if outside:
-        raise InvalidParams(f"cell ids {outside} are outside the "
-                            f"{grid.num_cells}-cell grid")
+    n = parse_grid(grid, G.surface).num_cells
+    cells = {parse_int(c, n, "cell id") for c in parse_list(cells, "cells")}
     R, census, arcs, _ = _circle_arcs(G, x, R, census)
     if not cells:
         return 0.0

